@@ -9,9 +9,11 @@ from .errors import (
     DimensionMismatch,
     EstimateMissing,
     ExceedsCmax,
+    InputError,
     InvalidGrid,
     InvalidParams,
     NonRealResult,
+    NumericalError,
     NotADensity,
     NotAWitness,
     NotHermitian,

@@ -1,42 +1,29 @@
 """Command line: analyze, hakye, cmax, geometry.
 
-Exit codes: 0 clean, 1 bad input or validation failure, 2 numerical
-failure, 3 a violation of the SPA-separability conjecture was flagged
-(the eigenvalue-gap condition fired), so scripts can branch on the result.
+Exit codes: 0 clean, 1 bad input or validation failure (an InputError,
+OSError or ValueError), 2 numerical failure (a NumericalError or a numpy
+linear-algebra or floating-point error), 3 a violation of the
+SPA-separability conjecture was flagged (the eigenvalue-gap condition
+fired), so scripts can branch on the result.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DifferentSigma,
-    DimensionMismatch,
-    EstimateMissing,
-    ExceedsCmax,
-    InvalidGrid,
-    InvalidParams,
-    NonRealResult,
-    NotADensity,
-    NotAWitness,
-    NotHermitian,
-    NotNegative,
-    ParseError,
-    WeightSumError,
-    ZeroTrace,
-)
+from .errors import InputError, InvalidGrid, NumericalError
 from .fileio import load_operator_file, save_operator
 from .geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, geometry_rows
 from .hakye import HaKyeParams, hakye_witness
 from .scan import (
     ASSERTION_LINE,
     DEFAULT_CONDITION_TOL,
+    GRID_KEYS,
     LABEL_LINE,
     SCAN_COLUMNS,
     SCAN_SCHEMA,
@@ -56,36 +43,29 @@ EXIT_INPUT = 1
 EXIT_NUMERIC = 2
 EXIT_VIOLATION = 3
 
-_INPUT_ERRORS = (
-    ParseError,
-    NotHermitian,
-    DimensionMismatch,
-    NotNegative,
-    NotAWitness,
-    NotADensity,
-    InvalidParams,
-    InvalidGrid,
-    WeightSumError,
-    ExceedsCmax,
-    EstimateMissing,
-    DifferentSigma,
-    OSError,
-    ValueError,
-)
-_NUMERIC_ERRORS = (
-    ConvergenceFailure,
-    NonRealResult,
-    ZeroTrace,
-    np.linalg.LinAlgError,
-    FloatingPointError,
-)
+
+def _report_stream(path: str | None):
+    """The file at path, opened for writing, or stdout left open."""
+    if path:
+        return open(path, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
 
 
-def _print_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+def _report(args: argparse.Namespace, kind: str, **fields) -> dict:
+    """Report header (schema, kind, timestamp unless reproducible), then fields."""
+    report: dict = {"schema_version": 1, "kind": kind}
+    if not args.reproducible:
+        report["generated"] = timestamp()
+    return report | fields
 
 
-def _print_kv(pairs: list[tuple[str, object]]) -> None:
+def _emit(args: argparse.Namespace, report: dict, pairs: list[tuple[str, object]]) -> None:
+    """The JSON report, or aligned text pairs led by the report's timestamp."""
+    if args.json:
+        sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
+        return
+    if "generated" in report:
+        pairs.insert(0, ("generated", report["generated"]))
     width = max(len(key) for key, _ in pairs)
     for key, value in pairs:
         if isinstance(value, bool):
@@ -109,80 +89,53 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         op, tol=args.tol, asserted_onew=args.assert_onew
     )
     lam0, lam0_pt = verdict.lambda0, verdict.lambda0_pt
-    shift_direct = max(0.0, -lam0)
-    shift_partner = max(0.0, -lam0_pt)
-    if verdict.npt_side == "partial-transpose":
-        ppt_direct, ppt_partner = verdict.partner_spa_ppt, verdict.spa_ppt
-    else:
-        ppt_direct, ppt_partner = verdict.spa_ppt, verdict.partner_spa_ppt
     sides = {
-        "direct": {
-            "shift": shift_direct,
-            "min_pt_eigenvalue_raw": lam0_pt + shift_direct,
-            "ppt_status": ppt_direct.status.value,
-            "conclusive_separability": ppt_direct.conclusive_separability,
-        },
-        "partial_transpose": {
-            "shift": shift_partner,
-            "min_pt_eigenvalue_raw": lam0 + shift_partner,
-            "ppt_status": ppt_partner.status.value,
-            "conclusive_separability": ppt_partner.conclusive_separability,
-        },
-    }
-    report: dict = {
-        "schema_version": 1,
-        "kind": "witness-analysis",
-    }
-    if not args.reproducible:
-        report["generated"] = timestamp()
-    report.update(
-        {
-            "input": str(args.witness),
-            "dims": {"dA": op.dims.dA, "dB": op.dims.dB},
-            "lambda0_W": lam0,
-            "lambda0_WGamma": lam0_pt,
-            "gap": verdict.gap,
-            "tol": args.tol,
-            "condition_holds": verdict.condition_holds,
-            "spa": sides,
-            "npt_side": verdict.npt_side,
-            "conclusion": verdict.conclusion.value,
-            "assertion_note": verdict.assertion_note,
+        name: {
+            "shift": side.shift,
+            "min_pt_eigenvalue_raw": side.min_pt_eigenvalue_raw,
+            "ppt_status": side.status.value,
+            "conclusive_separability": side.conclusive_separability,
         }
+        for name, side in zip(("direct", "partial_transpose"), verdict.spa_sides)
+    }
+    report = _report(
+        args,
+        kind="witness-analysis",
+        input=str(args.witness),
+        dims={"dA": op.dims.dA, "dB": op.dims.dB},
+        lambda0_W=lam0,
+        lambda0_WGamma=lam0_pt,
+        gap=verdict.gap,
+        tol=args.tol,
+        condition_holds=verdict.condition_holds,
+        spa=sides,
+        npt_side=verdict.npt_side,
+        conclusion=verdict.conclusion.value,
+        assertion_note=verdict.assertion_note,
     )
     if metadata.get("label"):
         report["label"] = metadata["label"]
-    if args.json:
-        _print_json(report)
-    else:
-        pairs: list[tuple[str, object]] = [
-            ("input", report["input"]),
-            ("dims", f"{op.dims.dA}x{op.dims.dB}"),
-            ("lambda0_W", lam0),
-            ("lambda0_WGamma", lam0_pt),
-            ("gap", verdict.gap),
-            ("condition_holds", verdict.condition_holds),
-            ("spa[direct]", _fmt_side(sides["direct"])),
-            ("spa[partial-transpose]", _fmt_side(sides["partial_transpose"])),
-            ("npt_side", verdict.npt_side or "none"),
-            ("conclusion", verdict.conclusion.value),
-            ("note", verdict.assertion_note),
-        ]
-        if not args.reproducible:
-            pairs.insert(0, ("generated", report["generated"]))
-        _print_kv(pairs)
+    _emit(args, report, [
+        ("input", report["input"]),
+        ("dims", f"{op.dims.dA}x{op.dims.dB}"),
+        ("lambda0_W", lam0),
+        ("lambda0_WGamma", lam0_pt),
+        ("gap", verdict.gap),
+        ("condition_holds", verdict.condition_holds),
+        ("spa[direct]", _fmt_side(sides["direct"])),
+        ("spa[partial-transpose]", _fmt_side(sides["partial_transpose"])),
+        ("npt_side", verdict.npt_side or "none"),
+        ("conclusion", verdict.conclusion.value),
+        ("note", verdict.assertion_note),
+    ])
     return EXIT_VIOLATION if verdict.condition_holds else EXIT_OK
 
 
 def _hakye_points(args: argparse.Namespace) -> list[HaKyeParams]:
-    fixed = {
-        key: getattr(args, key)
-        for key in ("a", "b", "c", "theta")
-        if getattr(args, key) is not None
-    }
+    fixed = {k: getattr(args, k) for k in GRID_KEYS if getattr(args, k) is not None}
     axes = [parse_grid_axis(spec) for spec in args.scan or []]
     if not axes and not args.cos_family:
-        missing = [k for k in ("a", "b", "c", "theta") if k not in fixed]
+        missing = [k for k in GRID_KEYS if k not in fixed]
         if missing:
             raise InvalidGrid(
                 f"single-point analysis needs --{', --'.join(missing)} "
@@ -206,23 +159,13 @@ def _cmd_hakye(args: argparse.Namespace) -> int:
         )
     rows = run_scan(points, condition_tol=args.tol, asserted_onew=True)
     notes = (ASSERTION_LINE, LABEL_LINE)
-    if args.format == "json":
-        doc = scan_report_json(rows, reproducible=args.reproducible, notes=notes)
-        text = json.dumps(doc, indent=2) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-    else:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                write_rows_csv(
-                    rows, SCAN_COLUMNS, SCAN_SCHEMA, fh,
-                    reproducible=args.reproducible, notes=notes,
-                )
+    with _report_stream(args.out) as fh:
+        if args.format == "json":
+            doc = scan_report_json(rows, reproducible=args.reproducible, notes=notes)
+            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
         else:
             write_rows_csv(
-                rows, SCAN_COLUMNS, SCAN_SCHEMA, sys.stdout,
+                rows, SCAN_COLUMNS, SCAN_SCHEMA, fh,
                 reproducible=args.reproducible, notes=notes,
             )
     if any(row["verdict"] == "oracle-mismatch" for row in rows):
@@ -248,49 +191,34 @@ def _cmd_cmax(args: argparse.Namespace) -> int:
     )
     mu = [[z.real, z.imag] for z in estimate.argmin.mu_a.tolist()]
     nu = [[z.real, z.imag] for z in estimate.argmin.nu_b.tolist()]
-    report: dict = {"schema_version": 1, "kind": "cmax-estimate"}
-    if not args.reproducible:
-        report["generated"] = timestamp()
-    report.update(
-        {
-            "input": str(args.sigma),
-            "value": estimate.value,
-            "argmin": {"mu_a": mu, "nu_b": nu},
-            "restarts": estimate.restarts,
-            "iterations": estimate.iterations,
-            "converged": estimate.converged,
-        }
+    report = _report(
+        args,
+        kind="cmax-estimate",
+        input=str(args.sigma),
+        value=estimate.value,
+        argmin={"mu_a": mu, "nu_b": nu},
+        restarts=estimate.restarts,
+        iterations=estimate.iterations,
+        converged=estimate.converged,
     )
-    if args.json:
-        _print_json(report)
-    else:
-        pairs: list[tuple[str, object]] = [
-            ("input", report["input"]),
-            ("value", estimate.value),
-            ("argmin.mu_a", json.dumps(mu)),
-            ("argmin.nu_b", json.dumps(nu)),
-            ("restarts", estimate.restarts),
-            ("iterations", estimate.iterations),
-            ("converged", estimate.converged),
-        ]
-        if not args.reproducible:
-            pairs.insert(0, ("generated", report["generated"]))
-        _print_kv(pairs)
+    _emit(args, report, [
+        ("input", report["input"]),
+        ("value", estimate.value),
+        ("argmin.mu_a", json.dumps(mu)),
+        ("argmin.nu_b", json.dumps(nu)),
+        ("restarts", estimate.restarts),
+        ("iterations", estimate.iterations),
+        ("converged", estimate.converged),
+    ])
     return EXIT_OK if estimate.converged else EXIT_NUMERIC
 
 
 def _cmd_geometry(args: argparse.Namespace) -> int:
     op, _ = load_operator_file(args.witness)
     rows = geometry_rows(op, samples=args.samples, seed=args.seed)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_rows_csv(
-                rows, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, fh,
-                reproducible=args.reproducible,
-            )
-    else:
+    with _report_stream(args.out) as fh:
         write_rows_csv(
-            rows, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, sys.stdout,
+            rows, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, fh,
             reproducible=args.reproducible,
         )
     return EXIT_OK
@@ -322,9 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="caller vouches the witness is optimal nondecomposable",
     )
     analyze.add_argument("--json", action="store_true", help="machine-readable report")
-    analyze.add_argument(
-        "--reproducible", action="store_true", help="omit the timestamp header"
-    )
     analyze.set_defaults(handler=_cmd_analyze)
 
     hakye = sub.add_parser(
@@ -356,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also save the witness matrix as an operator file (single point)",
     )
-    hakye.add_argument(
-        "--reproducible", action="store_true", help="omit the timestamp header"
-    )
     hakye.set_defaults(handler=_cmd_hakye)
 
     cmax = sub.add_parser(
@@ -370,9 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmax.add_argument("--tol", type=float, default=1e-12)
     cmax.add_argument("--seed", type=int, default=0)
     cmax.add_argument("--json", action="store_true", help="machine-readable report")
-    cmax.add_argument(
-        "--reproducible", action="store_true", help="omit the timestamp header"
-    )
     cmax.set_defaults(handler=_cmd_cmax)
 
     geometry = sub.add_parser(
@@ -382,10 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     geometry.add_argument("--samples", type=int, default=100)
     geometry.add_argument("--seed", type=int, default=0)
     geometry.add_argument("--out", default=None, help="write CSV to this path")
-    geometry.add_argument(
-        "--reproducible", action="store_true", help="omit the timestamp header"
-    )
     geometry.set_defaults(handler=_cmd_geometry)
+
+    for command in (analyze, hakye, cmax, geometry):
+        command.add_argument(
+            "--reproducible", action="store_true", help="omit the timestamp header"
+        )
 
     return parser
 
@@ -394,10 +315,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _NUMERIC_ERRORS as exc:
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,10 +1,11 @@
 """Exception types raised across the package.
 
 Everything inherits from :class:`SpaWitnessError` so callers can catch the
-whole family with one clause.  Validation-style errors (bad input, broken
-preconditions) and numerical failures (eigensolver breakdown, lost realness)
-are kept as distinct classes because the command line maps them to different
-exit codes.
+whole family with one clause.  Each concrete class sits under exactly one of
+two bases: :class:`InputError` for bad input and broken preconditions, and
+:class:`NumericalError` for failures of the arithmetic itself (eigensolver
+breakdown, lost realness, a trace too small to normalize by).  The command
+line maps the two bases to different exit codes.
 """
 
 
@@ -12,61 +13,69 @@ class SpaWitnessError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatch(SpaWitnessError):
+class InputError(SpaWitnessError):
+    """The input or a parameter is invalid; nothing was computed from it."""
+
+
+class NumericalError(SpaWitnessError):
+    """A computation on valid input broke down numerically."""
+
+
+class DimensionMismatch(InputError):
     """Subsystem or matrix dimensions are inconsistent."""
 
 
-class NotHermitian(SpaWitnessError):
+class NotHermitian(InputError):
     """A matrix failed the Hermiticity check; message reports the worst entry."""
 
 
-class ConvergenceFailure(SpaWitnessError):
+class ConvergenceFailure(NumericalError):
     """An eigensolver did not converge or produced an inconsistent result."""
 
 
-class NonRealResult(SpaWitnessError):
+class NonRealResult(NumericalError):
     """A quantity that must be real carried too large an imaginary part."""
 
 
-class WeightSumError(SpaWitnessError):
+class WeightSumError(InputError):
     """Ensemble weights are not a probability distribution."""
 
 
-class NotADensity(SpaWitnessError):
+class NotADensity(InputError):
     """An operator failed density validation (unit trace, positivity)."""
 
 
-class NotAWitness(SpaWitnessError):
+class NotAWitness(InputError):
     """The requested construction cannot be an entanglement witness."""
 
 
-class ExceedsCmax(SpaWitnessError):
+class ExceedsCmax(InputError):
     """The offset c exceeds the estimated product-state infimum of sigma."""
 
 
-class NotNegative(SpaWitnessError):
+class NotNegative(InputError):
     """The operator has no negative eigenvalue, so it detects nothing."""
 
 
-class EstimateMissing(SpaWitnessError):
+class EstimateMissing(InputError):
     """An operation needed a cached c_max estimate that was never computed."""
 
 
-class DifferentSigma(SpaWitnessError):
+class DifferentSigma(InputError):
     """Two witnesses do not share the same sigma and cannot be compared."""
 
 
-class ZeroTrace(SpaWitnessError):
+class ZeroTrace(NumericalError):
     """Normalization by trace is impossible (trace vanishes)."""
 
 
-class ParseError(SpaWitnessError):
+class ParseError(InputError):
     """An operator file is malformed; message points at the first violation."""
 
 
-class InvalidParams(SpaWitnessError):
+class InvalidParams(InputError):
     """Family parameters are outside their allowed range."""
 
 
-class InvalidGrid(SpaWitnessError):
+class InvalidGrid(InputError):
     """A scan grid specification could not be interpreted."""

@@ -17,6 +17,7 @@ cycle reproduces the matrix bit for bit (finite values only).
 from __future__ import annotations
 
 import json
+import sys
 from numbers import Real
 from pathlib import Path
 
@@ -97,6 +98,9 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
                     f"{path}: entry at row {r}, column {s} is not a "
                     "[real, imag] pair of numbers"
                 )
+            # compared exactly, so integer literals beyond the float range fail too
+            if not all(abs(x) <= sys.float_info.max for x in cell):
+                raise ParseError(f"{path}: entry at row {r}, column {s} is not finite")
             matrix[r, s] = complex(cell[0], cell[1])
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParams
 from .operators import HermitianOperator, hs_inner, hs_norm, min_eigenpair
 from .spa import hyperplane_classify, pt_min_eigenvalue
 from .states import (
@@ -48,6 +49,8 @@ def geometry_rows(
     tol: float = 1e-8,
 ) -> list[dict]:
     """Ground projector row, then `samples` random and `samples` separable rows."""
+    if samples < 1:
+        raise InvalidParams(f"samples must be >= 1, got {samples!r}")
     dims = witness_op.dims
     rng = np.random.default_rng(seed)
     _, ground = min_eigenpair(witness_op)

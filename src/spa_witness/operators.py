@@ -61,7 +61,11 @@ class HermitianOperator:
             )
         asym = np.abs(m - m.conj().T)
         worst = float(asym.max())
-        if worst > HERMITICITY_TOL:
+        # a non-finite entry makes its asymmetry inf or nan, so it fails here
+        if not worst <= HERMITICITY_TOL:
+            if not np.isfinite(m).all():
+                r, s = np.argwhere(~np.isfinite(m))[0]
+                raise NotHermitian(f"non-finite entry at row {r}, column {s}")
             r, s = np.unravel_index(int(asym.argmax()), asym.shape)
             raise NotHermitian(
                 f"max asymmetry {worst:.3e} at row {int(r)}, column {int(s)} "
@@ -122,12 +126,12 @@ def eig_hermitian(op: HermitianOperator, tol: float = DEFAULT_EIG_TOL) -> Spectr
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     scale = max(1.0, hs_norm(op))
     residual = np.linalg.norm(op.entries @ v - v * w, axis=0)
-    if float(residual.max()) > tol * scale:
+    if not float(residual.max()) <= tol * scale:
         raise ConvergenceFailure(
             f"eigenpair residual {float(residual.max()):.3e} exceeds {tol * scale:.3e}"
         )
     gram = v.conj().T @ v - np.eye(op.dims.dAB)
-    if float(np.abs(gram).max()) > _ORTHONORMALITY_TOL:
+    if not float(np.abs(gram).max()) <= _ORTHONORMALITY_TOL:
         raise ConvergenceFailure(
             f"eigenvectors lost orthonormality by {float(np.abs(gram).max()):.3e}"
         )
@@ -155,7 +159,12 @@ def partial_transpose(op: HermitianOperator, subsystem: str = "B") -> HermitianO
         out = t.transpose(2, 1, 0, 3)
     else:
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return HermitianOperator(op.dims, out.reshape(op.dims.dAB, op.dims.dAB))
+    # an entry permutation commuting with the conjugate transpose keeps op
+    # exactly as Hermitian and finite as it was, so validation is skipped
+    pt = object.__new__(HermitianOperator)
+    object.__setattr__(pt, "dims", op.dims)
+    object.__setattr__(pt, "entries", _read_only(out.reshape(op.dims.dAB, op.dims.dAB)))
+    return pt
 
 
 def hs_inner(a: HermitianOperator, b: HermitianOperator) -> float:

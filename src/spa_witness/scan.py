@@ -23,9 +23,10 @@ from typing import IO
 import numpy as np
 
 from .errors import InvalidGrid
-from .hakye import HaKyeParams, hakye_pt_spectrum_closed_form, hakye_spectrum_closed_form, hakye_witness
+from .hakye import HaKyeParams, hakye_witness, reference_violation_params
+from .hakye import hakye_pt_spectrum_closed_form, hakye_spectrum_closed_form
 from .operators import eig_hermitian, partial_transpose
-from .spa import Conclusion
+from .spa import Conclusion, gap_verdict
 
 SCAN_SCHEMA = "hakye-scan-v1"
 SCAN_COLUMNS = (
@@ -94,11 +95,6 @@ def parse_grid_axis(text: str) -> GridAxis:
     return GridAxis(key, start, stop, count)
 
 
-def _cos_family_params(theta: float) -> HaKyeParams:
-    ct = math.cos(theta)
-    return HaKyeParams(a=4.0 * ct / 3.0, b=2.0 * ct / 3.0, c=0.0, theta=theta)
-
-
 def build_grid(
     axes: list[GridAxis],
     fixed: dict[str, float],
@@ -121,10 +117,10 @@ def build_grid(
                 f"--cos-family derives a, b, c from theta; cannot scan {extra}"
             )
         if "theta" in fixed and not axes:
-            return [_cos_family_params(fixed["theta"])]
+            return [reference_violation_params(fixed["theta"])]
         if not axes:
             raise InvalidGrid("--cos-family needs theta, scanned or fixed")
-        return [_cos_family_params(float(t)) for t in axes[0].values()]
+        return [reference_violation_params(float(t)) for t in axes[0].values()]
     missing = [
         key for key in GRID_KEYS if key not in fixed and key not in seen
     ]
@@ -150,23 +146,20 @@ def analyze_point(
     w = hakye_witness(params)
     spec = eig_hermitian(w)
     spec_pt = eig_hermitian(partial_transpose(w))
-    lam0 = spec.min_eigenvalue
-    lam0_pt = spec_pt.min_eigenvalue
     oracle = hakye_spectrum_closed_form(params)
     oracle_pt = hakye_pt_spectrum_closed_form(params)
     mismatch = max(
         float(np.abs(spec.eigenvalues - oracle).max()),
         float(np.abs(spec_pt.eigenvalues - oracle_pt).max()),
     )
-    gap = abs(lam0 - lam0_pt)
-    condition = gap > condition_tol
-    shift = max(0.0, -lam0)
-    if mismatch > ORACLE_TOL:
+    check = gap_verdict(
+        spec.min_eigenvalue, spec_pt.min_eigenvalue, w.trace, w.dims.dAB, condition_tol
+    )
+    # The row verdict rests on the gap alone: no tie-window downgrade.
+    if not mismatch <= ORACLE_TOL:
         verdict = "oracle-mismatch"
-    elif condition:
-        verdict = (
-            Conclusion.VIOLATES.value if asserted_onew else Conclusion.INCONCLUSIVE.value
-        )
+    elif check.condition_holds:
+        verdict = (Conclusion.VIOLATES if asserted_onew else Conclusion.INCONCLUSIVE).value
     else:
         verdict = Conclusion.CONSISTENT.value
     return {
@@ -174,11 +167,11 @@ def analyze_point(
         "b": float(params.b),
         "c": float(params.c),
         "theta": float(params.theta),
-        "lambda0_W": float(lam0),
-        "lambda0_WGamma": float(lam0_pt),
-        "gap": float(gap),
-        "condition_holds": bool(condition),
-        "spa_min_pt_eig": float(lam0_pt + shift),
+        "lambda0_W": check.lambda0,
+        "lambda0_WGamma": check.lambda0_pt,
+        "gap": check.gap,
+        "condition_holds": check.condition_holds,
+        "spa_min_pt_eig": check.spa_sides[0].min_pt_eigenvalue_raw,
         "verdict": verdict,
         "oracle_discrepancy": float(mismatch),
     }

@@ -10,16 +10,24 @@ optimal nondecomposable witness) refutes separability outright.
 For a sigma-form witness the SPA collapses to sigma - (min eig sigma)*I
 independently of the offset c, and when sigma is rank deficient the SPA is
 sigma itself, so separability of the approximation is inherited from sigma.
+
+The gap check needs no SPA operator at all.  Partial transposition is linear
+and fixes the identity, so (W + s*I)^PT = W^PT + s*I and
+
+    min eig (W + s*I)^PT = min eig(W^PT) + s
+
+holds exactly; normalizing by the trace tr(W) + dAB*s is a positive rescale.
+Both SPA verdicts therefore follow from min eig(W), min eig(W^PT) and tr(W),
+which is what :func:`gap_verdict` computes from, after two eigensolves.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConvergenceFailure, NotNegative, ZeroTrace
+from .errors import ConvergenceFailure, InvalidParams, NotNegative, ZeroTrace
 from .operators import (
     HermitianOperator,
     eig_hermitian,
@@ -58,6 +66,14 @@ class PptVerdict:
 
 
 @dataclass(frozen=True, eq=False)
+class SpaPptVerdict(PptVerdict):
+    """PPT verdict of an SPA X + s*I, with its shift and unnormalized PT floor."""
+
+    shift: float
+    min_pt_eigenvalue_raw: float
+
+
+@dataclass(frozen=True, eq=False)
 class SpaResult:
     """Shift s, the shifted operator, and its normalized state."""
 
@@ -91,11 +107,21 @@ class ConjectureVerdict:
     conclusion: Conclusion
     assertion_note: str
     npt_side: str | None = None
-    partner_spa_ppt: PptVerdict | None = None
+    partner_spa_ppt: SpaPptVerdict | None = None
 
     @property
     def gap(self) -> float:
         return abs(self.lambda0 - self.lambda0_pt)
+
+    @property
+    def spa_sides(self) -> tuple[SpaPptVerdict, SpaPptVerdict]:
+        """The SPA verdicts of W and of W^PT, in that order; gap verdicts only."""
+        primary, partner = self.spa_ppt, self.partner_spa_ppt
+        if not (isinstance(primary, SpaPptVerdict) and isinstance(partner, SpaPptVerdict)):
+            raise TypeError("only a gap verdict records the SPA verdicts of both sides")
+        if self.npt_side == "partial-transpose":
+            return partner, primary
+        return primary, partner
 
 
 def spa(witness_op: HermitianOperator) -> SpaResult:
@@ -104,7 +130,7 @@ def spa(witness_op: HermitianOperator) -> SpaResult:
     s = max(0.0, -lam0)
     op = shifted(witness_op, s) if s > 0.0 else witness_op
     tr = op.trace
-    if tr <= _MIN_TRACE:
+    if not tr > _MIN_TRACE:
         raise ZeroTrace(f"shifted operator has trace {tr!r}; cannot normalize")
     state = DensityOperator(scaled(op, 1.0 / tr), Provenance.UNKNOWN)
     return SpaResult(s=s, spa_operator=op, normalized_state=state)
@@ -128,7 +154,7 @@ def spa_sigma_form(witness: SigmaFormWitness) -> SpaResult:
     lam0 = witness.lambda0_sigma
     op = shifted(sigma.op, -lam0)
     tr = op.trace
-    if tr <= _MIN_TRACE:
+    if not tr > _MIN_TRACE:
         raise ZeroTrace(f"SPA operator has trace {tr!r}; cannot normalize")
     state = DensityOperator(scaled(op, 1.0 / tr), Provenance.UNKNOWN)
     return SpaResult(s=witness.c - lam0, spa_operator=op, normalized_state=state)
@@ -209,46 +235,56 @@ def spa_violation_from_sigma(
     )
 
 
-def spa_violation_from_gap(
-    witness_op: HermitianOperator,
+def _spa_side(
+    lam0: float, pt_floor: float, trace: float, dAB: int, tol: float
+) -> SpaPptVerdict:
+    # SPA of X with min eig X = lam0 and min eig X^PT = pt_floor
+    s = max(0.0, -lam0)
+    tr = trace + dAB * s
+    if not tr > _MIN_TRACE:
+        raise ZeroTrace(f"shifted operator has trace {tr!r}; cannot normalize")
+    raw = pt_floor + s
+    lam = raw / tr
+    status = PptStatus.NPT_ENTANGLED if lam < -tol else PptStatus.PPT
+    return SpaPptVerdict(
+        min_pt_eigenvalue=lam,
+        status=status,
+        conclusive_separability=(status is PptStatus.PPT and dAB <= 6),
+        shift=s,
+        min_pt_eigenvalue_raw=raw,
+    )
+
+
+def gap_verdict(
+    lam0: float,
+    lam0_pt: float,
+    trace: float,
+    dAB: int,
     tol: float = DEFAULT_COMPARE_TOL,
     asserted_onew: bool = False,
 ) -> ConjectureVerdict:
-    """Eigenvalue-gap condition: unequal bottom eigenvalues of W and W^PT.
+    """Gap condition and both SPA PPT verdicts from min eig(W), min eig(W^PT), tr W.
 
-    When min eig(W) differs from min eig(W^PT), the side with the larger
-    (less negative) bottom eigenvalue receives a shift too small to lift the
-    partner's negativity, so that side's SPA is NPT.  Both SPAs are computed
-    and PPT-checked as evidence; npt_side names the loser ("direct" for W,
-    "partial-transpose" for W^PT).
+    When the bottom eigenvalues differ by more than tol, the side with the
+    larger one gets a shift too small to lift the other's negativity, so its
+    SPA is NPT; npt_side names it.  A gap whose normalized SPA stays above
+    -tol (the tie window) is INCONCLUSIVE whatever the assertion.
     """
-    lam0, _ = min_eigenpair(witness_op)
-    if lam0 >= 0.0:
-        raise NotNegative(
-            f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate"
-        )
-    partner_op = partial_transpose(witness_op)
-    lam0_pt, _ = min_eigenpair(partner_op)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
+    sides = (
+        _spa_side(lam0, lam0_pt, trace, dAB, tol),
+        _spa_side(lam0_pt, lam0, trace, dAB, tol),
+    )
     condition = abs(lam0 - lam0_pt) > tol
-    ppt_direct = ppt_check(spa(witness_op).spa_operator, tol)
-    ppt_partner = ppt_check(spa(partner_op).spa_operator, tol)
-    npt_side = None
-    if condition:
-        npt_side = "direct" if lam0 > lam0_pt else "partial-transpose"
-    if npt_side == "partial-transpose":
-        primary, partner = ppt_partner, ppt_direct
-    else:
-        primary, partner = ppt_direct, ppt_partner
-    if condition:
-        if primary.status is PptStatus.NPT_ENTANGLED:
-            conclusion = (
-                Conclusion.VIOLATES if asserted_onew else Conclusion.INCONCLUSIVE
-            )
-        else:
-            # Tie window: the gap cleared tol but the normalized SPA did not.
-            conclusion = Conclusion.INCONCLUSIVE
-    else:
+    npt_side = ("direct" if lam0 > lam0_pt else "partial-transpose") if condition else None
+    primary, partner = sides[::-1] if npt_side == "partial-transpose" else sides
+    if not condition:
         conclusion = Conclusion.CONSISTENT
+    elif primary.status is PptStatus.NPT_ENTANGLED and asserted_onew:
+        conclusion = Conclusion.VIOLATES
+    else:
+        conclusion = Conclusion.INCONCLUSIVE
     return ConjectureVerdict(
         condition_holds=condition,
         lambda0=lam0,
@@ -258,6 +294,23 @@ def spa_violation_from_gap(
         assertion_note=_assertion_note(asserted_onew),
         npt_side=npt_side,
         partner_spa_ppt=partner,
+    )
+
+
+def spa_violation_from_gap(
+    witness_op: HermitianOperator,
+    tol: float = DEFAULT_COMPARE_TOL,
+    asserted_onew: bool = False,
+) -> ConjectureVerdict:
+    """Eigenvalue-gap condition from two eigensolves, on W and on W^PT."""
+    lam0 = eig_hermitian(witness_op).min_eigenvalue
+    if not lam0 < 0.0:
+        raise NotNegative(
+            f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate"
+        )
+    lam0_pt = eig_hermitian(partial_transpose(witness_op)).min_eigenvalue
+    return gap_verdict(
+        lam0, lam0_pt, witness_op.trace, witness_op.dims.dAB, tol, asserted_onew
     )
 
 

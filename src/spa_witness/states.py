@@ -102,10 +102,10 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         tr = self.op.trace
-        if abs(tr - 1.0) > DENSITY_TRACE_TOL:
+        if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
             raise NotADensity(f"trace is {tr!r}, expected 1")
         min_eig = float(np.linalg.eigvalsh(self.op.entries)[0])
-        if min_eig < -DENSITY_MIN_EIG_TOL:
+        if not min_eig >= -DENSITY_MIN_EIG_TOL:
             raise NotADensity(f"minimum eigenvalue {min_eig!r} is negative")
 
     @property

@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     EstimateMissing,
     ExceedsCmax,
+    InvalidParams,
     NotAWitness,
     NotNegative,
 )
@@ -166,9 +167,9 @@ def c_sigma_max(
     sigma : DensityOperator
         State whose product-state infimum is sought.
     restarts : int
-        Independent runs; restart r draws its start from seed + r.
+        Independent runs, at least one; restart r draws its start from seed + r.
     max_iter : int
-        Full sweeps allowed per run.
+        Full sweeps allowed per run; 0 only evaluates the starting vectors.
     tol : float
         A run stops once a full sweep lowers the objective by less than this.
     seed : int
@@ -180,6 +181,10 @@ def c_sigma_max(
         Best value found, its product vector, and convergence metadata for
         the winning run.  ``converged`` is False when that run hit max_iter.
     """
+    if restarts < 1 or max_iter < 0:
+        raise InvalidParams(
+            f"need restarts >= 1 and max_iter >= 0, got {restarts!r} and {max_iter!r}"
+        )
     dims = sigma.dims
     t4 = sigma.op.entries.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
     best: tuple[float, np.ndarray, np.ndarray, int, bool] | None = None
@@ -192,7 +197,6 @@ def c_sigma_max(
         )
         if best is None or value < best[0]:
             best = (value, mu, nu, iterations, converged)
-    assert best is not None
     value, mu, nu, iterations, converged = best
     return CmaxEstimate(
         value=value,
@@ -233,7 +237,7 @@ def sigma_form_from_matrix(
     negative sample proves the input is no witness.
     """
     lam0, _ = min_eigenpair(raw)
-    if lam0 >= 0.0:
+    if not lam0 < 0.0:
         raise NotNegative(
             f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate"
         )

@@ -278,3 +278,63 @@ class TestGeometry:
             )
             assert code == EXIT_OK
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _write_non_finite(path):
+    # 1e400 is a valid JSON number that parses to inf
+    rows = [
+        ["[1e400, 0.0]" if r == s == 0 else f"[{float(r == s)}, 0.0]" for s in range(4)]
+        for r in range(4)
+    ]
+    body = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    path.write_text(
+        '{"schema_version": 1, "dims": {"dA": 2, "dB": 2}, "entries": [' + body + "]}",
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("command", ["analyze", "geometry"])
+    def test_non_finite_entry_rejected(self, capsys, tmp_path, command):
+        path = _write_non_finite(tmp_path / "inf.json")
+        code, out, err = run_cli(capsys, command, str(path), "--reproducible")
+        assert code == EXIT_INPUT
+        assert "NaN" not in out and "Traceback" not in err
+        assert "row 0, column 0" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--restarts", "0"], ["--max-iter", "-1"]], ids=["restarts", "max-iter"]
+    )
+    def test_cmax_counts_validated(self, capsys, tmp_path, flags):
+        path = tmp_path / "tau.json"
+        save_operator(maximally_mixed(Dims(2, 2)).op, path)
+        code, out, err = run_cli(capsys, "cmax", str(path), *flags)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "restarts" in err
+
+    def test_geometry_samples_validated(self, capsys, reference_file):
+        code, out, err = run_cli(
+            capsys, "geometry", str(reference_file), "--samples", "0"
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "samples" in err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_hakye_tolerance_validated(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys,
+            "hakye", "--a", "5", "--b", "4", "--c", "4", "--theta", "0",
+            "--tol", tol, "--reproducible",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "tolerance" in err
+
+    def test_analyze_tolerance_validated(self, capsys, reference_file):
+        code, out, err = run_cli(capsys, "analyze", str(reference_file), "--tol", "nan")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "tolerance" in err

@@ -73,6 +73,16 @@ class TestValidation:
         with pytest.raises(ParseError, match="invalid JSON"):
             load_operator(path)
 
+    @pytest.mark.parametrize(
+        "literal", ["1e400", "-1e400", "1" + "0" * 400], ids=["inf", "-inf", "big-int"]
+    )
+    def test_non_finite_entry_named(self, tmp_path, literal):
+        text = json.dumps(minimal_doc()).replace("0.0", literal, 1)
+        path = tmp_path / "inf.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="row 0, column 0 is not finite"):
+            load_operator(path)
+
     def test_top_level_must_be_object(self, tmp_path):
         path = write_doc(tmp_path / "bad.json", [1, 2, 3])
         with pytest.raises(ParseError, match="top level"):

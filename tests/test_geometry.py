@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from spa_witness.errors import InvalidParams
 from spa_witness.geometry import GEOMETRY_COLUMNS, geometry_rows
 from spa_witness.hakye import hakye_witness, reference_violation_params
 
@@ -46,3 +48,8 @@ def test_deterministic_per_seed():
     r5 = reference_rows(seed=5)
     r4 = reference_rows(seed=4)
     assert any(a != b for a, b in zip(r4[1:], r5[1:]))
+
+
+def test_samples_must_be_positive():
+    with pytest.raises(InvalidParams):
+        reference_rows(samples=0)

@@ -57,6 +57,13 @@ class TestMakeHermitian:
         assert_allclose(op.entries, m)
         assert op.trace == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_non_finite_rejected_with_location(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[2, 1] = m[1, 2] = bad
+        with pytest.raises(NotHermitian, match="non-finite entry .* row 1, column 2"):
+            make_hermitian(m, D22)
+
     def test_asymmetric_rejected_with_location(self):
         m = np.eye(4, dtype=complex)
         m[0, 1] = 1j
@@ -75,6 +82,14 @@ class TestMakeHermitian:
 
 
 class TestEigHermitian:
+    def test_nan_eigenpairs_rejected(self, monkeypatch):
+        op = make_hermitian(np.diag([3.0, 1.0, 2.0, 5.0]), D22)
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: (np.full(4, np.nan), np.eye(4))
+        )
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            eig_hermitian(op)
+
     def test_diagonal_sorted_ascending(self):
         op = make_hermitian(np.diag([3.0, 1.0, 2.0, 5.0]), D22)
         spectrum = eig_hermitian(op)
@@ -251,8 +266,14 @@ def test_partial_transpose_properties_hold(seed, dims_idx):
     rng = np.random.default_rng(seed)
     op = random_hermitian(dims, rng)
     pt = partial_transpose(op)
-    # Hermiticity survives (constructor re-validates), trace is preserved,
-    # and transposing twice returns the original entries.
+    # Hermiticity survives exactly (the entry map commutes with the conjugate
+    # transpose, so the result skips re-validation), the entries stay
+    # read-only, trace is preserved, and transposing twice returns the
+    # original entries.
+    assert np.abs(pt.entries - pt.entries.conj().T).max() == np.abs(
+        op.entries - op.entries.conj().T
+    ).max()
+    assert not pt.entries.flags.writeable
     assert pt.trace == pytest.approx(op.trace)
     assert_allclose(partial_transpose(pt).entries, op.entries)
 

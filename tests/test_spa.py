@@ -18,7 +18,13 @@ from conftest import (
     random_negative_hermitian,
     rank_deficient_separable,
 )
-from spa_witness.errors import ConvergenceFailure, NotNegative, ZeroTrace
+from spa_witness.errors import (
+    ConvergenceFailure,
+    InvalidParams,
+    NotNegative,
+    SpaWitnessError,
+    ZeroTrace,
+)
 from spa_witness.operators import (
     Dims,
     HermitianOperator,
@@ -34,6 +40,7 @@ from spa_witness.spa import (
     PptStatus,
     PptVerdict,
     extremal_projectors,
+    gap_verdict,
     hyperplane_classify,
     ppt_check,
     pt_min_eigenvalue,
@@ -57,6 +64,14 @@ D22 = Dims(2, 2)
 D33 = Dims(3, 3)
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+
+SWAP_22 = np.eye(4)[[0, 2, 1, 3]]
+
+# Entries that overflow, poison or sit near the edge of the float range.
+EDGE_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([np.inf, -np.inf, np.nan, 1e300, -1e300]),
+)
 
 
 def singlet_state() -> DensityOperator:
@@ -223,6 +238,12 @@ class TestSigmaRouteCondition:
         assert verdict.conclusion is Conclusion.INCONCLUSIVE
         assert "assertion" in verdict.assertion_note
 
+    def test_single_side_has_no_spa_sides(self, hakye_reference):
+        _, op = hakye_reference
+        verdict = spa_violation_from_sigma(sigma_form_from_matrix(op))
+        with pytest.raises(TypeError, match="gap verdict"):
+            verdict.spa_sides
+
     def test_exact_pt_eigenvalue_identity(self, hakye_reference):
         # min eig of SPA^PT equals min eig(sigma^PT) - min eig(sigma)
         _, op = hakye_reference
@@ -312,6 +333,79 @@ class TestGapCondition:
         assert verdict.gap == pytest.approx(1e-6, rel=1e-3)
         assert verdict.spa_ppt.status is PptStatus.PPT
         assert verdict.conclusion is Conclusion.INCONCLUSIVE
+
+
+class TestGapVerdict:
+    """Closed-form SPA verdicts from min eig(W), min eig(W^PT) and tr W."""
+
+    @pytest.mark.parametrize("dims", DIMS_SMALL, ids=str)
+    def test_matches_explicit_spa_operators(self, dims):
+        # build both SPAs and PPT-check them, the way the closed form avoids
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            op = random_negative_hermitian(dims, rng)
+            verdict = spa_violation_from_gap(op)
+            direct, partner = verdict.spa_sides
+            for side, target in (
+                (direct, op), (partner, partial_transpose(op))
+            ):
+                built = spa(target)
+                explicit = ppt_check(built.spa_operator)
+                assert side.shift == pytest.approx(built.s, abs=1e-14)
+                assert side.min_pt_eigenvalue == pytest.approx(
+                    explicit.min_pt_eigenvalue, abs=1e-12
+                )
+                assert side.min_pt_eigenvalue_raw == pytest.approx(
+                    pt_min_eigenvalue(built.spa_operator), abs=1e-12
+                )
+                assert side.status is explicit.status
+                assert side.conclusive_separability == explicit.conclusive_separability
+
+    @pytest.mark.parametrize("matrix", ["reference", "swap"])
+    def test_two_eigensolves(self, matrix, hakye_reference, monkeypatch):
+        op = hakye_reference[1] if matrix == "reference" else make_hermitian(SWAP_22, D22)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        spa_violation_from_gap(op)
+        assert calls == ["eigh", "eigh"]
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidParams):
+            gap_verdict(-1.0, -2.0, 4.0, 4, tol=tol)
+
+    def test_zero_trace_spa_rejected(self):
+        # tr W + dAB*s vanishes: W = -I has lam0 = -1 and trace -dAB
+        with pytest.raises(ZeroTrace):
+            gap_verdict(-1.0, -1.0, -4.0, 4)
+
+    def test_ppt_conclusive_only_up_to_six(self):
+        small = gap_verdict(-1.0, -1.0, 10.0, 6)
+        large = gap_verdict(-1.0, -1.0, 10.0, 8)
+        assert small.spa_ppt.conclusive_separability
+        assert not large.spa_ppt.conclusive_separability
+
+    @settings(max_examples=200, deadline=None)
+    @given(upper=st.lists(EDGE_ENTRIES, min_size=10, max_size=10))
+    def test_raises_or_returns_finite_fields(self, upper):
+        m = np.zeros((4, 4))
+        m[np.triu_indices(4)] = upper
+        m = np.triu(m) + np.triu(m, 1).T
+        try:
+            verdict = spa_violation_from_gap(HermitianOperator(D22, m))
+        except SpaWitnessError:
+            return
+        fields = [verdict.lambda0, verdict.lambda0_pt, verdict.gap]
+        for side in verdict.spa_sides:
+            fields += [side.min_pt_eigenvalue, side.shift, side.min_pt_eigenvalue_raw]
+        assert np.isfinite(fields).all()
 
 
 class TestExtremalProjectors:

@@ -134,6 +134,12 @@ class TestDensityValidation:
         with pytest.raises(NotADensity):
             DensityOperator(make_hermitian(m, D22))
 
+    def test_nan_spectrum_rejected(self, monkeypatch):
+        op = make_hermitian(np.eye(4) / 4.0, D22)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(4, np.nan))
+        with pytest.raises(NotADensity, match="nan"):
+            DensityOperator(op)
+
 
 class TestRandomSampling:
     def test_product_vector_deterministic_per_seed(self):

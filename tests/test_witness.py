@@ -20,6 +20,7 @@ from spa_witness.errors import (
     DimensionMismatch,
     EstimateMissing,
     ExceedsCmax,
+    InvalidParams,
     NotAWitness,
     NotNegative,
 )
@@ -138,6 +139,11 @@ class TestSeesaw:
         est = c_sigma_max(rho, restarts=16, seed=seed)
         grid = grid_product_min_two_qubit(rho.op.entries)
         assert abs(est.value - grid) < 1e-5
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iter": -1}])
+    def test_counts_validated(self, kwargs):
+        with pytest.raises(InvalidParams):
+            c_sigma_max(maximally_mixed(D22), **kwargs)
 
     def test_zero_sweeps_reports_not_converged(self):
         rng = np.random.default_rng(6)
