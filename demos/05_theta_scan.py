@@ -14,7 +14,7 @@ points = build_grid(
     {},
     cos_family=True,
 )
-rows = run_scan(points, workers=1)
+rows = run_scan(points)
 
 print(f"{'theta':>8s} {'lam0(W)':>12s} {'lam0(W^PT)':>12s} {'gap':>12s}  verdict")
 for row in rows:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import InputError, InvalidGrid, NumericalError
 from .fileio import load_operator_file, save_operator
 from .geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, geometry_rows
-from .hakye import HaKyeParams, hakye_witness
+from .hakye import hakye_witness
 from .scan import (
     ASSERTION_LINE,
     DEFAULT_CONDITION_TOL,
@@ -131,21 +132,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if verdict.condition_holds else EXIT_OK
 
 
-def _hakye_points(args: argparse.Namespace) -> list[HaKyeParams]:
+def _cmd_hakye(args: argparse.Namespace) -> int:
     fixed = {k: getattr(args, k) for k in GRID_KEYS if getattr(args, k) is not None}
     axes = [parse_grid_axis(spec) for spec in args.scan or []]
-    if not axes and not args.cos_family:
-        missing = [k for k in GRID_KEYS if k not in fixed]
-        if missing:
-            raise InvalidGrid(
-                f"single-point analysis needs --{', --'.join(missing)} "
-                "(or use --scan / --cos-family)"
-            )
-    return build_grid(axes, fixed, cos_family=args.cos_family)
-
-
-def _cmd_hakye(args: argparse.Namespace) -> int:
-    points = _hakye_points(args)
+    points = build_grid(axes, fixed, cos_family=args.cos_family)
     if args.save_operator:
         if len(points) != 1:
             raise InvalidGrid("--save-operator requires a single grid point")
@@ -224,6 +214,7 @@ def _cmd_geometry(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; main() may run many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spa-witness",
@@ -233,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "exit codes: 0 clean, 1 bad input, 2 numerical failure, "
-            "3 violation flagged; SPA_WITNESS_THREADS caps scan workers"
+            "3 violation flagged"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

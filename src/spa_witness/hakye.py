@@ -59,15 +59,17 @@ class HaKyeParams:
 
 def hakye_witness(params: HaKyeParams) -> HermitianOperator:
     """Assemble the dense 9x9 Ha-Kye matrix for the given parameters."""
-    values = {"a": params.a, "b": params.b, "c": params.c}
-    m = np.zeros((9, 9), dtype=np.complex128)
-    for idx, key in enumerate(_DIAGONAL_PATTERN):
-        m[idx, idx] = values[key]
-    coupling = -np.exp(1j * params.theta)
-    for r, s in _FORWARD_COUPLINGS:
-        m[r, s] = coupling
-        m[s, r] = np.conj(coupling)
-    return HermitianOperator(HAKYE_DIMS, m)
+    return HermitianOperator(HAKYE_DIMS, hakye_matrices([params])[0])
+
+
+def hakye_matrices(points: list[HaKyeParams]) -> np.ndarray:
+    """The (n, 9, 9) stack of Ha-Kye matrices, one per point, unvalidated."""
+    m = np.zeros((len(points), 9, 9), dtype=np.complex128)
+    m[:, range(9), range(9)] = [[getattr(p, k) for k in _DIAGONAL_PATTERN] for p in points]
+    coupling = -np.exp(1j * np.array([[p.theta] for p in points]))
+    rows, cols = zip(*_FORWARD_COUPLINGS)
+    m[:, rows, cols], m[:, cols, rows] = coupling, np.conj(coupling)
+    return m
 
 
 def hakye_spectrum_closed_form(params: HaKyeParams) -> np.ndarray:

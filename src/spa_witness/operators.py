@@ -19,11 +19,30 @@ DEFAULT_EIG_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-9
 _ORTHONORMALITY_TOL = 1e-8
 _IMAG_TRACE_TOL = 1e-10
+# row and column axes of the transposed factor in the (dA, dB, dA, dB) view
+_PT_SWAPPED_AXES = {"A": (-4, -2), "B": (-3, -1)}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def check_hermitian(m: np.ndarray) -> None:
+    """Raise NotHermitian unless each matrix of the (..., d, d) stack m is
+    finite and Hermitian to HERMITICITY_TOL, naming the offending entry."""
+    asym = np.abs(m - m.mT.conj())
+    worst = float(asym.max())
+    # a non-finite entry makes its asymmetry inf or nan, so it fails here
+    if worst <= HERMITICITY_TOL:
+        return
+    finite = bool(np.isfinite(m).all())
+    at = np.unravel_index(asym.argmax(), asym.shape) if finite else np.argwhere(~np.isfinite(m))[0]
+    *matrix, r, s = (int(i) for i in at)
+    where = (f"matrix {tuple(matrix)}, " if matrix else "") + f"row {r}, column {s}"
+    if not finite:
+        raise NotHermitian(f"non-finite entry at {where}")
+    raise NotHermitian(f"max asymmetry {worst:.3e} at {where} (tolerance {HERMITICITY_TOL:.0e})")
 
 
 @dataclass(frozen=True)
@@ -59,18 +78,7 @@ class HermitianOperator:
                 f"expected a {d}x{d} matrix for dims ({self.dims.dA}, {self.dims.dB}), "
                 f"got shape {m.shape}"
             )
-        asym = np.abs(m - m.conj().T)
-        worst = float(asym.max())
-        # a non-finite entry makes its asymmetry inf or nan, so it fails here
-        if not worst <= HERMITICITY_TOL:
-            if not np.isfinite(m).all():
-                r, s = np.argwhere(~np.isfinite(m))[0]
-                raise NotHermitian(f"non-finite entry at row {r}, column {s}")
-            r, s = np.unravel_index(int(asym.argmax()), asym.shape)
-            raise NotHermitian(
-                f"max asymmetry {worst:.3e} at row {int(r)}, column {int(s)} "
-                f"(tolerance {HERMITICITY_TOL:.0e})"
-            )
+        check_hermitian(m)
         object.__setattr__(self, "entries", _read_only(m))
 
     @property
@@ -113,28 +121,37 @@ def scaled(op: HermitianOperator, factor: float) -> HermitianOperator:
     return HermitianOperator(op.dims, float(factor) * op.entries)
 
 
-def eig_hermitian(op: HermitianOperator, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
-    """Eigendecomposition with residual and orthonormality verification.
+def eigh_checked(m: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of each matrix of a (..., d, d) Hermitian stack, verified.
 
     Residuals ||A v_k - w_k v_k|| are checked against tol*max(1, ||A||) where
-    ||.|| is the Hilbert-Schmidt norm; pairwise eigenvector overlaps are
-    checked to 1e-8.  Violations raise ConvergenceFailure.
+    ||.|| is the Hilbert-Schmidt norm of each matrix; pairwise eigenvector
+    overlaps are checked to 1e-8.  Violations raise ConvergenceFailure.
     """
     try:
-        w, v = np.linalg.eigh(op.entries)
+        w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    scale = max(1.0, hs_norm(op))
-    residual = np.linalg.norm(op.entries @ v - v * w, axis=0)
-    if not float(residual.max()) <= tol * scale:
+    # both sides of the residual test squared, to spare the square roots
+    r = m @ v - v * w[..., None, :]
+    residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
+    limit2 = tol**2 * np.maximum(1.0, np.vecdot(m, m).real.sum(axis=-1))
+    ok = residual2 <= limit2
+    if not ok.all():
+        k = int(np.argmin(ok))
         raise ConvergenceFailure(
-            f"eigenpair residual {float(residual.max()):.3e} exceeds {tol * scale:.3e}"
+            f"eigenpair residual {np.sqrt(residual2.flat[k]):.3e} exceeds "
+            f"{np.sqrt(limit2.flat[k]):.3e}"
         )
-    gram = v.conj().T @ v - np.eye(op.dims.dAB)
-    if not float(np.abs(gram).max()) <= _ORTHONORMALITY_TOL:
-        raise ConvergenceFailure(
-            f"eigenvectors lost orthonormality by {float(np.abs(gram).max()):.3e}"
-        )
+    gram = np.abs(v.mT.conj() @ v - np.eye(m.shape[-1]))
+    if not float(gram.max()) <= _ORTHONORMALITY_TOL:
+        raise ConvergenceFailure(f"eigenvectors lost orthonormality by {float(gram.max()):.3e}")
+    return w, v
+
+
+def eig_hermitian(op: HermitianOperator, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
+    """Eigendecomposition of op, verified by eigh_checked."""
+    w, v = eigh_checked(op.entries, tol)
     return Spectrum(_read_only(w), _read_only(v))
 
 
@@ -151,20 +168,21 @@ def partial_transpose(op: HermitianOperator, subsystem: str = "B") -> HermitianO
     output[(i,j),(k,l)] = input[(i,l),(k,j)]; the A side transposes the first
     factor instead.  Both sides yield the same spectrum.
     """
-    dA, dB = op.dims.dA, op.dims.dB
-    t = op.entries.reshape(dA, dB, dA, dB)
-    if subsystem == "B":
-        out = t.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        out = t.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    out = partial_transpose_stack(op.entries, op.dims, subsystem)
     # an entry permutation commuting with the conjugate transpose keeps op
     # exactly as Hermitian and finite as it was, so validation is skipped
     pt = object.__new__(HermitianOperator)
     object.__setattr__(pt, "dims", op.dims)
-    object.__setattr__(pt, "entries", _read_only(out.reshape(op.dims.dAB, op.dims.dAB)))
+    object.__setattr__(pt, "entries", _read_only(out))
     return pt
+
+
+def partial_transpose_stack(m: np.ndarray, dims: Dims, subsystem: str = "B") -> np.ndarray:
+    """partial_transpose of each matrix of a (..., dAB, dAB) stack, as a new array."""
+    if subsystem not in _PT_SWAPPED_AXES:
+        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    t = m.reshape(*m.shape[:-2], dims.dA, dims.dB, dims.dA, dims.dB)
+    return np.swapaxes(t, *_PT_SWAPPED_AXES[subsystem]).reshape(m.shape)
 
 
 def hs_inner(a: HermitianOperator, b: HermitianOperator) -> float:

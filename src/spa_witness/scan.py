@@ -1,31 +1,29 @@
 """Parameter grids over the Ha-Kye family and deterministic report emission.
 
 Every grid point is evaluated twice: once through the dense eigensolver and
-once through the closed-form spectrum oracles.  A disagreement beyond
-ORACLE_TOL poisons the row's verdict with "oracle-mismatch" instead of a
-conclusion, so a regressed eigensolver cannot silently ship plausible
-numbers.  Reports are byte-deterministic for a fixed command line; the
-worker pool only changes wall time, never bytes.
+once through the closed-form spectrum oracles.  The grid is solved in chunks
+of SCAN_CHUNK points, one checked, stacked eigensolve for the witnesses and
+one for their partial transposes.  A disagreement beyond ORACLE_TOL poisons
+the row's verdict with "oracle-mismatch" instead of a conclusion, so a
+regressed eigensolver cannot silently ship plausible numbers.  Reports are
+byte-deterministic for a fixed command line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
 from itertools import product
 from typing import IO
 
 import numpy as np
 
 from .errors import InvalidGrid
-from .hakye import HaKyeParams, hakye_witness, reference_violation_params
+from .hakye import HAKYE_DIMS, HaKyeParams, hakye_matrices, reference_violation_params
 from .hakye import hakye_pt_spectrum_closed_form, hakye_spectrum_closed_form
-from .operators import eig_hermitian, partial_transpose
+from .operators import check_hermitian, eigh_checked, partial_transpose_stack
 from .spa import Conclusion, gap_verdict
 
 SCAN_SCHEMA = "hakye-scan-v1"
@@ -43,7 +41,8 @@ SCAN_COLUMNS = (
 )
 ORACLE_TOL = 1e-8
 DEFAULT_CONDITION_TOL = 1e-6
-WORKERS_ENV = "SPA_WITNESS_THREADS"
+# Grid points per stacked eigensolve; bounds the scan's working memory.
+SCAN_CHUNK = 512
 
 GRID_KEYS = ("a", "b", "c", "theta")
 
@@ -104,17 +103,21 @@ def build_grid(
 
     Non-scanned parameters come from ``fixed``; with ``cos_family`` the
     diagonal follows a = (4/3) cos(theta), b = (2/3) cos(theta), c = 0 at
-    each grid point and only theta may be scanned or fixed.
+    each grid point and only theta may be scanned or fixed.  A key that is
+    both fixed and scanned is rejected rather than silently dropped.
     """
     seen = [axis.key for axis in axes]
     if len(set(seen)) != len(seen):
         raise InvalidGrid(f"duplicate scan keys in {seen}")
+    both = sorted(set(seen) & set(fixed))
+    if both:
+        raise InvalidGrid(f"{both} both fixed and scanned; pass one or the other")
     axes = sorted(axes, key=lambda axis: axis.key)
     if cos_family:
-        extra = [axis.key for axis in axes if axis.key != "theta"]
+        extra = sorted({*seen, *fixed} - {"theta"})
         if extra:
             raise InvalidGrid(
-                f"--cos-family derives a, b, c from theta; cannot scan {extra}"
+                f"--cos-family derives a, b, c from theta; cannot set or scan {extra}"
             )
         if "theta" in fixed and not axes:
             return [reference_violation_params(fixed["theta"])]
@@ -125,7 +128,7 @@ def build_grid(
         key for key in GRID_KEYS if key not in fixed and key not in seen
     ]
     if missing:
-        raise InvalidGrid(f"no value for {missing}; pass flags or scan them")
+        raise InvalidGrid(f"no value for --{', --'.join(missing)}; pass flags or scan them")
     points: list[HaKyeParams] = []
     axis_values = [axis.values() for axis in axes]
     for combo in product(*axis_values):
@@ -143,67 +146,52 @@ def analyze_point(
     asserted_onew: bool = True,
 ) -> dict:
     """One scan row: numeric spectra, oracle tripwire, condition, verdict."""
-    w = hakye_witness(params)
-    spec = eig_hermitian(w)
-    spec_pt = eig_hermitian(partial_transpose(w))
-    oracle = hakye_spectrum_closed_form(params)
-    oracle_pt = hakye_pt_spectrum_closed_form(params)
-    mismatch = max(
-        float(np.abs(spec.eigenvalues - oracle).max()),
-        float(np.abs(spec_pt.eigenvalues - oracle_pt).max()),
-    )
-    check = gap_verdict(
-        spec.min_eigenvalue, spec_pt.min_eigenvalue, w.trace, w.dims.dAB, condition_tol
-    )
-    # The row verdict rests on the gap alone: no tie-window downgrade.
-    if not mismatch <= ORACLE_TOL:
-        verdict = "oracle-mismatch"
-    elif check.condition_holds:
-        verdict = (Conclusion.VIOLATES if asserted_onew else Conclusion.INCONCLUSIVE).value
-    else:
-        verdict = Conclusion.CONSISTENT.value
-    return {
-        "a": float(params.a),
-        "b": float(params.b),
-        "c": float(params.c),
-        "theta": float(params.theta),
-        "lambda0_W": check.lambda0,
-        "lambda0_WGamma": check.lambda0_pt,
-        "gap": check.gap,
-        "condition_holds": check.condition_holds,
-        "spa_min_pt_eig": check.spa_sides[0].min_pt_eigenvalue_raw,
-        "verdict": verdict,
-        "oracle_discrepancy": float(mismatch),
-    }
-
-
-def resolve_workers() -> int:
-    """Worker count from the SPA_WITNESS_THREADS cap; serial by default."""
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV}={raw!r} is not an integer") from exc
+    return run_scan([params], condition_tol, asserted_onew)[0]
 
 
 def run_scan(
     points: list[HaKyeParams],
     condition_tol: float = DEFAULT_CONDITION_TOL,
     asserted_onew: bool = True,
-    workers: int | None = None,
 ) -> list[dict]:
-    """Evaluate all grid points, preserving grid order regardless of workers."""
-    n = resolve_workers() if workers is None else max(1, workers)
-    job = partial(
-        analyze_point, condition_tol=condition_tol, asserted_onew=asserted_onew
-    )
-    if n <= 1 or len(points) < 2:
-        return [job(p) for p in points]
-    chunk = max(1, len(points) // (4 * n))
-    with ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(job, points, chunksize=chunk))
+    """Scan rows in grid order, from one stacked solve per SCAN_CHUNK points."""
+    rows: list[dict] = []
+    for start in range(0, len(points), SCAN_CHUNK):
+        chunk = points[start:start + SCAN_CHUNK]
+        w = hakye_matrices(chunk)
+        check_hermitian(w)
+        spectra, _ = eigh_checked(w)
+        spectra_pt, _ = eigh_checked(partial_transpose_stack(w, HAKYE_DIMS))
+        for params, m, spec, spec_pt in zip(chunk, w, spectra, spectra_pt):
+            mismatch = max(
+                float(np.abs(spec - hakye_spectrum_closed_form(params)).max()),
+                float(np.abs(spec_pt - hakye_pt_spectrum_closed_form(params)).max()),
+            )
+            check = gap_verdict(
+                float(spec[0]), float(spec_pt[0]), float(np.trace(m).real),
+                HAKYE_DIMS.dAB, condition_tol,
+            )
+            # The row verdict rests on the gap alone: no tie-window downgrade.
+            if not mismatch <= ORACLE_TOL:
+                verdict = "oracle-mismatch"
+            elif check.condition_holds:
+                verdict = (Conclusion.VIOLATES if asserted_onew else Conclusion.INCONCLUSIVE).value
+            else:
+                verdict = Conclusion.CONSISTENT.value
+            rows.append({
+                "a": float(params.a),
+                "b": float(params.b),
+                "c": float(params.c),
+                "theta": float(params.theta),
+                "lambda0_W": check.lambda0,
+                "lambda0_WGamma": check.lambda0_pt,
+                "gap": check.gap,
+                "condition_holds": check.condition_holds,
+                "spa_min_pt_eig": check.spa_sides[0].min_pt_eigenvalue_raw,
+                "verdict": verdict,
+                "oracle_discrepancy": float(mismatch),
+            })
+    return rows
 
 
 def timestamp() -> str:

@@ -208,6 +208,16 @@ class TestHakye:
         code, _, err = run_cli(capsys, "hakye", "--scan", "theta=0:1")
         assert code == EXIT_INPUT
 
+    def test_fixed_and_scanned_flag_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "hakye", "--a", "1", "--b", "1", "--c", "1", "--theta", "0.3",
+            "--scan", "a=2:3:2",
+        )
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "both fixed and scanned" in err
+
 
 class TestCmax:
     def test_maximally_mixed_exact(self, capsys, tmp_path):

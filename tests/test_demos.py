@@ -1,0 +1,36 @@
+"""The demos run to completion against the current package."""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 02_seesaw_infimum is left out: its see-saw restarts take about 14 s.
+DEMOS = (
+    "01_reference_violation.py",
+    "03_spa_basics.py",
+    "04_witness_geometry.py",
+    "05_theta_scan.py",
+)
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_cleanly(name, tmp_path):
+    # a copy runs in tmp_path, so files a demo writes next to itself land there
+    script = tmp_path / name
+    shutil.copy(ROOT / "demos" / name, script)
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -23,6 +23,7 @@ from spa_witness.errors import (
 from spa_witness.operators import (
     Dims,
     HermitianOperator,
+    check_hermitian,
     eig_hermitian,
     hs_inner,
     hs_norm,
@@ -31,6 +32,7 @@ from spa_witness.operators import (
     min_eigenpair,
     numeric_rank,
     partial_transpose,
+    partial_transpose_stack,
     scaled,
     shifted,
 )
@@ -70,6 +72,8 @@ class TestMakeHermitian:
         m[1, 0] = 1j
         with pytest.raises(NotHermitian, match="row 0, column 1"):
             make_hermitian(m, D22)
+        with pytest.raises(NotHermitian, match=r"at matrix \(1,\), row 0, column 1"):
+            check_hermitian(np.stack([np.eye(4), m]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -176,11 +180,16 @@ class TestPartialTranspose:
     def test_matches_brute_force_index_map(self, side):
         rng = np.random.default_rng(6)
         for dims in (D23, D33):
-            op = random_hermitian(dims, rng)
-            expected = brute_force_partial_transpose(
-                op.entries, dims.dA, dims.dB, side
+            ops = [random_hermitian(dims, rng) for _ in range(3)]
+            stacked = partial_transpose_stack(
+                np.stack([op.entries for op in ops]), dims, side
             )
-            assert_allclose(partial_transpose(op, side).entries, expected)
+            for op, pt in zip(ops, stacked):
+                expected = brute_force_partial_transpose(
+                    op.entries, dims.dA, dims.dB, side
+                )
+                assert_allclose(partial_transpose(op, side).entries, expected)
+                assert np.array_equal(pt, partial_transpose(op, side).entries)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(8)

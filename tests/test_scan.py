@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from spa_witness.errors import InvalidGrid
-from spa_witness.hakye import HaKyeParams, reference_violation_params
+from spa_witness.cli import EXIT_NUMERIC, main
+from spa_witness.errors import ConvergenceFailure, InvalidGrid
+from spa_witness.hakye import HaKyeParams, hakye_witness, reference_violation_params
+from spa_witness.operators import eig_hermitian, partial_transpose
 from spa_witness.scan import (
     DEFAULT_CONDITION_TOL,
     SCAN_COLUMNS,
@@ -18,8 +20,8 @@ from spa_witness.scan import (
     GridAxis,
     analyze_point,
     build_grid,
+    SCAN_CHUNK,
     parse_grid_axis,
-    resolve_workers,
     run_scan,
     scan_report_json,
     write_rows_csv,
@@ -102,6 +104,21 @@ class TestBuildGrid:
         with pytest.raises(InvalidGrid, match="cos-family"):
             build_grid([parse_grid_axis("a=1:2:2")], {}, cos_family=True)
 
+    def test_cos_family_rejects_fixed_diagonal(self):
+        with pytest.raises(InvalidGrid, match="cos-family"):
+            build_grid([], {"a": 5.0, "theta": 0.2}, cos_family=True)
+
+    @pytest.mark.parametrize(
+        "scan, fixed, cos_family",
+        [
+            (["a=2:3:2"], {"a": 1.0, "b": 1.0, "c": 1.0, "theta": 0.3}, False),
+            (["theta=0.1:0.2:2"], {"theta": 0.9}, True),
+        ],
+    )
+    def test_fixed_and_scanned_key_rejected(self, scan, fixed, cos_family):
+        with pytest.raises(InvalidGrid, match="both fixed and scanned"):
+            build_grid([parse_grid_axis(t) for t in scan], fixed, cos_family)
+
     def test_cos_family_needs_theta(self):
         with pytest.raises(InvalidGrid, match="theta"):
             build_grid([], {}, cos_family=True)
@@ -149,36 +166,45 @@ class TestAnalyzePoint:
         assert row["oracle_discrepancy"] > 1e-8
 
 
-class TestWorkers:
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("SPA_WITNESS_THREADS", raising=False)
-        assert resolve_workers() == 1
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("SPA_WITNESS_THREADS", "5")
-        assert resolve_workers() == 5
-        monkeypatch.setenv("SPA_WITNESS_THREADS", "0")
-        assert resolve_workers() == 1
-
-    def test_env_not_integer(self, monkeypatch):
-        monkeypatch.setenv("SPA_WITNESS_THREADS", "many")
-        with pytest.raises(ValueError):
-            resolve_workers()
-
-    def test_parallel_rows_match_serial(self):
+class TestBatchedScan:
+    def test_rows_across_a_chunk_boundary_match_single_points(self):
         points = build_grid(
-            [parse_grid_axis("theta=0.05:0.6:6")], {}, cos_family=True
+            [parse_grid_axis(f"theta=0.01:1.5:{SCAN_CHUNK + 1}")], {}, cos_family=True
         )
-        serial = run_scan(points, workers=1)
-        parallel = run_scan(points, workers=3)
-        assert serial == parallel
+        rows = run_scan(points)
+        assert len(rows) == SCAN_CHUNK + 1
+        for k in (0, SCAN_CHUNK - 1, SCAN_CHUNK):
+            assert rows[k] == analyze_point(points[k])
+            # the stacked solve returns the bits of a one-matrix solve
+            w = hakye_witness(points[k])
+            assert rows[k]["lambda0_W"] == eig_hermitian(w).min_eigenvalue
+            assert rows[k]["lambda0_WGamma"] == eig_hermitian(partial_transpose(w)).min_eigenvalue
+
+    def test_one_corrupted_solve_in_a_stack_fails(self, monkeypatch, capsys):
+        real_eigh = np.linalg.eigh
+
+        def corrupt_one(a):
+            w, v = real_eigh(a)
+            if w.ndim == 2 and len(w) > 3:
+                w = w.copy()
+                w[3, 0] += 1e-3
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupt_one)
+        points = build_grid(
+            [parse_grid_axis("theta=0.05:0.6:8")], {}, cos_family=True
+        )
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            run_scan(points)
+        code = main(["hakye", "--cos-family", "--scan", "theta=0.05:0.6:8"])
+        assert code == EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestEmission:
     def _rows(self):
         return run_scan(
-            build_grid([parse_grid_axis("theta=0.2:0.3:2")], {}, cos_family=True),
-            workers=1,
+            build_grid([parse_grid_axis("theta=0.2:0.3:2")], {}, cos_family=True)
         )
 
     def test_csv_layout(self):
