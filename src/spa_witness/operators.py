@@ -121,6 +121,18 @@ def scaled(op: HermitianOperator, factor: float) -> HermitianOperator:
     return HermitianOperator(op.dims, float(factor) * op.entries)
 
 
+def _squared_residuals(
+    m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest squared residual ||A v_k - w_k v_k||^2 of each matrix of the
+    stack, and its squared limit tol^2 * max(1, ||A||^2)."""
+    # both sides squared, to spare the square roots
+    r = m @ v - v * w[..., None, :]
+    residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
+    limit2 = tol**2 * np.maximum(1.0, np.vecdot(m, m).real.sum(axis=-1))
+    return residual2, limit2
+
+
 def eigh_checked(m: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of each matrix of a (..., d, d) Hermitian stack, verified.
 
@@ -132,16 +144,21 @@ def eigh_checked(m: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> tuple[np.ndarra
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    # both sides of the residual test squared, to spare the square roots
-    r = m @ v - v * w[..., None, :]
-    residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
-    limit2 = tol**2 * np.maximum(1.0, np.vecdot(m, m).real.sum(axis=-1))
+    s = 1.0
+    residual2, limit2 = _squared_residuals(m, w, v, tol)
+    if not (limit2 < np.inf).all():
+        # Squares of entries beyond ~1e154 overflow.  Run the same test on
+        # m/s with s = max(1, max |entry|) per matrix, whose eigenpairs are
+        # (w/s, v): where s > 1, ||A||/s >= 1, so both sides scale by 1/s.
+        s = np.abs(m).max(axis=(-2, -1), initial=1.0)
+        residual2, limit2 = _squared_residuals(m / s[..., None, None], w / s[..., None], v, tol)
     ok = residual2 <= limit2
     if not ok.all():
         k = int(np.argmin(ok))
+        scale = np.broadcast_to(s, ok.shape).flat[k]
         raise ConvergenceFailure(
-            f"eigenpair residual {np.sqrt(residual2.flat[k]):.3e} exceeds "
-            f"{np.sqrt(limit2.flat[k]):.3e}"
+            f"eigenpair residual {np.sqrt(residual2.flat[k]) * scale:.3e} exceeds "
+            f"{np.sqrt(limit2.flat[k]) * scale:.3e}"
         )
     gram = np.abs(v.mT.conj() @ v - np.eye(m.shape[-1]))
     if not float(gram.max()) <= _ORTHONORMALITY_TOL:

@@ -103,49 +103,13 @@ def _expectation_raw(entries: np.ndarray, joint: np.ndarray) -> float:
     return float((joint.conj() @ entries @ joint).real)
 
 
-def _conditioned_on_b(t4: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    # M[i,k] = sum_{j,l} conj(nu_j) sigma[(i,j),(k,l)] nu_l
-    return np.einsum("ijkl,j,l->ik", t4, nu.conj(), nu)
+def _joint(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """mu (x) nu for each row of (..., dA) and (..., dB) stacks.
 
-
-def _conditioned_on_a(t4: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    # M[j,l] = sum_{i,k} conj(mu_i) sigma[(i,j),(k,l)] mu_k
-    return np.einsum("ijkl,i,k->jl", t4, mu.conj(), mu)
-
-
-def _seesaw_run(
-    t4: np.ndarray,
-    mu: np.ndarray,
-    nu: np.ndarray,
-    max_iter: int,
-    tol: float,
-) -> tuple[float, np.ndarray, np.ndarray, int, bool, list[float]]:
-    """One descent run from a fixed start; objective is non-increasing."""
-    dA, dB = t4.shape[0], t4.shape[1]
-    joint = np.kron(mu, nu)
-    entries = t4.reshape(dA * dB, dA * dB)
-    history = [_expectation_raw(entries, joint)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w_a, v_a = np.linalg.eigh(_conditioned_on_b(t4, nu))
-        mu = v_a[:, 0]
-        obj_a = float(w_a[0])
-        w_b, v_b = np.linalg.eigh(_conditioned_on_a(t4, mu))
-        nu = v_b[:, 0]
-        obj_b = float(w_b[0])
-        for prev, new in ((history[-1], obj_a), (obj_a, obj_b)):
-            if new > prev + _MONOTONE_SLACK:
-                raise ConvergenceFailure(
-                    f"see-saw objective rose from {prev!r} to {new!r}"
-                )
-        sweep_start = history[-1]
-        history.extend((obj_a, obj_b))
-        if sweep_start - obj_b < tol:
-            converged = True
-            break
-    value = _expectation_raw(entries, np.kron(mu, nu))
-    return value, mu, nu, iterations, converged, history
+    The same elementwise products as np.kron, bit for bit, without its
+    fixed cost per call.
+    """
+    return (mu[..., :, None] * nu[..., None, :]).reshape(*mu.shape[:-1], -1)
 
 
 def c_sigma_max(
@@ -160,7 +124,10 @@ def c_sigma_max(
     Alternates ground-eigenvector updates: with nu fixed the objective is the
     bottom eigenvalue of the B-conditioned operator on A, and symmetrically
     with mu fixed.  Each half step can only lower the expectation, so every
-    run descends monotonically; the best run over all restarts wins.
+    run descends monotonically; the best run over all restarts wins.  The
+    restarts run as one stacked descent: each sweep makes one stacked
+    eigensolve per side over the restarts still running, and each restart
+    stops at its own sweep, so every run ends where it would alone.
 
     Parameters
     ----------
@@ -180,30 +147,65 @@ def c_sigma_max(
     CmaxEstimate
         Best value found, its product vector, and convergence metadata for
         the winning run.  ``converged`` is False when that run hit max_iter.
+
+    Raises
+    ------
+    ConvergenceFailure
+        When a half step raises some run's objective, naming the restart.
     """
     if restarts < 1 or max_iter < 0:
         raise InvalidParams(
             f"need restarts >= 1 and max_iter >= 0, got {restarts!r} and {max_iter!r}"
         )
     dims = sigma.dims
-    t4 = sigma.op.entries.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
-    best: tuple[float, np.ndarray, np.ndarray, int, bool] | None = None
+    entries = sigma.op.entries
+    t4 = entries.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
+    mu = np.empty((restarts, dims.dA), dtype=np.complex128)
+    nu = np.empty((restarts, dims.dB), dtype=np.complex128)
     for r in range(restarts):
         rng = np.random.default_rng(seed + r)
-        mu0 = haar_unit_vector(dims.dA, rng)
-        nu0 = haar_unit_vector(dims.dB, rng)
-        value, mu, nu, iterations, converged, _ = _seesaw_run(
-            t4, mu0, nu0, max_iter, tol
-        )
-        if best is None or value < best[0]:
-            best = (value, mu, nu, iterations, converged)
-    value, mu, nu, iterations, converged = best
+        mu[r] = haar_unit_vector(dims.dA, rng)
+        nu[r] = haar_unit_vector(dims.dB, rng)
+    # objective at the end of each run's latest sweep (its start value first)
+    last = np.array([_expectation_raw(entries, joint) for joint in _joint(mu, nu)])
+    iterations = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
+    for sweep in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        # M[r,i,k] = sum_{j,l} conj(nu_rj) sigma[(i,j),(k,l)] nu_rl
+        nu_run = nu[active]
+        w_a, v_a = np.linalg.eigh(np.einsum("ijkl,rj,rl->rik", t4, nu_run.conj(), nu_run))
+        mu_run = v_a[:, :, 0]
+        # M[r,j,l] = sum_{i,k} conj(mu_ri) sigma[(i,j),(k,l)] mu_rk
+        w_b, v_b = np.linalg.eigh(np.einsum("ijkl,ri,rk->rjl", t4, mu_run.conj(), mu_run))
+        obj_a, obj_b = w_a[:, 0], w_b[:, 0]
+        sweep_start = last[active]
+        a_rose = obj_a > sweep_start + _MONOTONE_SLACK
+        rose = a_rose | (obj_b > obj_a + _MONOTONE_SLACK)
+        if rose.any():
+            k = int(np.argmax(rose))
+            prev, new = (sweep_start[k], obj_a[k]) if a_rose[k] else (obj_a[k], obj_b[k])
+            raise ConvergenceFailure(
+                f"see-saw restart {int(active[k])}: objective rose from "
+                f"{float(prev)!r} to {float(new)!r} in sweep {sweep}"
+            )
+        mu[active] = mu_run
+        nu[active] = v_b[:, :, 0]
+        last[active] = obj_b
+        iterations[active] = sweep
+        done = sweep_start - obj_b < tol
+        converged[active[done]] = True
+        active = active[~done]
+    values = [_expectation_raw(entries, joint) for joint in _joint(mu, nu)]
+    best = min(range(restarts), key=values.__getitem__)
     return CmaxEstimate(
-        value=value,
-        argmin=ProductVector(mu, nu),
+        value=values[best],
+        argmin=ProductVector(mu[best], nu[best]),
         restarts=restarts,
-        iterations=iterations,
-        converged=converged,
+        iterations=int(iterations[best]),
+        converged=bool(converged[best]),
     )
 
 
@@ -236,6 +238,8 @@ def sigma_form_from_matrix(
     of the input are spot-checked on random product vectors: a clearly
     negative sample proves the input is no witness.
     """
+    if spot_checks < 0:
+        raise InvalidParams(f"need spot_checks >= 0, got {spot_checks!r}")
     lam0, _ = min_eigenpair(raw)
     if not lam0 < 0.0:
         raise NotNegative(
@@ -243,18 +247,26 @@ def sigma_form_from_matrix(
         )
     scale = hs_norm(raw)
     neg_tol = 1e-8 * max(1.0, scale)
-    rng = np.random.default_rng(seed)
     dims = raw.dims
-    for _ in range(spot_checks):
-        joint = np.kron(
-            haar_unit_vector(dims.dA, rng), haar_unit_vector(dims.dB, rng)
+    dA, dB = dims.dA, dims.dB
+    # one draw per sample in the order of haar_unit_vector(dA), then (dB):
+    # real parts, imaginary parts
+    z = np.random.default_rng(seed).standard_normal((spot_checks, 2 * dA + 2 * dB))
+    mu = z[:, :dA] + 1j * z[:, dA : 2 * dA]
+    nu = z[:, 2 * dA : 2 * dA + dB] + 1j * z[:, 2 * dA + dB :]
+    for v in (mu, nu):
+        # the sum np.linalg.norm forms for one complex vector, so each row
+        # keeps the bits haar_unit_vector gives it
+        v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
+    joint = _joint(mu, nu)
+    vals = (joint.conj()[:, None, :] @ raw.entries @ joint[:, :, None]).real[:, 0, 0]
+    negative = np.flatnonzero(vals < -neg_tol)
+    if negative.size:
+        val = float(vals[negative[0]])
+        raise NotAWitness(
+            f"input is negative ({val!r}) on a sampled product state; "
+            "it cannot be an entanglement witness"
         )
-        val = _expectation_raw(raw.entries, joint)
-        if val < -neg_tol:
-            raise NotAWitness(
-                f"input is negative ({val!r}) on a sampled product state; "
-                "it cannot be an entanglement witness"
-            )
     eps = float(margin) if margin is not None else 1e-6 * scale
     gamma = 1.0 / (raw.trace + dims.dAB * (abs(lam0) + eps))
     c = gamma * (abs(lam0) + eps)

@@ -12,9 +12,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 02_seesaw_infimum is left out: its see-saw restarts take about 14 s.
 DEMOS = (
     "01_reference_violation.py",
+    "02_seesaw_infimum.py",
     "03_spa_basics.py",
     "04_witness_geometry.py",
     "05_theta_scan.py",

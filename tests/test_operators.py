@@ -25,6 +25,7 @@ from spa_witness.operators import (
     HermitianOperator,
     check_hermitian,
     eig_hermitian,
+    eigh_checked,
     hs_inner,
     hs_norm,
     identity,
@@ -93,6 +94,25 @@ class TestEigHermitian:
         )
         with pytest.raises(ConvergenceFailure, match="residual"):
             eig_hermitian(op)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["unit", "huge"])
+    def test_residual_check_holds_at_any_scale(self, monkeypatch, scale):
+        # at 1e200 the squared norms overflow; the check must still hold
+        m = np.diag([1.0, -1.0, 0.3, 1e-200]) * scale
+        spectrum = eig_hermitian(make_hermitian(m, D22))
+        assert_allclose(spectrum.eigenvalues, np.sort(np.diag(m)))
+        real_eigh = np.linalg.eigh
+
+        def swap_first_two(a):
+            w, v = real_eigh(a)
+            return w, v[..., [1, 0, 2, 3]]
+
+        monkeypatch.setattr(np.linalg, "eigh", swap_first_two)
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            eig_hermitian(make_hermitian(m, D22))
+        # one matrix of a stack overflowing leaves the others' check intact
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            eigh_checked(np.stack([m, np.diag([1e200, 1.0, 1.0, 1.0])]))
 
     def test_diagonal_sorted_ascending(self):
         op = make_hermitian(np.diag([3.0, 1.0, 2.0, 5.0]), D22)

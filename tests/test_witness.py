@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from conftest import (
     weakly_optimal_witness,
 )
 from oracles import grid_product_min_two_qubit, mc_product_min
+from spa_witness.cli import EXIT_NUMERIC, main
 from spa_witness.errors import (
+    ConvergenceFailure,
     DifferentSigma,
     DimensionMismatch,
     EstimateMissing,
@@ -24,20 +28,28 @@ from spa_witness.errors import (
     NotAWitness,
     NotNegative,
 )
-from spa_witness.operators import Dims, HermitianOperator, make_hermitian, min_eigenpair
+from spa_witness.fileio import save_operator
+from spa_witness.operators import (
+    Dims,
+    HermitianOperator,
+    hs_norm,
+    make_hermitian,
+    min_eigenpair,
+)
 from spa_witness.states import (
     DensityOperator,
     ProductVector,
     Provenance,
     SeparableEnsemble,
     ensemble_density,
+    haar_unit_vector,
     maximally_mixed,
     random_density,
     random_separable_ensemble,
 )
 from spa_witness.witness import (
     FinerVerdict,
-    _seesaw_run,
+    _expectation_raw,
     build_witness,
     c_sigma_max,
     detects,
@@ -99,14 +111,69 @@ class TestSeesaw:
     def test_history_is_monotone_non_increasing(self):
         rng = np.random.default_rng(7)
         rho = full_rank_separable(D33, rng)
-        t4 = rho.op.entries.reshape(3, 3, 3, 3)
-        mu = np.array([1.0, 0.0, 0.0], dtype=complex)
-        nu = np.array([0.0, 1.0, 0.0], dtype=complex)
-        value, _, _, _, converged, history = _seesaw_run(t4, mu, nu, 500, 1e-12)
-        diffs = np.diff(np.asarray(history))
+        runs = [c_sigma_max(rho, restarts=1, max_iter=k, seed=3) for k in range(40)]
+        diffs = np.diff([est.value for est in runs])
         assert diffs.max() <= 1e-12
-        assert converged
-        assert value == pytest.approx(history[-1], abs=1e-10)
+        assert runs[-1].converged
+        assert runs[-1].iterations < 40
+        assert runs[-1].value == c_sigma_max(rho, restarts=1, seed=3).value
+
+    @pytest.mark.parametrize("max_iter", [500, 15])
+    @pytest.mark.parametrize(
+        "rho",
+        [full_rank_separable(D33, np.random.default_rng(7)), random_density(Dims(2, 3), 4)],
+        ids=["separable-3x3", "hs-2x3"],
+    )
+    def test_stacked_restarts_equal_best_single_runs(self, rho, max_iter):
+        # restart r of a stacked run is the one-restart run with seed + r
+        seed, restarts = 5, 8
+        singles = [
+            c_sigma_max(rho, restarts=1, max_iter=max_iter, seed=seed + r)
+            for r in range(restarts)
+        ]
+        # the runs stop at different sweeps, so the stack shrinks as it goes
+        assert len({est.iterations for est in singles}) > 1
+        best = singles[0]
+        for est in singles[1:]:
+            if est.value < best.value:
+                best = est
+        stacked = c_sigma_max(rho, restarts=restarts, max_iter=max_iter, seed=seed)
+        assert stacked.value == best.value
+        assert np.array_equal(stacked.argmin.mu_a, best.argmin.mu_a)
+        assert np.array_equal(stacked.argmin.nu_b, best.argmin.nu_b)
+        assert (stacked.iterations, stacked.converged) == (best.iterations, best.converged)
+        assert stacked.restarts == restarts
+
+    @pytest.mark.parametrize("raised_call", [1, 2], ids=["A-side", "B-side"])
+    def test_rising_objective_names_the_restart(
+        self, monkeypatch, tmp_path, capsys, raised_call
+    ):
+        real_eigh = np.linalg.eigh
+        calls = []
+
+        def raise_restart_one(a):
+            w, v = real_eigh(a)
+            calls.append(a.shape)
+            if len(calls) == raised_call:
+                w = w.copy()
+                w[1, 0] += 0.5
+            return w, v
+
+        rho = full_rank_separable(D22, np.random.default_rng(6))
+        monkeypatch.setattr(np.linalg, "eigh", raise_restart_one)
+        with pytest.raises(ConvergenceFailure) as info:
+            c_sigma_max(rho, restarts=4)
+        assert calls[0] == (4, 2, 2)
+        message = str(info.value)
+        assert message.startswith("see-saw restart 1: objective rose from ")
+        old, new = (float(x) for x in re.findall(r"from (\S+) to (\S+) in", message)[0])
+        assert new > old + 0.4
+
+        path = tmp_path / "rho.json"
+        save_operator(rho.op, path)
+        calls.clear()
+        assert main(["cmax", str(path), "--restarts", "4"]) == EXIT_NUMERIC
+        assert "see-saw restart 1: objective rose" in capsys.readouterr().err
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(3)
@@ -120,9 +187,8 @@ class TestSeesaw:
         rng = np.random.default_rng(11)
         rho = full_rank_separable(Dims(2, 3), rng)
         est = c_sigma_max(rho, restarts=8)
-        assert product_expectation(rho, est.argmin) == pytest.approx(
-            est.value, abs=1e-12
-        )
+        # exact: the stacked joint vectors are np.kron's, bit for bit
+        assert product_expectation(rho, est.argmin) == est.value
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_never_above_monte_carlo_minimum(self, seed):
@@ -208,10 +274,30 @@ class TestSigmaFormFromMatrix:
         with pytest.raises(NotNegative):
             sigma_form_from_matrix(make_hermitian(np.eye(4), D22))
 
+    def test_negative_spot_check_count_rejected(self):
+        with pytest.raises(InvalidParams):
+            sigma_form_from_matrix(swap_operator(2), spot_checks=-1)
+
     def test_product_negative_input_rejected(self):
         bad = make_hermitian(np.diag([-1.0, 0.2, 0.2, 0.2]), D22)
         with pytest.raises(NotAWitness):
             sigma_form_from_matrix(bad)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spot_checks_report_the_first_negative_sample(self, seed):
+        bad = make_hermitian(np.diag([-1.0, 0.5, 0.5, 0.5, 0.5, 0.5]), Dims(2, 3))
+        # reference: one product vector per sample, drawn and checked in turn
+        rng = np.random.default_rng(seed)
+        vals = [
+            _expectation_raw(
+                bad.entries, np.kron(haar_unit_vector(2, rng), haar_unit_vector(3, rng))
+            )
+            for _ in range(64)
+        ]
+        first = next(k for k, val in enumerate(vals) if val < -1e-8 * hs_norm(bad))
+        assert first > 0
+        with pytest.raises(NotAWitness, match=re.escape(f"({vals[first]!r})")):
+            sigma_form_from_matrix(bad, seed=seed)
 
     def test_margin_raises_offset_monotonically(self):
         v = swap_operator(2)
