@@ -1,11 +1,17 @@
 """Scatter data relating witness values to entanglement indicators.
 
-For one witness matrix, emit rows for a mix of random densities and
-separable-by-construction ensembles, plus the witness's own ground
-projector (guaranteed to sit on the negative side).  Each row pairs the
-witness value with the state's partial-transpose minimum, purity, and a
-hyperplane classification, which is enough to scatter-plot how the
-detection half-space cuts through state space.
+For one witness matrix, emit rows for the witness's own ground projector
+(guaranteed to sit on the negative side), then random densities, then
+separable-by-construction mixtures.  Each row pairs the witness value with
+the state's partial-transpose minimum, purity, and a hyperplane
+classification, which is enough to scatter-plot how the detection
+half-space cuts through state space.
+
+The states are built as (n, dAB, dAB) stacks of at most GEOMETRY_CHUNK rows,
+drawn in row order from one generator.  Each chunk is validated as a whole
+(Hermitian, unit trace, positive; unit factors and normalized weights for
+the mixtures) and gets one stacked witness-value product and one checked,
+stacked eigensolve of its partial transposes.
 """
 
 from __future__ import annotations
@@ -13,13 +19,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams
-from .operators import HermitianOperator, hs_inner, hs_norm, min_eigenpair
-from .spa import hyperplane_classify, pt_min_eigenvalue
+from .operators import (
+    HermitianOperator,
+    check_hermitian,
+    eigh_checked,
+    hs_inner_stack,
+    min_eigenpair,
+    partial_transpose_stack,
+)
+from .spa import hyperplane_side
 from .states import (
-    DensityOperator,
-    ensemble_density,
-    random_density,
-    random_separable_ensemble,
+    check_density,
+    check_product_terms,
+    draw_densities,
+    draw_ensembles,
+    mix_products,
+    vector_norms,
 )
 
 GEOMETRY_SCHEMA = "witness-geometry-v1"
@@ -30,16 +45,8 @@ GEOMETRY_COLUMNS = (
     "purity",
     "classification",
 )
-
-
-def _row(witness_op: HermitianOperator, rho: DensityOperator, source: str, tol: float) -> dict:
-    return {
-        "source": source,
-        "witness_value": float(hs_inner(rho.op, witness_op)),
-        "min_pt_eigenvalue": float(pt_min_eigenvalue(rho.op)),
-        "purity": float(hs_norm(rho.op) ** 2),
-        "classification": hyperplane_classify(witness_op, rho, tol).value,
-    }
+# Rows per stacked eigensolve; bounds the working memory.
+GEOMETRY_CHUNK = 256
 
 
 def geometry_rows(
@@ -54,15 +61,35 @@ def geometry_rows(
     dims = witness_op.dims
     rng = np.random.default_rng(seed)
     _, ground = min_eigenpair(witness_op)
-    ground_state = DensityOperator(
-        HermitianOperator(dims, np.outer(ground, ground.conj()))
+    sources = (
+        ("ground-projector",)
+        + ("random-density",) * samples
+        + ("separable-ensemble",) * samples
     )
-    rows = [_row(witness_op, ground_state, "ground-projector", tol)]
-    for _ in range(samples):
-        rows.append(_row(witness_op, random_density(dims, rng), "random-density", tol))
-    for _ in range(samples):
-        ensemble = random_separable_ensemble(dims, 2 * dims.dAB, rng)
-        rows.append(
-            _row(witness_op, ensemble_density(ensemble), "separable-ensemble", tol)
-        )
+    rows: list[dict] = []
+    for start in range(0, len(sources), GEOMETRY_CHUNK):
+        stop = min(start + GEOMETRY_CHUNK, len(sources))
+        # row 0 is the ground projector, rows 1..samples the random densities
+        n_random = max(0, min(stop, 1 + samples) - max(start, 1))
+        n_mixed = stop - start - n_random - (start == 0)
+        ground_part = [np.outer(ground, ground.conj())[None]] if start == 0 else []
+        random_part = draw_densities(dims, n_random, rng)
+        weights, mu, nu = draw_ensembles(dims, n_mixed, 2 * dims.dAB, rng)
+        check_product_terms(weights, mu, nu)
+        m = np.concatenate([*ground_part, random_part, mix_products(weights, mu, nu)])
+        check_hermitian(m)
+        check_density(m)
+        values = hs_inner_stack(m, witness_op.entries)
+        pt_spectra, _ = eigh_checked(partial_transpose_stack(m, dims))
+        norms = vector_norms(m.reshape(len(m), -1))
+        for source, value, pt_min, norm in zip(
+            sources[start:stop], values.tolist(), pt_spectra[:, 0].tolist(), norms.tolist()
+        ):
+            rows.append({
+                "source": source,
+                "witness_value": value,
+                "min_pt_eigenvalue": pt_min,
+                "purity": norm**2,
+                "classification": hyperplane_side(value, tol).value,
+            })
     return rows

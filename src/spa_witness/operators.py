@@ -28,10 +28,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _first_failure(bad: np.ndarray, noun: str = "matrix") -> tuple[tuple[int, ...], str]:
+    """Index of the first True entry of a per-item mask, and a "matrix (i,): "
+    prefix naming it; both are empty for a single item."""
+    at = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), np.shape(bad)))
+    return at, (f"{noun} {at}: " if at else "")
+
+
 def check_hermitian(m: np.ndarray) -> None:
     """Raise NotHermitian unless each matrix of the (..., d, d) stack m is
     finite and Hermitian to HERMITICITY_TOL, naming the offending entry."""
-    asym = np.abs(m - m.mT.conj())
+    # inf - inf and overflowing differences give nan or inf, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        asym = np.abs(m - m.mT.conj())
     worst = float(asym.max())
     # a non-finite entry makes its asymmetry inf or nan, so it fails here
     if worst <= HERMITICITY_TOL:
@@ -126,10 +135,12 @@ def _squared_residuals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Largest squared residual ||A v_k - w_k v_k||^2 of each matrix of the
     stack, and its squared limit tol^2 * max(1, ||A||^2)."""
-    # both sides squared, to spare the square roots
-    r = m @ v - v * w[..., None, :]
-    residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
-    limit2 = tol**2 * np.maximum(1.0, np.vecdot(m, m).real.sum(axis=-1))
+    # both sides squared, to spare the square roots; squares that overflow
+    # make limit2 non-finite, and eigh_checked then rescales
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = m @ v - v * w[..., None, :]
+        residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
+        limit2 = tol**2 * np.maximum(1.0, np.vecdot(m, m).real.sum(axis=-1))
     return residual2, limit2
 
 
@@ -206,10 +217,19 @@ def hs_inner(a: HermitianOperator, b: HermitianOperator) -> float:
     """Hilbert-Schmidt inner product tr(a b), real for Hermitian arguments."""
     if a.dims != b.dims:
         raise DimensionMismatch(f"operand dims differ: {a.dims} vs {b.dims}")
-    val = complex(np.trace(a.entries @ b.entries))
-    if abs(val.imag) > _IMAG_TRACE_TOL:
+    return float(hs_inner_stack(a.entries, b.entries))
+
+
+def hs_inner_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr(a_k b) for each matrix a_k of a (..., d, d) stack, real for
+    Hermitian arguments; NonRealResult names a matrix whose trace is not."""
+    val = np.trace(a @ b, axis1=-2, axis2=-1)
+    bad = np.abs(val.imag) > _IMAG_TRACE_TOL
+    if bad.any():
+        at, where = _first_failure(bad)
         raise NonRealResult(
-            f"tr(a b) has imaginary part {val.imag:.3e}; inputs are too asymmetric"
+            f"{where}tr(a b) has imaginary part {float(val.imag[at]):.3e}; "
+            "inputs are too asymmetric"
         )
     return val.real
 

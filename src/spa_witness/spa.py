@@ -367,7 +367,11 @@ def hyperplane_classify(
     tol: float = DEFAULT_COMPARE_TOL,
 ) -> HyperplaneSide:
     """Which side of the witness hyperplane tr(W rho) = 0 a state falls on."""
-    value = hs_inner(rho.op, witness_op)
+    return hyperplane_side(hs_inner(rho.op, witness_op), tol)
+
+
+def hyperplane_side(value: float, tol: float = DEFAULT_COMPARE_TOL) -> HyperplaneSide:
+    """Side of the witness hyperplane for a witness value tr(W rho)."""
     if value < -tol:
         return HyperplaneSide.NEGATIVE
     if value > tol:

@@ -3,6 +3,12 @@
 Separability is tracked as provenance, never inferred: a density either was
 built as a convex mixture of product projectors (separable-by-construction),
 or a caller vouched for it (asserted-separable), or nothing is known.
+
+Sampling, mixing and validation work on stacks: ``draw_densities``,
+``draw_ensembles`` and ``mix_products`` build (n, dAB, dAB) stacks, and
+``check_density`` and ``check_product_terms`` check every matrix, factor and
+weight of a stack at once.  The one-object constructors and samplers go
+through the same functions, so a state has the same bits either way.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotADensity, WeightSumError
-from .operators import Dims, HermitianOperator, _read_only
+from .errors import ConvergenceFailure, DimensionMismatch, NotADensity, WeightSumError
+from .operators import Dims, HermitianOperator, _first_failure, _read_only
 
 UNIT_NORM_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-10
@@ -31,10 +37,162 @@ class Provenance(enum.Enum):
     UNKNOWN = "unknown"
 
 
+def vector_norms(z: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex (..., d) stack.
+
+    Summed as np.linalg.norm sums one complex vector (real parts, then
+    imaginary parts), so each row gets the bits a one-vector norm gives it.
+    """
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+
+
+def unit_rows(z: np.ndarray) -> np.ndarray:
+    """Each row of a complex (..., d) stack divided by its norm."""
+    return z / vector_norms(z)[..., None]
+
+
+def joint_vectors(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """mu (x) nu for each row of (..., dA) and (..., dB) stacks.
+
+    The same elementwise products as np.kron, bit for bit, without its
+    fixed cost per call.
+    """
+    return (mu[..., :, None] * nu[..., None, :]).reshape(
+        *mu.shape[:-1], mu.shape[-1] * nu.shape[-1]
+    )
+
+
 def haar_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector in C^d (normalized complex Gaussian)."""
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
+    return unit_rows(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+
+def _unit_factors(z: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
+    # rows of raw draws: real and imaginary parts of mu, then those of nu
+    dA, dB = dims.dA, dims.dB
+    mu = unit_rows(z[..., :dA] + 1j * z[..., dA : 2 * dA])
+    nu = unit_rows(z[..., 2 * dA : 2 * dA + dB] + 1j * z[..., 2 * dA + dB :])
+    return mu, nu
+
+
+def haar_product_factors(
+    dims: Dims, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n Haar factor pairs as (n, dA) and (n, dB) stacks, from one draw.
+
+    The draw is the stream of alternating haar_unit_vector(dA),
+    haar_unit_vector(dB) calls, pair by pair, and each row has their bits.
+    """
+    return _unit_factors(rng.standard_normal((n, 2 * dims.dA + 2 * dims.dB)), dims)
+
+
+def draw_densities(dims: Dims, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Hilbert-Schmidt random densities as an (n, dAB, dAB) stack.
+
+    Each is G G^dag / tr(G G^dag) with G complex Gaussian; the one draw holds
+    the real, then the imaginary parts of each G, the stream of n
+    random_density calls.
+    """
+    d = dims.dAB
+    z = rng.standard_normal((n, 2, d, d))
+    g = z[:, 0] + 1j * z[:, 1]
+    m = g @ g.conj().mT
+    m = (m + m.conj().mT) / 2.0
+    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return m
+
+
+def draw_ensembles(
+    dims: Dims, n: int, n_terms: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (n, n_terms) and unit factors (n, n_terms, dA), (n, n_terms, dB)
+    of n random separable ensembles.
+
+    Drawn one ensemble at a time: Dirichlet(2) weights rescaled to sum 1,
+    then the factors' draw of haar_product_factors(dims, n_terms, rng).
+    """
+    if n_terms < 1:
+        raise WeightSumError("an ensemble needs at least one term")
+    alpha = 2.0 * np.ones(n_terms)
+    weights = np.empty((n, n_terms))
+    z = np.empty((n, n_terms, 2 * dims.dA + 2 * dims.dB))
+    for k in range(n):
+        w = rng.dirichlet(alpha)
+        weights[k] = w / w.sum()
+        rng.standard_normal(out=z[k])
+    return (weights, *_unit_factors(z, dims))
+
+
+def mix_products(weights: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """sum_t w_t |mu_t nu_t><mu_t nu_t| for each row of (n, T) weights and
+    (n, T, dA), (n, T, dB) factor stacks, as an (n, dAB, dAB) stack.
+
+    Mixed term by term in term order, so each matrix has the bits of adding
+    its weighted projectors one at a time.
+    """
+    n, n_terms = weights.shape
+    d = mu.shape[-1] * nu.shape[-1]
+    acc = np.zeros((n, d, d), dtype=np.complex128)
+    for t in range(n_terms):
+        v = joint_vectors(mu[:, t], nu[:, t])
+        acc += weights[:, t, None, None] * (v[:, :, None] * v.conj()[:, None, :])
+    return acc
+
+
+def _check_unit_norm(name: str, vecs: np.ndarray) -> None:
+    norms = vector_norms(vecs)
+    bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
+    if bad.any():
+        at, _ = _first_failure(bad)
+        label = f"{name} {at}" if at else name
+        raise DimensionMismatch(
+            f"{label} is not unit norm: ||{name}|| = {float(norms[at])!r}"
+        )
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    bad = ~(weights > 0.0)
+    if bad.any():
+        at, _ = _first_failure(bad)
+        where = f"ensemble {at[:-1]}: " if at[:-1] else ""
+        raise WeightSumError(
+            f"{where}every weight must be positive, got {float(weights[at])!r}"
+        )
+    # summed left to right, one weight at a time
+    total = np.cumsum(weights, axis=-1)[..., -1]
+    bad = ~(np.abs(total - 1.0) <= WEIGHT_SUM_TOL)
+    if bad.any():
+        at, where = _first_failure(bad, "ensemble")
+        raise WeightSumError(f"{where}weights sum to {float(total[at])!r}, expected 1")
+
+
+def check_product_terms(weights: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
+    """Raise unless every factor of the (..., T, dA) and (..., T, dB) stacks
+    has unit norm to UNIT_NORM_TOL (DimensionMismatch), and every row of the
+    (..., T) weights is positive and sums to 1 within WEIGHT_SUM_TOL
+    (WeightSumError)."""
+    _check_unit_norm("mu_a", mu)
+    _check_unit_norm("nu_b", nu)
+    _check_weights(weights)
+
+
+def check_density(m: np.ndarray) -> None:
+    """Raise NotADensity unless each matrix of the (..., d, d) Hermitian stack
+    m has trace 1 to DENSITY_TRACE_TOL and no eigenvalue below
+    -DENSITY_MIN_EIG_TOL, naming the offending matrix."""
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    bad = ~(np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)
+    if bad.any():
+        at, where = _first_failure(bad)
+        raise NotADensity(f"{where}trace is {float(tr[at])!r}, expected 1")
+    try:
+        min_eig = np.linalg.eigvalsh(m)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    bad = ~(min_eig >= -DENSITY_MIN_EIG_TOL)
+    if bad.any():
+        at, where = _first_failure(bad)
+        raise NotADensity(f"{where}minimum eigenvalue {float(min_eig[at])!r} is negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +207,7 @@ class ProductVector:
             vec = np.array(raw, dtype=np.complex128, copy=True)
             if vec.ndim != 1 or vec.size < 2:
                 raise DimensionMismatch(f"{name} must be a vector of length >= 2")
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > UNIT_NORM_TOL:
-                raise DimensionMismatch(
-                    f"{name} is not unit norm: ||{name}|| = {norm!r}"
-                )
+            _check_unit_norm(name, vec)
             object.__setattr__(self, name, _read_only(vec))
 
     @property
@@ -62,7 +216,7 @@ class ProductVector:
 
     def vector(self) -> np.ndarray:
         """The joint unit vector mu_a (x) nu_b in A-major ordering."""
-        return np.kron(self.mu_a, self.nu_b)
+        return joint_vectors(self.mu_a, self.nu_b)
 
     def projector(self) -> HermitianOperator:
         """Rank-one projector onto the joint vector."""
@@ -80,17 +234,12 @@ class SeparableEnsemble:
     def __post_init__(self) -> None:
         if not self.terms:
             raise WeightSumError("an ensemble needs at least one term")
-        total = 0.0
-        for weight, pv in self.terms:
-            if not weight > 0.0:
-                raise WeightSumError(f"every weight must be positive, got {weight!r}")
+        for _, pv in self.terms:
             if pv.dims != self.dims:
                 raise DimensionMismatch(
                     f"term dims {pv.dims} do not match ensemble dims {self.dims}"
                 )
-            total += weight
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise WeightSumError(f"weights sum to {total!r}, expected 1")
+        _check_weights(np.array([weight for weight, _ in self.terms], dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +250,7 @@ class DensityOperator:
     provenance: Provenance = Provenance.UNKNOWN
 
     def __post_init__(self) -> None:
-        tr = self.op.trace
-        if not abs(tr - 1.0) <= DENSITY_TRACE_TOL:
-            raise NotADensity(f"trace is {tr!r}, expected 1")
-        min_eig = float(np.linalg.eigvalsh(self.op.entries)[0])
-        if not min_eig >= -DENSITY_MIN_EIG_TOL:
-            raise NotADensity(f"minimum eigenvalue {min_eig!r} is negative")
+        check_density(self.op.entries)
 
     @property
     def dims(self) -> Dims:
@@ -115,11 +259,10 @@ class DensityOperator:
 
 def ensemble_density(ensemble: SeparableEnsemble) -> DensityOperator:
     """Mix the ensemble into a density; the result is separable by construction."""
-    d = ensemble.dims.dAB
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for weight, pv in ensemble.terms:
-        v = pv.vector()
-        acc += weight * np.outer(v, v.conj())
+    weights = np.array([[weight for weight, _ in ensemble.terms]], dtype=np.float64)
+    mu = np.array([[pv.mu_a for _, pv in ensemble.terms]])
+    nu = np.array([[pv.nu_b for _, pv in ensemble.terms]])
+    acc = mix_products(weights, mu, nu)[0]
     return DensityOperator(HermitianOperator(ensemble.dims, acc), Provenance.SEPARABLE)
 
 
@@ -131,18 +274,13 @@ def maximally_mixed(dims: Dims) -> DensityOperator:
 
 def random_product_vector(dims: Dims, seed: SeedLike) -> ProductVector:
     """Haar-random product vector; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    return ProductVector(haar_unit_vector(dims.dA, rng), haar_unit_vector(dims.dB, rng))
+    mu, nu = haar_product_factors(dims, 1, np.random.default_rng(seed))
+    return ProductVector(mu[0], nu[0])
 
 
 def random_density(dims: Dims, seed: SeedLike) -> DensityOperator:
     """Hilbert-Schmidt random density: G G^dag normalized, G complex Gaussian."""
-    rng = np.random.default_rng(seed)
-    d = dims.dAB
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    m = (m + m.conj().T) / 2.0
-    m /= np.trace(m).real
+    m = draw_densities(dims, 1, np.random.default_rng(seed))[0]
     return DensityOperator(HermitianOperator(dims, m), Provenance.UNKNOWN)
 
 
@@ -150,18 +288,8 @@ def random_separable_ensemble(
     dims: Dims, n_terms: int, seed: SeedLike
 ) -> SeparableEnsemble:
     """Random mixture of Haar product vectors with Dirichlet weights."""
-    if n_terms < 1:
-        raise WeightSumError("an ensemble needs at least one term")
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(2.0 * np.ones(n_terms))
-    weights = weights / weights.sum()
+    weights, mu, nu = draw_ensembles(dims, 1, n_terms, np.random.default_rng(seed))
     terms = tuple(
-        (
-            float(w),
-            ProductVector(
-                haar_unit_vector(dims.dA, rng), haar_unit_vector(dims.dB, rng)
-            ),
-        )
-        for w in weights
+        (float(w), ProductVector(m, n)) for w, m, n in zip(weights[0], mu[0], nu[0])
     )
     return SeparableEnsemble(dims, terms)

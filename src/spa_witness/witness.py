@@ -37,7 +37,14 @@ from .operators import (
     scaled,
     shifted,
 )
-from .states import DensityOperator, ProductVector, Provenance, haar_unit_vector
+from .states import (
+    DensityOperator,
+    ProductVector,
+    Provenance,
+    haar_product_factors,
+    haar_unit_vector,
+    joint_vectors,
+)
 
 CMAX_SLACK = 1e-10
 DEFAULT_DETECT_TOL = 1e-10
@@ -103,15 +110,6 @@ def _expectation_raw(entries: np.ndarray, joint: np.ndarray) -> float:
     return float((joint.conj() @ entries @ joint).real)
 
 
-def _joint(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """mu (x) nu for each row of (..., dA) and (..., dB) stacks.
-
-    The same elementwise products as np.kron, bit for bit, without its
-    fixed cost per call.
-    """
-    return (mu[..., :, None] * nu[..., None, :]).reshape(*mu.shape[:-1], -1)
-
-
 def c_sigma_max(
     sigma: DensityOperator,
     restarts: int = 32,
@@ -167,7 +165,7 @@ def c_sigma_max(
         mu[r] = haar_unit_vector(dims.dA, rng)
         nu[r] = haar_unit_vector(dims.dB, rng)
     # objective at the end of each run's latest sweep (its start value first)
-    last = np.array([_expectation_raw(entries, joint) for joint in _joint(mu, nu)])
+    last = np.array([_expectation_raw(entries, joint) for joint in joint_vectors(mu, nu)])
     iterations = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
@@ -198,7 +196,7 @@ def c_sigma_max(
         done = sweep_start - obj_b < tol
         converged[active[done]] = True
         active = active[~done]
-    values = [_expectation_raw(entries, joint) for joint in _joint(mu, nu)]
+    values = [_expectation_raw(entries, joint) for joint in joint_vectors(mu, nu)]
     best = min(range(restarts), key=values.__getitem__)
     return CmaxEstimate(
         value=values[best],
@@ -248,17 +246,8 @@ def sigma_form_from_matrix(
     scale = hs_norm(raw)
     neg_tol = 1e-8 * max(1.0, scale)
     dims = raw.dims
-    dA, dB = dims.dA, dims.dB
-    # one draw per sample in the order of haar_unit_vector(dA), then (dB):
-    # real parts, imaginary parts
-    z = np.random.default_rng(seed).standard_normal((spot_checks, 2 * dA + 2 * dB))
-    mu = z[:, :dA] + 1j * z[:, dA : 2 * dA]
-    nu = z[:, 2 * dA : 2 * dA + dB] + 1j * z[:, 2 * dA + dB :]
-    for v in (mu, nu):
-        # the sum np.linalg.norm forms for one complex vector, so each row
-        # keeps the bits haar_unit_vector gives it
-        v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[:, None]
-    joint = _joint(mu, nu)
+    mu, nu = haar_product_factors(dims, spot_checks, np.random.default_rng(seed))
+    joint = joint_vectors(mu, nu)
     vals = (joint.conj()[:, None, :] @ raw.entries @ joint[:, :, None]).real[:, 0, 0]
     negative = np.flatnonzero(vals < -neg_tol)
     if negative.size:

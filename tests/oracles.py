@@ -4,12 +4,22 @@ Everything here recomputes quantities through a different route than the
 library: characteristic polynomials instead of eigh, brute-force index
 loops instead of reshape/transpose, and direct sampling or grid search
 instead of the see-saw.  Keep these free of spa_witness internals beyond
-plain array access.
+plain array access; the one exception is geometry_rows_one_at_a_time, the
+per-object route that the stacked geometry rows must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from spa_witness.operators import HermitianOperator, hs_inner, hs_norm, min_eigenpair
+from spa_witness.spa import hyperplane_classify, pt_min_eigenvalue
+from spa_witness.states import (
+    DensityOperator,
+    ProductVector,
+    Provenance,
+    SeparableEnsemble,
+)
 
 
 def char_poly_roots_2x2(m: np.ndarray) -> np.ndarray:
@@ -132,3 +142,57 @@ def grid_product_min_two_qubit(
         lo = center - 2.0 * spacing
         hi = center + 2.0 * spacing
     return best_val
+
+
+def _haar_one_at_a_time(d: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
+def geometry_rows_one_at_a_time(
+    witness_op: HermitianOperator, samples: int, seed: int = 0, tol: float = 1e-8
+) -> list[dict]:
+    """The geometry rows built one state object at a time.
+
+    Draws as the per-object samplers did (one Gaussian matrix pair per
+    density, Dirichlet weights and one Haar vector per factor per mixture),
+    mixes with np.kron and np.outer term by term, and validates and measures
+    each state through DensityOperator, pt_min_eigenvalue, hs_inner and
+    hyperplane_classify.
+    """
+    dims = witness_op.dims
+    d = dims.dAB
+    rng = np.random.default_rng(seed)
+    _, ground = min_eigenpair(witness_op)
+    states = [("ground-projector", HermitianOperator(dims, np.outer(ground, ground.conj())))]
+    for _ in range(samples):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = g @ g.conj().T
+        m = (m + m.conj().T) / 2.0
+        m /= np.trace(m).real
+        states.append(("random-density", HermitianOperator(dims, m)))
+    for _ in range(samples):
+        weights = rng.dirichlet(2.0 * np.ones(2 * d))
+        weights = weights / weights.sum()
+        terms = tuple(
+            (float(w), ProductVector(
+                _haar_one_at_a_time(dims.dA, rng), _haar_one_at_a_time(dims.dB, rng)
+            ))
+            for w in weights
+        )
+        acc = np.zeros((d, d), dtype=np.complex128)
+        for weight, pv in SeparableEnsemble(dims, terms).terms:
+            v = np.kron(pv.mu_a, pv.nu_b)
+            acc += weight * np.outer(v, v.conj())
+        states.append(("separable-ensemble", HermitianOperator(dims, acc)))
+    rows = []
+    for source, op in states:
+        rho = DensityOperator(op, Provenance.UNKNOWN)
+        rows.append({
+            "source": source,
+            "witness_value": float(hs_inner(rho.op, witness_op)),
+            "min_pt_eigenvalue": float(pt_min_eigenvalue(rho.op)),
+            "purity": float(hs_norm(rho.op) ** 2),
+            "classification": hyperplane_classify(witness_op, rho, tol).value,
+        })
+    return rows

@@ -2,12 +2,28 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
-from spa_witness.errors import InvalidParams
-from spa_witness.geometry import GEOMETRY_COLUMNS, geometry_rows
+from conftest import random_negative_hermitian
+from oracles import geometry_rows_one_at_a_time
+from spa_witness.cli import EXIT_NUMERIC, main
+from spa_witness.errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    InvalidParams,
+    NotADensity,
+    NotHermitian,
+)
+from spa_witness.fileio import save_operator
+from spa_witness.geometry import GEOMETRY_CHUNK, GEOMETRY_COLUMNS, geometry_rows
 from spa_witness.hakye import hakye_witness, reference_violation_params
+from spa_witness.operators import Dims
+from spa_witness.states import draw_densities, draw_ensembles
+
+geometry_module = importlib.import_module("spa_witness.geometry")
 
 
 def reference_rows(samples=6, seed=3):
@@ -53,3 +69,78 @@ def test_deterministic_per_seed():
 def test_samples_must_be_positive():
     with pytest.raises(InvalidParams):
         reference_rows(samples=0)
+
+
+def _double_trace(m):
+    m *= 2.0
+
+
+def _make_negative(m):
+    m[...] = np.diag([1.5, -0.5, 0.0, 0.0])
+
+
+def _make_asymmetric(m):
+    m[0, 1] += 1e-6
+
+
+class TestStackedRows:
+    @pytest.mark.parametrize("dims", [Dims(2, 2), Dims(2, 3), Dims(3, 3), Dims(3, 4)], ids=str)
+    @pytest.mark.parametrize("samples", [1, GEOMETRY_CHUNK])
+    def test_rows_equal_the_one_at_a_time_route(self, dims, samples):
+        # GEOMETRY_CHUNK samples make three chunks: the ground projector and
+        # random densities only, both kinds, and one mixture alone
+        for seed in (0, 5) if samples == 1 else (3,):
+            witness = random_negative_hermitian(dims, np.random.default_rng(seed + 40))
+            assert geometry_rows(witness, samples, seed) == geometry_rows_one_at_a_time(
+                witness, samples, seed
+            )
+
+    def test_reference_witness_rows_equal_the_one_at_a_time_route(self):
+        witness = hakye_witness(reference_violation_params())
+        assert geometry_rows(witness, 7, 2) == geometry_rows_one_at_a_time(witness, 7, 2)
+
+    def test_one_corrupted_pt_solve_in_a_stack_fails(self, monkeypatch, capsys, tmp_path):
+        real_eigh = np.linalg.eigh
+
+        def corrupt_one(a):
+            w, v = real_eigh(a)
+            if w.ndim == 2 and len(w) > 3:
+                w = w.copy()
+                w[3, 0] += 1e-3
+            return w, v
+
+        path = tmp_path / "reference.json"
+        witness = hakye_witness(reference_violation_params())
+        save_operator(witness, path)
+        monkeypatch.setattr(np.linalg, "eigh", corrupt_one)
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            geometry_rows(witness, 4)
+        assert main(["geometry", str(path), "--samples", "4"]) == EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, error, message", [
+        (_double_trace, NotADensity, r"^matrix \(1,\): trace is "),
+        (_make_negative, NotADensity, r"^matrix \(1,\): minimum eigenvalue "),
+        (_make_asymmetric, NotHermitian, r"^max asymmetry .* at matrix \(1,\), "),
+    ], ids=["trace", "negative", "asymmetric"])
+    def test_every_density_of_a_stack_is_checked(self, monkeypatch, corrupt, error, message):
+        def draw(dims, n, rng):
+            m = draw_densities(dims, n, rng)
+            corrupt(m[0])
+            return m
+
+        monkeypatch.setattr(geometry_module, "draw_densities", draw)
+        witness = random_negative_hermitian(Dims(2, 2), np.random.default_rng(1))
+        with pytest.raises(error, match=message):
+            geometry_rows(witness, 2)
+
+    def test_every_mixture_factor_is_checked(self, monkeypatch):
+        def draw(dims, n, n_terms, rng):
+            weights, mu, nu = draw_ensembles(dims, n, n_terms, rng)
+            mu[1, 3] *= 1.5
+            return weights, mu, nu
+
+        monkeypatch.setattr(geometry_module, "draw_ensembles", draw)
+        witness = random_negative_hermitian(Dims(2, 2), np.random.default_rng(1))
+        with pytest.raises(DimensionMismatch, match=r"^mu_a \(1, 3\) is not unit norm"):
+            geometry_rows(witness, 2)

@@ -14,12 +14,19 @@ from spa_witness.states import (
     ProductVector,
     Provenance,
     SeparableEnsemble,
+    check_density,
+    check_product_terms,
+    draw_densities,
+    draw_ensembles,
     ensemble_density,
+    haar_product_factors,
     haar_unit_vector,
     maximally_mixed,
+    mix_products,
     random_density,
     random_product_vector,
     random_separable_ensemble,
+    vector_norms,
 )
 
 D22 = Dims(2, 2)
@@ -134,6 +141,24 @@ class TestDensityValidation:
         with pytest.raises(NotADensity):
             DensityOperator(make_hermitian(m, D22))
 
+    def test_single_matrix_messages_name_no_matrix(self):
+        with pytest.raises(NotADensity, match=r"^trace is 4\.0, expected 1$"):
+            DensityOperator(make_hermitian(np.eye(4), D22))
+        m = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(NotADensity, match=r"^minimum eigenvalue -0\.5\d* is negative$"):
+            DensityOperator(make_hermitian(m, D22))
+
+    def test_stack_check_names_each_offending_matrix(self):
+        stack = draw_densities(D22, 5, np.random.default_rng(1))
+        check_density(stack)
+        stack[3] = np.diag([1.5, -0.5, 0.0, 0.0])
+        stack[1] *= 2.0
+        with pytest.raises(NotADensity, match=r"^matrix \(1,\): trace is "):
+            check_density(stack)
+        stack[1] /= 2.0
+        with pytest.raises(NotADensity, match=r"^matrix \(3,\): minimum eigenvalue -0\.5"):
+            check_density(stack)
+
     def test_nan_spectrum_rejected(self, monkeypatch):
         op = make_hermitian(np.eye(4) / 4.0, D22)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(4, np.nan))
@@ -188,3 +213,48 @@ class TestRandomSampling:
         assert len(weights) == 7
         assert all(w > 0 for w in weights)
         assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStackedSampling:
+    def test_vector_norms_have_the_bits_of_np_linalg_norm(self):
+        z = np.random.default_rng(5).standard_normal((50, 7, 2)) @ np.array([1.0, 1j])
+        norms = vector_norms(z)
+        for row, norm in zip(z, norms):
+            assert norm == np.linalg.norm(row)
+
+    def test_product_factors_equal_alternating_haar_draws(self):
+        mu, nu = haar_product_factors(D23, 6, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for k in range(6):
+            assert np.array_equal(mu[k], haar_unit_vector(2, rng))
+            assert np.array_equal(nu[k], haar_unit_vector(3, rng))
+
+    def test_density_stack_equals_one_density_at_a_time(self):
+        stack = draw_densities(D23, 4, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        for m in stack:
+            assert np.array_equal(m, random_density(D23, rng).op.entries)
+
+    def test_ensemble_stack_equals_one_ensemble_at_a_time(self):
+        weights, mu, nu = draw_ensembles(D23, 4, 5, np.random.default_rng(9))
+        mixed = mix_products(weights, mu, nu)
+        rng = np.random.default_rng(9)
+        for k in range(4):
+            ensemble = random_separable_ensemble(D23, 5, rng)
+            assert [w for w, _ in ensemble.terms] == weights[k].tolist()
+            assert np.array_equal(mixed[k], ensemble_density(ensemble).op.entries)
+
+    def test_term_checks_name_the_offending_entry(self):
+        weights, mu, nu = draw_ensembles(D22, 3, 4, np.random.default_rng(2))
+        check_product_terms(weights, mu, nu)
+        bad_mu = mu.copy()
+        bad_mu[1, 2] *= 1.5
+        with pytest.raises(DimensionMismatch, match=r"^mu_a \(1, 2\) is not unit norm"):
+            check_product_terms(weights, bad_mu, nu)
+        bad_weights = weights.copy()
+        bad_weights[2, 0] += 0.25
+        with pytest.raises(WeightSumError, match=r"^ensemble \(2,\): weights sum to"):
+            check_product_terms(bad_weights, mu, nu)
+        bad_weights[2, 0] = -0.1
+        with pytest.raises(WeightSumError, match=r"^ensemble \(2,\): every weight must be positive"):
+            check_product_terms(bad_weights, mu, nu)
