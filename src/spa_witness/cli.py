@@ -31,9 +31,9 @@ from .scan import (
     build_grid,
     parse_grid_axis,
     run_scan,
-    scan_report_json,
     timestamp,
     write_rows_csv,
+    write_scan_json,
 )
 from .spa import spa_violation_from_gap
 from .states import DensityOperator
@@ -151,8 +151,7 @@ def _cmd_hakye(args: argparse.Namespace) -> int:
     notes = (ASSERTION_LINE, LABEL_LINE)
     with _report_stream(args.out) as fh:
         if args.format == "json":
-            doc = scan_report_json(rows, reproducible=args.reproducible, notes=notes)
-            fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+            write_scan_json(rows, fh, reproducible=args.reproducible, notes=notes)
         else:
             write_rows_csv(
                 rows, SCAN_COLUMNS, SCAN_SCHEMA, fh,

@@ -59,33 +59,49 @@ class HaKyeParams:
 
 def hakye_witness(params: HaKyeParams) -> HermitianOperator:
     """Assemble the dense 9x9 Ha-Kye matrix for the given parameters."""
-    return HermitianOperator(HAKYE_DIMS, hakye_matrices([params])[0])
+    return HermitianOperator(HAKYE_DIMS, hakye_matrices(param_columns([params]))[0])
 
 
-def hakye_matrices(points: list[HaKyeParams]) -> np.ndarray:
-    """The (n, 9, 9) stack of Ha-Kye matrices, one per point, unvalidated."""
-    m = np.zeros((len(points), 9, 9), dtype=np.complex128)
-    m[:, range(9), range(9)] = [[getattr(p, k) for k in _DIAGONAL_PATTERN] for p in points]
-    coupling = -np.exp(1j * np.array([[p.theta] for p in points]))
+def param_columns(points: list[HaKyeParams]) -> np.ndarray:
+    """The (4, n) rows a, b, c, theta of the points: what the stacked forms take."""
+    return np.array([(p.a, p.b, p.c, p.theta) for p in points], dtype=np.float64).T
+
+
+def hakye_matrices(params: np.ndarray) -> np.ndarray:
+    """The (n, 9, 9) stack of Ha-Kye matrices, one per column of params, unvalidated."""
+    m = np.zeros((params.shape[1], 9, 9), dtype=np.complex128)
+    m[:, range(9), range(9)] = params[["abc".index(k) for k in _DIAGONAL_PATTERN]].T
+    coupling = -np.exp(1j * params[3][:, None])
     rows, cols = zip(*_FORWARD_COUPLINGS)
     m[:, rows, cols], m[:, cols, rows] = coupling, np.conj(coupling)
     return m
 
 
+def hakye_spectra_closed_form(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 9) sorted eigenvalue multisets of the witnesses, from the circulant
+    block, and of their partial transposes, from the 2x2 blocks."""
+    a, b, c, theta = params
+    # math.cos and math.hypot, not numpy's: those may differ in the last bit
+    phases = (theta[:, None] + [2.0 * math.pi * k / 3.0 for k in range(3)]).ravel().tolist()
+    circulant = a[:, None] - 2.0 * np.array(list(map(math.cos, phases))).reshape(-1, 3)
+    radius = np.array(list(map(math.hypot, ((b - c) / 2.0).tolist(), [1.0] * len(b))))
+    with np.errstate(over="ignore"):  # overflow gives inf silently, as float arithmetic does
+        mid = (b + c) / 2.0
+        lower, upper = mid - radius, mid + radius
+    return (
+        np.sort(np.column_stack([circulant] + [b] * 3 + [c] * 3), axis=1),
+        np.sort(np.column_stack([lower, upper] * 3 + [a] * 3), axis=1),
+    )
+
+
 def hakye_spectrum_closed_form(params: HaKyeParams) -> np.ndarray:
-    """Sorted eigenvalue multiset of the witness, from the circulant block."""
-    circulant = [
-        params.a - 2.0 * math.cos(params.theta + 2.0 * math.pi * k / 3.0)
-        for k in range(3)
-    ]
-    return np.sort(np.array(circulant + [params.b] * 3 + [params.c] * 3))
+    """Sorted eigenvalue multiset of the witness; see hakye_spectra_closed_form."""
+    return hakye_spectra_closed_form(param_columns([params]))[0][0]
 
 
 def hakye_pt_spectrum_closed_form(params: HaKyeParams) -> np.ndarray:
-    """Sorted eigenvalue multiset of the partial transpose, from 2x2 blocks."""
-    mid = (params.b + params.c) / 2.0
-    radius = math.hypot((params.b - params.c) / 2.0, 1.0)
-    return np.sort(np.array([mid - radius, mid + radius] * 3 + [params.a] * 3))
+    """Sorted eigenvalue multiset of the partial transpose; see hakye_spectra_closed_form."""
+    return hakye_spectra_closed_form(param_columns([params]))[1][0]
 
 
 def reference_violation_params(theta: float = math.pi / 12.0) -> HaKyeParams:

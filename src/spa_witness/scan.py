@@ -12,6 +12,7 @@ byte-deterministic for a fixed command line.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -21,10 +22,10 @@ from typing import IO
 import numpy as np
 
 from .errors import InvalidGrid
-from .hakye import HAKYE_DIMS, HaKyeParams, hakye_matrices, reference_violation_params
-from .hakye import hakye_pt_spectrum_closed_form, hakye_spectrum_closed_form
+from .hakye import HAKYE_DIMS, HaKyeParams, hakye_matrices, hakye_spectra_closed_form
+from .hakye import param_columns, reference_violation_params
 from .operators import check_hermitian, eigh_checked, partial_transpose_stack
-from .spa import Conclusion, gap_verdict
+from .spa import Conclusion, gap_rule
 
 SCAN_SCHEMA = "hakye-scan-v1"
 SCAN_COLUMNS = (
@@ -39,12 +40,17 @@ SCAN_COLUMNS = (
     "spa_min_pt_eig",
     "verdict",
 )
+ROW_KEYS = SCAN_COLUMNS + ("oracle_discrepancy",)
 ORACLE_TOL = 1e-8
 DEFAULT_CONDITION_TOL = 1e-6
 # Grid points per stacked eigensolve; bounds the scan's working memory.
 SCAN_CHUNK = 512
 
 GRID_KEYS = ("a", "b", "c", "theta")
+
+# json.dumps(value, indent=2, allow_nan=False): the whole report's encoder
+# and error for each cell
+_JSON_CELL = json.JSONEncoder(indent=2, allow_nan=False).encode
 
 ASSERTION_LINE = (
     "optimality of the Ha-Kye family is asserted from its published "
@@ -154,43 +160,28 @@ def run_scan(
     condition_tol: float = DEFAULT_CONDITION_TOL,
     asserted_onew: bool = True,
 ) -> list[dict]:
-    """Scan rows in grid order, from one stacked solve per SCAN_CHUNK points."""
+    """Scan rows in grid order, from one stacked solve and one array pass
+    (oracle tripwire, gap rule, verdicts) per SCAN_CHUNK points."""
+    fired = (Conclusion.VIOLATES if asserted_onew else Conclusion.INCONCLUSIVE).value
     rows: list[dict] = []
     for start in range(0, len(points), SCAN_CHUNK):
-        chunk = points[start:start + SCAN_CHUNK]
-        w = hakye_matrices(chunk)
+        params = param_columns(points[start:start + SCAN_CHUNK])
+        w = hakye_matrices(params)
         check_hermitian(w)
         spectra, _ = eigh_checked(w)
         spectra_pt, _ = eigh_checked(partial_transpose_stack(w, HAKYE_DIMS))
-        for params, m, spec, spec_pt in zip(chunk, w, spectra, spectra_pt):
-            mismatch = max(
-                float(np.abs(spec - hakye_spectrum_closed_form(params)).max()),
-                float(np.abs(spec_pt - hakye_pt_spectrum_closed_form(params)).max()),
-            )
-            check = gap_verdict(
-                float(spec[0]), float(spec_pt[0]), float(np.trace(m).real),
-                HAKYE_DIMS.dAB, condition_tol,
-            )
-            # The row verdict rests on the gap alone: no tie-window downgrade.
-            if not mismatch <= ORACLE_TOL:
-                verdict = "oracle-mismatch"
-            elif check.condition_holds:
-                verdict = (Conclusion.VIOLATES if asserted_onew else Conclusion.INCONCLUSIVE).value
-            else:
-                verdict = Conclusion.CONSISTENT.value
-            rows.append({
-                "a": float(params.a),
-                "b": float(params.b),
-                "c": float(params.c),
-                "theta": float(params.theta),
-                "lambda0_W": check.lambda0,
-                "lambda0_WGamma": check.lambda0_pt,
-                "gap": check.gap,
-                "condition_holds": check.condition_holds,
-                "spa_min_pt_eig": check.spa_sides[0].min_pt_eigenvalue_raw,
-                "verdict": verdict,
-                "oracle_discrepancy": float(mismatch),
-            })
+        closed, closed_pt = hakye_spectra_closed_form(params)
+        off = np.abs(spectra - closed).max(axis=1)
+        off_pt = np.abs(spectra_pt - closed_pt).max(axis=1)
+        mismatch = np.where(off_pt > off, off_pt, off)  # max(off, off_pt), nan included
+        lam0, lam0_pt = spectra[:, 0], spectra_pt[:, 0]
+        trace = np.trace(w, axis1=1, axis2=2).real
+        gap, condition, _, raw, _ = gap_rule(lam0, lam0_pt, trace, HAKYE_DIMS.dAB, condition_tol)
+        # The row verdict rests on the gap alone: no tie-window downgrade.
+        verdict = np.where(condition, fired, Conclusion.CONSISTENT.value)
+        verdict = np.where(mismatch <= ORACLE_TOL, verdict, "oracle-mismatch")
+        columns = (*params, lam0, lam0_pt, gap, condition, raw[0], verdict, mismatch)
+        rows.extend(dict(zip(ROW_KEYS, row)) for row in zip(*(c.tolist() for c in columns)))
     return rows
 
 
@@ -204,6 +195,20 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _column_text(values: list, other) -> list[str]:
+    """One column's cells: a column of finite floats by float.__repr__, of
+    bools as true/false, of strings by other once per distinct value, and
+    any other column by other cell by cell."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {bool}:
+        return ["true" if v else "false" for v in values]
+    if kinds == {str}:
+        return list(map({v: other(v) for v in set(values)}.__getitem__, values))
+    return list(map(other, values))
 
 
 def write_rows_csv(
@@ -222,8 +227,8 @@ def write_rows_csv(
         stream.write(f"# generated={timestamp()}\r\n")
     writer = csv.writer(stream, lineterminator="\r\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row[col]) for col in columns])
+    cells = [_column_text([row[col] for row in rows], _csv_cell) for col in columns]
+    writer.writerows(zip(*cells))
 
 
 def scan_report_json(
@@ -236,3 +241,24 @@ def scan_report_json(
         doc["generated"] = timestamp()
     doc["rows"] = [{k: v for k, v in row.items()} for row in rows]
     return doc
+
+
+def write_scan_json(
+    rows: list[dict],
+    stream: IO[str],
+    reproducible: bool = False,
+    notes: tuple[str, ...] = (),
+) -> None:
+    """The bytes of json.dumps(scan_report_json(...), indent=2, allow_nan=False)
+    and a newline, each row, keyed as the first, from one format string."""
+    text = json.dumps(scan_report_json([], reproducible, notes), indent=2)
+    if rows:
+        try:
+            cells = [_column_text([row[k] for row in rows], _JSON_CELL) for k in rows[0]]
+        except ValueError:
+            _JSON_CELL(rows)  # names the first non-finite float in row order
+            raise
+        template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in rows[0]) + "\n    }"
+        body = ",\n".join(map(template.__mod__, zip(*cells)))
+        text = text.removesuffix("[]\n}") + f"[\n{body}\n  ]\n}}"
+    stream.write(text + "\n")

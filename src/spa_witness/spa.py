@@ -27,6 +27,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceFailure, InvalidParams, NotNegative, ZeroTrace
 from .operators import (
     HermitianOperator,
@@ -235,24 +237,30 @@ def spa_violation_from_sigma(
     )
 
 
-def _spa_side(
-    lam0: float, pt_floor: float, trace: float, dAB: int, tol: float
-) -> SpaPptVerdict:
-    # SPA of X with min eig X = lam0 and min eig X^PT = pt_floor
-    s = max(0.0, -lam0)
-    tr = trace + dAB * s
-    if not tr > _MIN_TRACE:
-        raise ZeroTrace(f"shifted operator has trace {tr!r}; cannot normalize")
-    raw = pt_floor + s
-    lam = raw / tr
-    status = PptStatus.NPT_ENTANGLED if lam < -tol else PptStatus.PPT
-    return SpaPptVerdict(
-        min_pt_eigenvalue=lam,
-        status=status,
-        conclusive_separability=(status is PptStatus.PPT and dAB <= 6),
-        shift=s,
-        min_pt_eigenvalue_raw=raw,
-    )
+def gap_rule(
+    lam0: np.ndarray, lam0_pt: np.ndarray, trace: np.ndarray, dAB: int, tol: float
+) -> tuple[np.ndarray, ...]:
+    """The gap |lam0 - lam0_pt|, the condition gap > tol and, for the SPA of
+    W and of W^PT stacked in that order, its shift s = max(0, -min eig), PT
+    floor min eig(other) + s and that floor over its trace tr W + dAB*s,
+    elementwise; ZeroTrace names the first point, W's side first, whose SPA
+    trace is not above _MIN_TRACE.
+    """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
+    lams = np.array([lam0, lam0_pt], dtype=np.float64)
+    # +0.0 wherever max(0.0, -lam) gives it: for -lam <= 0 and for nan
+    s = np.where(-lams > 0.0, -lams, 0.0)
+    # overflow and inf - inf give inf and nan silently, as float arithmetic does
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = trace + dAB * s
+        ok = tr > _MIN_TRACE
+        if not ok.all():
+            first = float(tr.T.flat[np.argmin(ok.T)])  # point by point, W's side first
+            raise ZeroTrace(f"shifted operator has trace {first!r}; cannot normalize")
+        raw = lams[::-1] + s
+        gap = np.abs(lams[0] - lams[1])
+        return gap, gap > tol, s, raw, raw / tr
 
 
 def gap_verdict(
@@ -270,13 +278,18 @@ def gap_verdict(
     SPA is NPT; npt_side names it.  A gap whose normalized SPA stays above
     -tol (the tie window) is INCONCLUSIVE whatever the assertion.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
-    sides = (
-        _spa_side(lam0, lam0_pt, trace, dAB, tol),
-        _spa_side(lam0_pt, lam0, trace, dAB, tol),
+    _, holds, shift, raw, lam = gap_rule(lam0, lam0_pt, trace, dAB, tol)
+    sides = tuple(
+        SpaPptVerdict(
+            min_pt_eigenvalue=x,
+            status=PptStatus.NPT_ENTANGLED if x < -tol else PptStatus.PPT,
+            conclusive_separability=not x < -tol and dAB <= 6,
+            shift=s,
+            min_pt_eigenvalue_raw=r,
+        )
+        for s, r, x in zip(shift.tolist(), raw.tolist(), lam.tolist())
     )
-    condition = abs(lam0 - lam0_pt) > tol
+    condition = bool(holds)
     npt_side = ("direct" if lam0 > lam0_pt else "partial-transpose") if condition else None
     primary, partner = sides[::-1] if npt_side == "partial-transpose" else sides
     if not condition:

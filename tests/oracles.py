@@ -6,9 +6,16 @@ loops instead of reshape/transpose, and direct sampling or grid search
 instead of the see-saw.  Keep these free of spa_witness internals beyond
 plain array access; the one exception is geometry_rows_one_at_a_time, the
 per-object route that the stacked geometry rows must reproduce bit for bit.
+The scalar and row-by-row references at the end are the routes that the
+array forms and the column-wise report writers must reproduce bit for bit.
 """
 
 from __future__ import annotations
+
+import csv
+import io
+import json
+import math
 
 import numpy as np
 
@@ -196,3 +203,69 @@ def geometry_rows_one_at_a_time(
             "classification": hyperplane_classify(witness_op, rho, tol).value,
         })
     return rows
+
+
+def hakye_spectra_one_at_a_time(a: float, b: float, c: float, theta: float) -> tuple:
+    """Closed-form sorted spectra of one Ha-Kye witness and of its partial
+    transpose, in scalar float arithmetic."""
+    circulant = [a - 2.0 * math.cos(theta + 2.0 * math.pi * k / 3.0) for k in range(3)]
+    mid = (b + c) / 2.0
+    radius = math.hypot((b - c) / 2.0, 1.0)
+    return (
+        np.sort(np.array(circulant + [b] * 3 + [c] * 3)),
+        np.sort(np.array([mid - radius, mid + radius] * 3 + [a] * 3)),
+    )
+
+
+def gap_rule_one_at_a_time(
+    lam0: float, lam0_pt: float, trace: float, dAB: int
+) -> tuple[float, list[tuple[float, float, float]]]:
+    """The gap and, for the SPA of W then of W^PT, (shift, SPA trace, raw
+    PT floor) in scalar float arithmetic."""
+    sides = []
+    for lam, floor in ((lam0, lam0_pt), (lam0_pt, lam0)):
+        s = max(0.0, -lam)
+        sides.append((s, trace + dAB * s, floor + s))
+    return abs(lam0 - lam0_pt), sides
+
+
+def scan_report_reference(
+    rows: list[dict], notes: tuple[str, ...] = (), generated: str | None = None
+) -> str:
+    """The scan's JSON report as the whole-document encoder writes it."""
+    doc: dict = {"schema_version": 1, "kind": "hakye-scan-v1"}
+    if notes:
+        doc["notes"] = list(notes)
+    if generated is not None:
+        doc["generated"] = generated
+    doc["rows"] = rows
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def rows_csv_row_by_row(
+    rows: list[dict],
+    columns: tuple[str, ...],
+    schema: str,
+    notes: tuple[str, ...] = (),
+    generated: str | None = None,
+) -> str:
+    """A versioned-header CSV report written one row at a time."""
+
+    def cell(value) -> str:
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    out = io.StringIO()
+    out.write(f"# schema={schema}\r\n")
+    for note in notes:
+        out.write(f"# note={note}\r\n")
+    if generated is not None:
+        out.write(f"# generated={generated}\r\n")
+    writer = csv.writer(out, lineterminator="\r\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell(row[col]) for col in columns])
+    return out.getvalue()

@@ -6,16 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import brute_force_partial_transpose
+from oracles import brute_force_partial_transpose, hakye_spectra_one_at_a_time
 from spa_witness.errors import InvalidParams
 from spa_witness.hakye import (
     HAKYE_DIMS,
     HaKyeParams,
     hakye_pt_spectrum_closed_form,
+    hakye_spectra_closed_form,
     hakye_spectrum_closed_form,
     hakye_witness,
+    param_columns,
     reference_violation_params,
 )
 from spa_witness.operators import min_eigenpair, partial_transpose
@@ -161,3 +165,25 @@ class TestReferenceInstance:
         _, op = hakye_reference
         assert float(np.diag(op.entries).real.min()) >= 0.0
         assert min_eigenpair(op)[0] < 0.0
+
+
+# mostly moderate weights, where last-bit differences of cos and hypot show
+WEIGHTS = st.one_of(st.floats(0.0, 10.0), st.floats(min_value=0.0, allow_infinity=False))
+VALID_POINTS = st.lists(
+    st.tuples(WEIGHTS, WEIGHTS, WEIGHTS, st.floats(-1e9, 1e9)).filter(lambda p: any(p[:3])),
+    min_size=1,
+    max_size=12,
+).map(lambda points: [HaKyeParams(*p) for p in points])
+
+
+class TestArrayOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(points=VALID_POINTS)
+    def test_match_scalar_arithmetic_bit_for_bit(self, points):
+        direct, pt = hakye_spectra_closed_form(param_columns(points))
+        for k, p in enumerate(points):
+            ref, ref_pt = hakye_spectra_one_at_a_time(p.a, p.b, p.c, p.theta)
+            assert direct[k].tobytes() == ref.tobytes()
+            assert pt[k].tobytes() == ref_pt.tobytes()
+            assert hakye_spectrum_closed_form(p).tobytes() == ref.tobytes()
+            assert hakye_pt_spectrum_closed_form(p).tobytes() == ref_pt.tobytes()

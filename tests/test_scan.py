@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import importlib
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from oracles import rows_csv_row_by_row, scan_report_reference
 from spa_witness.cli import EXIT_NUMERIC, main
 from spa_witness.errors import ConvergenceFailure, InvalidGrid
-from spa_witness.hakye import HaKyeParams, hakye_witness, reference_violation_params
+from spa_witness.geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, geometry_rows
+from spa_witness.hakye import HaKyeParams, hakye_witness, param_columns, reference_violation_params
 from spa_witness.operators import eig_hermitian, partial_transpose
 from spa_witness.scan import (
     DEFAULT_CONDITION_TOL,
@@ -25,6 +28,7 @@ from spa_witness.scan import (
     run_scan,
     scan_report_json,
     write_rows_csv,
+    write_scan_json,
 )
 
 scan_module = importlib.import_module("spa_witness.scan")
@@ -157,9 +161,9 @@ class TestAnalyzePoint:
 
     def test_oracle_tripwire(self, monkeypatch):
         params = reference_violation_params()
-        good = scan_module.hakye_spectrum_closed_form(params)
+        good, good_pt = scan_module.hakye_spectra_closed_form(param_columns([params]))
         monkeypatch.setattr(
-            scan_module, "hakye_spectrum_closed_form", lambda p: good + 1e-6
+            scan_module, "hakye_spectra_closed_form", lambda p: (good + 1e-6, good_pt)
         )
         row = analyze_point(params)
         assert row["verdict"] == "oracle-mismatch"
@@ -241,7 +245,9 @@ class TestEmission:
 
     def test_json_report_shape(self):
         rows = self._rows()
-        doc = scan_report_json(rows, reproducible=True, notes=("x",))
+        buf = io.StringIO()
+        write_scan_json(rows, buf, reproducible=True, notes=("x",))
+        doc = json.loads(buf.getvalue())
         assert doc["schema_version"] == 1
         assert doc["kind"] == SCAN_SCHEMA
         assert doc["notes"] == ["x"]
@@ -256,3 +262,104 @@ class TestEmission:
         write_rows_csv(rows1, SCAN_COLUMNS, SCAN_SCHEMA, b1, reproducible=True)
         write_rows_csv(rows2, SCAN_COLUMNS, SCAN_SCHEMA, b2, reproducible=True)
         assert b1.getvalue() == b2.getvalue()
+
+
+class TestReportBytes:
+    """The column-wise writers reproduce the whole-document JSON encoder and
+    the row-by-row CSV writer byte for byte."""
+
+    NOTES = ("n1", "a note, with a comma and \"quotes\"")
+    STAMP = "2026-01-01T00:00:00+00:00"
+    GRIDS = {
+        # (axes, cos_family, verdicts); both grids cross the chunk boundary
+        "cos-family": (
+            [f"theta=0.003:1.5707963267948966:{SCAN_CHUNK + 1}"], True, {"VIOLATES"}
+        ),
+        # gap-free (CONSISTENT) where b = c = a - 1 and theta = 0
+        "four-axis": (
+            ["a=1:6:6", "b=0:4:5", "c=0:4:5", "theta=0:3:5"], False, {"VIOLATES", "CONSISTENT"}
+        ),
+    }
+
+    @staticmethod
+    def _scan(specs, cos_family):
+        return run_scan(build_grid([parse_grid_axis(s) for s in specs], {}, cos_family))
+
+    @pytest.fixture(scope="class", params=sorted(GRIDS))
+    def rows(self, request):
+        return self._scan(*self.GRIDS[request.param][:2])
+
+    def _json(self, rows, reproducible=True, notes=NOTES):
+        buf = io.StringIO()
+        write_scan_json(rows, buf, reproducible=reproducible, notes=notes)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_grids_cross_a_chunk_with_their_verdicts(self, grid):
+        specs, cos_family, verdicts = self.GRIDS[grid]
+        rows = self._scan(specs, cos_family)
+        assert len(rows) > SCAN_CHUNK
+        assert {row["verdict"] for row in rows} == verdicts
+
+    @pytest.mark.parametrize("reproducible", [True, False])
+    @pytest.mark.parametrize("notes", [NOTES, ()])
+    def test_json(self, rows, reproducible, notes, monkeypatch):
+        monkeypatch.setattr(scan_module, "timestamp", lambda: self.STAMP)
+        stamp = None if reproducible else self.STAMP
+        text = self._json(rows, reproducible, notes)
+        assert text == scan_report_reference(rows, notes, stamp)
+        doc = scan_report_json(rows, reproducible, notes)
+        assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("reproducible", [True, False])
+    def test_csv(self, rows, reproducible, monkeypatch):
+        monkeypatch.setattr(scan_module, "timestamp", lambda: self.STAMP)
+        buf = io.StringIO()
+        write_rows_csv(rows, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible, self.NOTES)
+        stamp = None if reproducible else self.STAMP
+        assert buf.getvalue() == rows_csv_row_by_row(
+            rows, SCAN_COLUMNS, SCAN_SCHEMA, self.NOTES, stamp
+        )
+
+    def test_empty_report(self):
+        assert self._json([]) == scan_report_reference([], self.NOTES)
+
+    def test_mixed_columns_fall_back_cell_by_cell(self):
+        rows = [
+            {"x": 1.0, "y": True, "z": "a,b", "w": None, "v": "plain"},
+            {"x": 2, "y": None, "z": 'say "hi"', "w": 1.5, "v": "é\n"},
+            {"x": -0.0, "y": False, "z": "", "w": float("inf"), "v": "plain"},
+        ]
+        columns = ("x", "y", "z", "w", "v")
+        buf = io.StringIO()
+        write_rows_csv(rows, columns, "s", buf, reproducible=True)
+        assert buf.getvalue() == rows_csv_row_by_row(rows, columns, "s")
+        rows[2]["w"] = -2.5
+        assert self._json(rows) == scan_report_reference(rows, self.NOTES)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {1: {"gap": math.nan}},
+            {0: {"oracle_discrepancy": math.nan}, 1: {"a": math.inf}},
+            {2: {"spa_min_pt_eig": -math.inf}},
+        ],
+    )
+    def test_non_finite_float_raises_like_the_encoder(self, rows, bad):
+        rows = [dict(row) for row in rows[:3]]
+        for k, fields in bad.items():
+            rows[k].update(fields)
+        with pytest.raises(ValueError) as reference:
+            scan_report_reference(rows)
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as raised:
+            write_scan_json(rows, buf, reproducible=True)
+        assert str(raised.value) == str(reference.value)
+        assert buf.getvalue() == ""
+
+    def test_geometry_csv(self, hakye_reference):
+        _, op = hakye_reference
+        rows = geometry_rows(op, samples=40, seed=3)
+        buf = io.StringIO()
+        write_rows_csv(rows, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, buf, reproducible=True)
+        assert buf.getvalue() == rows_csv_row_by_row(rows, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA)

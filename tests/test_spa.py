@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ import importlib
 
 spa_module = importlib.import_module("spa_witness.spa")
 
+from oracles import gap_rule_one_at_a_time
 from conftest import (
     DIMS_SMALL,
     full_rank_separable,
@@ -40,6 +43,7 @@ from spa_witness.spa import (
     PptStatus,
     PptVerdict,
     extremal_projectors,
+    gap_rule,
     gap_verdict,
     hyperplane_classify,
     ppt_check,
@@ -406,6 +410,62 @@ class TestGapVerdict:
         for side in verdict.spa_sides:
             fields += [side.min_pt_eigenvalue, side.shift, side.min_pt_eigenvalue_raw]
         assert np.isfinite(fields).all()
+
+
+class TestGapRuleArrays:
+    """gap_rule over arrays against the scalar arithmetic, bit for bit."""
+
+    POINTS = st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-50.0, 1e7)),
+        min_size=1,
+        max_size=12,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=POINTS, dAB=st.sampled_from([4, 6, 9]), tol=st.floats(0.0, 1.0))
+    def test_matches_scalar_arithmetic(self, points, dAB, tol):
+        lam0, lam0_pt, trace = (np.array(column) for column in zip(*points))
+        refs = [gap_rule_one_at_a_time(*point, dAB) for point in points]
+        bad = [tr for _, sides in refs for _, tr, _ in sides if not tr > 1e-12]
+        if bad:
+            with pytest.raises(ZeroTrace, match=re.escape(f"trace {bad[0]!r};")):
+                gap_rule(lam0, lam0_pt, trace, dAB, tol)
+            return
+        gap, holds, shift, raw, lam = gap_rule(lam0, lam0_pt, trace, dAB, tol)
+        for k, (ref_gap, sides) in enumerate(refs):
+            expect = [(s, r, r / tr) for s, tr, r in sides]
+            got = [(shift[i, k], raw[i, k], lam[i, k]) for i in range(2)]
+            assert repr([tuple(map(float, side)) for side in got]) == repr(expect)
+            assert repr(float(gap[k])) == repr(ref_gap)
+            assert bool(holds[k]) is (ref_gap > tol)
+            verdict = gap_verdict(*points[k], dAB, tol)
+            scalar = [
+                (v.shift, v.min_pt_eigenvalue_raw, v.min_pt_eigenvalue) for v in verdict.spa_sides
+            ]
+            assert repr(scalar) == repr(expect)
+            assert verdict.condition_holds is (ref_gap > tol)
+
+    @pytest.mark.parametrize("lam0", [0.0, -0.0])
+    @pytest.mark.parametrize("lam0_pt", [0.0, -0.0, -0.5])
+    def test_signed_zero_shift(self, lam0, lam0_pt):
+        # max(0.0, -lam0) is +0.0 for lam0 = +-0.0, so the PT floor
+        # -0.0 + s stays +0.0; a shift of -0.0 would make it -0.0
+        _, _, shift, raw, _ = gap_rule(
+            np.array([lam0]), np.array([lam0_pt]), np.array([3.0]), 9, 0.0
+        )
+        assert repr(shift[0].tolist()) == repr([max(0.0, -lam0)]) == "[0.0]"
+        assert repr(raw[0].tolist()) == repr([lam0_pt + max(0.0, -lam0)])
+        direct, _ = gap_verdict(lam0, lam0_pt, 3.0, 9, 0.0).spa_sides
+        assert repr(direct.min_pt_eigenvalue_raw) == repr(lam0_pt + max(0.0, -lam0))
+
+    def test_zero_trace_names_the_first_point(self):
+        # the second point's W side fails first: tr = -4 + 4*1 = 0.0; the
+        # third point's, -9.0 + 4*2 = -1.0, comes later
+        with pytest.raises(ZeroTrace, match=r"trace 0\.0;"):
+            gap_rule(
+                np.array([-1.0, -1.0, -2.0]), np.array([-1.0, -1.0, -2.0]),
+                np.array([10.0, -4.0, -9.0]), 4, 1e-8,
+            )
 
 
 class TestExtremalProjectors:
