@@ -12,13 +12,15 @@ Schema (version 1)::
 Entries are row-major over the joint space with each cell a [real, imag]
 pair.  Floats are emitted as shortest round-trip decimals, so a save/load
 cycle reproduces the matrix bit for bit (finite values only).
+
+Loading checks shape and type in one pass over the cells, then finiteness
+over one float array; the first failure in row-major order is reported.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from .errors import DimensionMismatch, ParseError
 from .operators import Dims, HermitianOperator, make_hermitian
 
 SCHEMA_VERSION = 1
+_JSON_NUMBERS = (int, float)
 
 
 def save_operator(
@@ -35,9 +38,7 @@ def save_operator(
     """Write an operator file; raises ValueError on non-finite entries."""
     if not np.isfinite(op.entries).all():
         raise ValueError("operator has non-finite entries; cannot serialize")
-    cells = [
-        [[z.real, z.imag] for z in row] for row in op.entries.tolist()
-    ]
+    cells = op.entries.view(np.float64).reshape(*op.entries.shape, 2).tolist()
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "dims": {"dA": op.dims.dA, "dB": op.dims.dB},
@@ -78,34 +79,41 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
         raise DimensionMismatch(
             f"{path}: entries have {got} rows, dims demand {dims.dAB}"
         )
-    matrix = np.empty((dims.dAB, dims.dAB), dtype=np.complex128)
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dims.dAB:
-            got = len(row) if isinstance(row, list) else type(row).__name__
-            raise DimensionMismatch(
-                f"{path}: row {r} has {got} columns, dims demand {dims.dAB}"
-            )
-        for s, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not isinstance(cell[0], Real)
-                or not isinstance(cell[1], Real)
-                or isinstance(cell[0], bool)
-                or isinstance(cell[1], bool)
-            ):
-                raise ParseError(
-                    f"{path}: entry at row {r}, column {s} is not a "
-                    "[real, imag] pair of numbers"
-                )
-            # compared exactly, so integer literals beyond the float range fail too
-            if not all(abs(x) <= sys.float_info.max for x in cell):
-                raise ParseError(f"{path}: entry at row {r}, column {s} is not finite")
-            matrix[r, s] = complex(cell[0], cell[1])
+    n = dims.dAB
+    r, s, error = _type_gate(rows, n, path)
+    # finiteness of the cells before the first failure, so the first in row-major order wins
+    cells = [cell for row in rows[:r] for cell in row] + (rows[r][:s] if s else [])
+    try:
+        values = np.array(cells, dtype=np.float64).reshape(-1, 2)
+        finite = np.isfinite(values).all(axis=1)
+    except OverflowError:  # an integer literal beyond the float range
+        finite = np.array([all(abs(x) <= sys.float_info.max for x in cell) for cell in cells])
+    if not finite.all():
+        r, s = divmod(int(np.argmin(finite)), n)
+        raise ParseError(f"{path}: entry at row {r}, column {s} is not finite")
+    if error is not None:
+        raise error
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{path}: metadata must be an object")
-    return make_hermitian(matrix, dims), metadata
+    return make_hermitian(values.view(np.complex128).reshape(n, n), dims), metadata
+
+
+def _type_gate(rows: list, n: int, path: str | Path) -> tuple[int, int, Exception | None]:
+    """Row, column and error of the first bad row or cell; (n, 0, None) if none."""
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            got = len(row) if isinstance(row, list) else type(row).__name__
+            return r, 0, DimensionMismatch(f"{path}: row {r} has {got} columns, dims demand {n}")
+        for s, cell in enumerate(row):
+            # json.load yields exactly int or float for numbers, and bool is neither
+            if not (isinstance(cell, list) and len(cell) == 2) or not (
+                type(cell[0]) in _JSON_NUMBERS and type(cell[1]) in _JSON_NUMBERS
+            ):
+                return r, s, ParseError(
+                    f"{path}: entry at row {r}, column {s} is not a [real, imag] pair of numbers"
+                )
+    return n, 0, None
 
 
 def load_operator(path: str | Path) -> HermitianOperator:

@@ -18,7 +18,7 @@ and fixes the identity, so (W + s*I)^PT = W^PT + s*I and
 
 holds exactly; normalizing by the trace tr(W) + dAB*s is a positive rescale.
 Both SPA verdicts therefore follow from min eig(W), min eig(W^PT) and tr(W),
-which is what :func:`gap_verdict` computes from, after two eigensolves.
+which is what :func:`gap_verdict` computes from, after one stacked eigensolve.
 """
 
 from __future__ import annotations
@@ -33,10 +33,12 @@ from .errors import ConvergenceFailure, InvalidParams, NotNegative, ZeroTrace
 from .operators import (
     HermitianOperator,
     eig_hermitian,
+    eigh_checked,
     hs_inner,
     min_eigenpair,
     numeric_rank,
     partial_transpose,
+    partial_transpose_stack,
     scaled,
     shifted,
 )
@@ -315,13 +317,14 @@ def spa_violation_from_gap(
     tol: float = DEFAULT_COMPARE_TOL,
     asserted_onew: bool = False,
 ) -> ConjectureVerdict:
-    """Eigenvalue-gap condition from two eigensolves, on W and on W^PT."""
-    lam0 = eig_hermitian(witness_op).min_eigenvalue
+    """Eigenvalue-gap condition from one checked, stacked eigensolve of W and W^PT."""
+    m = witness_op.entries
+    w, _ = eigh_checked(np.stack([m, partial_transpose_stack(m, witness_op.dims)]))
+    lam0, lam0_pt = w[:, 0].tolist()
     if not lam0 < 0.0:
         raise NotNegative(
             f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate"
         )
-    lam0_pt = eig_hermitian(partial_transpose(witness_op)).min_eigenvalue
     return gap_verdict(
         lam0, lam0_pt, witness_op.trace, witness_op.dims.dAB, tol, asserted_onew
     )

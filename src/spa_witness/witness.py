@@ -148,6 +148,8 @@ def c_sigma_max(
 
     Raises
     ------
+    InvalidParams
+        When restarts, max_iter or tol is out of range.
     ConvergenceFailure
         When a half step raises some run's objective, naming the restart.
     """
@@ -155,6 +157,8 @@ def c_sigma_max(
         raise InvalidParams(
             f"need restarts >= 1 and max_iter >= 0, got {restarts!r} and {max_iter!r}"
         )
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
     dims = sigma.dims
     entries = sigma.op.entries
     t4 = entries.reshape(dims.dA, dims.dB, dims.dA, dims.dB)

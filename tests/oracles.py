@@ -7,7 +7,10 @@ instead of the see-saw.  Keep these free of spa_witness internals beyond
 plain array access; the one exception is geometry_rows_one_at_a_time, the
 per-object route that the stacked geometry rows must reproduce bit for bit.
 The scalar and row-by-row references at the end are the routes that the
-array forms and the column-wise report writers must reproduce bit for bit.
+array forms and the column-wise report writers must reproduce bit for bit,
+and the per-cell operator-file loader and per-entry writer are the ones
+that fileio's array loader and writer must reproduce byte for byte, errors
+included.
 """
 
 from __future__ import annotations
@@ -16,10 +19,20 @@ import csv
 import io
 import json
 import math
+import sys
+from numbers import Real
 
 import numpy as np
 
-from spa_witness.operators import HermitianOperator, hs_inner, hs_norm, min_eigenpair
+from spa_witness.errors import DimensionMismatch, ParseError
+from spa_witness.operators import (
+    Dims,
+    HermitianOperator,
+    hs_inner,
+    hs_norm,
+    make_hermitian,
+    min_eigenpair,
+)
 from spa_witness.spa import hyperplane_classify, pt_min_eigenvalue
 from spa_witness.states import (
     DensityOperator,
@@ -269,3 +282,75 @@ def rows_csv_row_by_row(
     for row in rows:
         writer.writerow([cell(row[col]) for col in columns])
     return out.getvalue()
+
+
+def save_operator_per_entry(op: HermitianOperator, path, metadata: dict | None = None) -> None:
+    """An operator file written with one [real, imag] pair built per entry."""
+    if not np.isfinite(op.entries).all():
+        raise ValueError("operator has non-finite entries; cannot serialize")
+    cells = [[[z.real, z.imag] for z in row] for row in op.entries.tolist()]
+    doc: dict = {
+        "schema_version": 1,
+        "dims": {"dA": op.dims.dA, "dB": op.dims.dB},
+        "entries": cells,
+    }
+    if metadata:
+        doc["metadata"] = metadata
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, allow_nan=False)
+        fh.write("\n")
+
+
+def load_operator_file_per_cell(path) -> tuple[HermitianOperator, dict]:
+    """An operator file loaded and validated one cell at a time."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be an object")
+    if doc.get("schema_version") != 1:
+        raise ParseError(
+            f"{path}: schema_version {doc.get('schema_version')!r} unsupported, expected 1"
+        )
+    dims_doc = doc.get("dims")
+    if (
+        not isinstance(dims_doc, dict)
+        or not isinstance(dims_doc.get("dA"), int)
+        or not isinstance(dims_doc.get("dB"), int)
+    ):
+        raise ParseError(f"{path}: dims must be an object with integer dA and dB")
+    dims = Dims(dims_doc["dA"], dims_doc["dB"])
+    rows = doc.get("entries")
+    if not isinstance(rows, list) or len(rows) != dims.dAB:
+        got = len(rows) if isinstance(rows, list) else type(rows).__name__
+        raise DimensionMismatch(f"{path}: entries have {got} rows, dims demand {dims.dAB}")
+    matrix = np.empty((dims.dAB, dims.dAB), dtype=np.complex128)
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dims.dAB:
+            got = len(row) if isinstance(row, list) else type(row).__name__
+            raise DimensionMismatch(
+                f"{path}: row {r} has {got} columns, dims demand {dims.dAB}"
+            )
+        for s, cell in enumerate(row):
+            if (
+                not isinstance(cell, list)
+                or len(cell) != 2
+                or not isinstance(cell[0], Real)
+                or not isinstance(cell[1], Real)
+                or isinstance(cell[0], bool)
+                or isinstance(cell[1], bool)
+            ):
+                raise ParseError(
+                    f"{path}: entry at row {r}, column {s} is not a "
+                    "[real, imag] pair of numbers"
+                )
+            # compared exactly, so integer literals beyond the float range fail too
+            if not all(abs(x) <= sys.float_info.max for x in cell):
+                raise ParseError(f"{path}: entry at row {r}, column {s} is not finite")
+            matrix[r, s] = complex(cell[0], cell[1])
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError(f"{path}: metadata must be an object")
+    return make_hermitian(matrix, dims), metadata

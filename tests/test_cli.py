@@ -81,6 +81,19 @@ class TestAnalyze:
         assert code == EXIT_INPUT
         assert "not a witness candidate" in err
 
+    def test_huge_swap_keeps_its_verdict(self, capsys, tmp_path):
+        # squared entries overflow, so the stacked solve's check must rescale
+        path = tmp_path / "swap.json"
+        save_operator(make_hermitian(1e200 * np.eye(4)[[0, 2, 1, 3]], Dims(2, 2)), path)
+        code, out, err = run_cli(
+            capsys, "analyze", str(path), "--json", "--reproducible", "--assert-onew"
+        )
+        assert (code, err) == (EXIT_VIOLATION, "")
+        report = json.loads(out)
+        assert (report["lambda0_W"], report["lambda0_WGamma"]) == (-1e200, 0.0)
+        assert report["npt_side"] == "partial-transpose"
+        assert report["conclusion"] == "VIOLATES"
+
     def test_pt_invariant_witness_exits_clean(self, capsys, tmp_path):
         rng = np.random.default_rng(2)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -323,6 +336,15 @@ class TestInvalidInput:
         assert code == EXIT_INPUT
         assert out == ""
         assert "restarts" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_cmax_tolerance_validated(self, capsys, tmp_path, tol):
+        path = tmp_path / "tau.json"
+        save_operator(maximally_mixed(Dims(2, 2)).op, path)
+        code, out, err = run_cli(capsys, "cmax", str(path), "--tol", tol, "--reproducible")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "tolerance must be finite and >= 0" in err
 
     def test_geometry_samples_validated(self, capsys, reference_file):
         code, out, err = run_cli(

@@ -31,6 +31,7 @@ from spa_witness.errors import (
 from spa_witness.operators import (
     Dims,
     HermitianOperator,
+    eig_hermitian,
     hs_inner,
     hs_norm,
     make_hermitian,
@@ -311,8 +312,13 @@ class TestGapCondition:
         assert verdict.npt_side is None
 
     def test_positive_input_rejected(self):
-        with pytest.raises(NotNegative):
-            spa_violation_from_gap(make_hermitian(np.eye(4), D22))
+        op = make_hermitian(np.eye(4), D22)
+        # the message the solve of W alone gives
+        lam0 = eig_hermitian(op).min_eigenvalue
+        message = f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate"
+        with pytest.raises(NotNegative) as info:
+            spa_violation_from_gap(op)
+        assert str(info.value) == message
 
     def test_swap_flags_partial_transpose_side(self):
         v = np.zeros((4, 4))
@@ -366,19 +372,20 @@ class TestGapVerdict:
                 assert side.conclusive_separability == explicit.conclusive_separability
 
     @pytest.mark.parametrize("matrix", ["reference", "swap"])
-    def test_two_eigensolves(self, matrix, hakye_reference, monkeypatch):
+    def test_one_stacked_eigensolve(self, matrix, hakye_reference, monkeypatch):
         op = hakye_reference[1] if matrix == "reference" else make_hermitian(SWAP_22, D22)
         calls = []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
+            def counted(m, *args, _real=real, _name=name, **kwargs):
+                calls.append((_name, np.shape(m)))
+                return _real(m, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         spa_violation_from_gap(op)
-        assert calls == ["eigh", "eigh"]
+        d = op.dims.dAB
+        assert calls == [("eigh", (2, d, d))]
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_bad_tolerance_rejected(self, tol):

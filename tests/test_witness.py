@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -210,6 +211,15 @@ class TestSeesaw:
     def test_counts_validated(self, kwargs):
         with pytest.raises(InvalidParams):
             c_sigma_max(maximally_mixed(D22), **kwargs)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf, -math.inf])
+    def test_tolerance_validated(self, tol):
+        with pytest.raises(InvalidParams, match=re.escape(f"tolerance must be finite and >= 0, got {tol!r}")):
+            c_sigma_max(maximally_mixed(D22), tol=tol)
+
+    def test_zero_tolerance_accepted(self):
+        est = c_sigma_max(maximally_mixed(D22), restarts=2, tol=0.0)
+        assert est.value == pytest.approx(0.25, abs=1e-12)
 
     def test_zero_sweeps_reports_not_converged(self):
         rng = np.random.default_rng(6)
