@@ -16,21 +16,19 @@ out_dir = Path(__file__).resolve().parent
 csv_path = out_dir / "geometry.csv"
 
 witness = hakye_witness(reference_violation_params())
-rows = geometry_rows(witness, samples=150, seed=0)
+table = geometry_rows(witness, samples=150, seed=0)  # one column array per report column
 
 with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-    write_rows_csv(rows, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, fh, reproducible=True)
-print(f"wrote {len(rows)} rows to {csv_path}")
+    write_rows_csv(table, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, fh, reproducible=True)
+print(f"wrote {len(table['source'])} rows to {csv_path}")
 
-by_source: dict[str, list[dict]] = {}
-for row in rows:
-    by_source.setdefault(row["source"], []).append(row)
-for source, group in by_source.items():
-    values = [r["witness_value"] for r in group]
-    negative = sum(r["classification"] == "negative-side" for r in group)
+groups = {source: table["source"] == source for source in dict.fromkeys(table["source"])}
+for source, rows in groups.items():
+    values = table["witness_value"][rows]
+    negative = (table["classification"][rows] == "negative-side").sum()
     print(
-        f"{source:20s} n={len(group):3d}  witness value "
-        f"[{min(values):+.4f}, {max(values):+.4f}]  negative-side: {negative}"
+        f"{source:20s} n={rows.sum():3d}  witness value "
+        f"[{values.min():+.4f}, {values.max():+.4f}]  negative-side: {negative}"
     )
 
 try:
@@ -47,10 +45,10 @@ else:
         "random-density": "tab:blue",
         "separable-ensemble": "tab:green",
     }
-    for source, group in by_source.items():
+    for source, rows in groups.items():
         ax.scatter(
-            [r["min_pt_eigenvalue"] for r in group],
-            [r["witness_value"] for r in group],
+            table["min_pt_eigenvalue"][rows],
+            table["witness_value"][rows],
             s=12,
             alpha=0.7,
             label=source,

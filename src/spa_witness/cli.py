@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError, InvalidGrid, NumericalError
 from .fileio import load_operator_file, save_operator
 from .geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, geometry_rows
-from .hakye import hakye_witness
+from .hakye import HaKyeParams, hakye_witness
 from .scan import (
     ASSERTION_LINE,
     DEFAULT_CONDITION_TOL,
@@ -135,11 +135,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_hakye(args: argparse.Namespace) -> int:
     fixed = {k: getattr(args, k) for k in GRID_KEYS if getattr(args, k) is not None}
     axes = [parse_grid_axis(spec) for spec in args.scan or []]
-    points = build_grid(axes, fixed, cos_family=args.cos_family)
+    grid = build_grid(axes, fixed, cos_family=args.cos_family)
     if args.save_operator:
-        if len(points) != 1:
+        if grid.shape[1] != 1:
             raise InvalidGrid("--save-operator requires a single grid point")
-        p = points[0]
+        p = HaKyeParams(*grid[:, 0].tolist())
         save_operator(
             hakye_witness(p),
             args.save_operator,
@@ -147,23 +147,23 @@ def _cmd_hakye(args: argparse.Namespace) -> int:
                 "label": f"hakye a={p.a!r} b={p.b!r} c={p.c!r} theta={p.theta!r}"
             },
         )
-    rows = run_scan(points, condition_tol=args.tol, asserted_onew=True)
+    table = run_scan(grid, condition_tol=args.tol, asserted_onew=True)
     notes = (ASSERTION_LINE, LABEL_LINE)
     with _report_stream(args.out) as fh:
         if args.format == "json":
-            write_scan_json(rows, fh, reproducible=args.reproducible, notes=notes)
+            write_scan_json(table, fh, reproducible=args.reproducible, notes=notes)
         else:
             write_rows_csv(
-                rows, SCAN_COLUMNS, SCAN_SCHEMA, fh,
+                table, SCAN_COLUMNS, SCAN_SCHEMA, fh,
                 reproducible=args.reproducible, notes=notes,
             )
-    if any(row["verdict"] == "oracle-mismatch" for row in rows):
+    if (table["verdict"] == "oracle-mismatch").any():
         print(
             "numerical failure: eigensolver disagrees with closed-form oracles",
             file=sys.stderr,
         )
         return EXIT_NUMERIC
-    if any(row["condition_holds"] for row in rows):
+    if table["condition_holds"].any():
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -204,10 +204,10 @@ def _cmd_cmax(args: argparse.Namespace) -> int:
 
 def _cmd_geometry(args: argparse.Namespace) -> int:
     op, _ = load_operator_file(args.witness)
-    rows = geometry_rows(op, samples=args.samples, seed=args.seed)
+    table = geometry_rows(op, samples=args.samples, seed=args.seed)
     with _report_stream(args.out) as fh:
         write_rows_csv(
-            rows, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, fh,
+            table, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, fh,
             reproducible=args.reproducible,
         )
     return EXIT_OK

@@ -11,7 +11,8 @@ The states are built as (n, dAB, dAB) stacks of at most GEOMETRY_CHUNK rows,
 drawn in row order from one generator.  Each chunk is validated as a whole
 (Hermitian, unit trace, positive; unit factors and normalized weights for
 the mixtures) and gets one stacked witness-value product and one checked,
-stacked eigensolve of its partial transposes.
+stacked eigensolve of its partial transposes.  The rows come out as one
+array per column, and the hyperplane side as one array comparison.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .operators import (
     min_eigenpair,
     partial_transpose_stack,
 )
-from .spa import hyperplane_side
+from .spa import HyperplaneSide
 from .states import (
     check_density,
     check_product_terms,
@@ -47,6 +48,7 @@ GEOMETRY_COLUMNS = (
 )
 # Rows per stacked eigensolve; bounds the working memory.
 GEOMETRY_CHUNK = 256
+SOURCES = ("ground-projector", "random-density", "separable-ensemble")
 
 
 def geometry_rows(
@@ -54,21 +56,18 @@ def geometry_rows(
     samples: int,
     seed: int = 0,
     tol: float = 1e-8,
-) -> list[dict]:
-    """Ground projector row, then `samples` random and `samples` separable rows."""
+) -> dict[str, np.ndarray]:
+    """The rows as one column array per GEOMETRY_COLUMNS entry: the ground
+    projector row, then `samples` random and `samples` separable rows."""
     if samples < 1:
         raise InvalidParams(f"samples must be >= 1, got {samples!r}")
     dims = witness_op.dims
     rng = np.random.default_rng(seed)
     _, ground = min_eigenpair(witness_op)
-    sources = (
-        ("ground-projector",)
-        + ("random-density",) * samples
-        + ("separable-ensemble",) * samples
-    )
-    rows: list[dict] = []
-    for start in range(0, len(sources), GEOMETRY_CHUNK):
-        stop = min(start + GEOMETRY_CHUNK, len(sources))
+    n_rows = 1 + 2 * samples
+    values, pt_mins, norms = [], [], []
+    for start in range(0, n_rows, GEOMETRY_CHUNK):
+        stop = min(start + GEOMETRY_CHUNK, n_rows)
         # row 0 is the ground projector, rows 1..samples the random densities
         n_random = max(0, min(stop, 1 + samples) - max(start, 1))
         n_mixed = stop - start - n_random - (start == 0)
@@ -79,17 +78,18 @@ def geometry_rows(
         m = np.concatenate([*ground_part, random_part, mix_products(weights, mu, nu)])
         check_hermitian(m)
         check_density(m)
-        values = hs_inner_stack(m, witness_op.entries)
+        values.append(hs_inner_stack(m, witness_op.entries))
         pt_spectra, _ = eigh_checked(partial_transpose_stack(m, dims))
-        norms = vector_norms(m.reshape(len(m), -1))
-        for source, value, pt_min, norm in zip(
-            sources[start:stop], values.tolist(), pt_spectra[:, 0].tolist(), norms.tolist()
-        ):
-            rows.append({
-                "source": source,
-                "witness_value": value,
-                "min_pt_eigenvalue": pt_min,
-                "purity": norm**2,
-                "classification": hyperplane_side(value, tol).value,
-            })
-    return rows
+        pt_mins.append(pt_spectra[:, 0])
+        norms.append(vector_norms(m.reshape(len(m), -1)))
+    value = np.concatenate(values)
+    # hyperplane_side's comparisons: nan lands on the plane
+    side = np.where(value > tol, HyperplaneSide.POSITIVE.value, HyperplaneSide.ON_PLANE.value)
+    return {
+        "source": np.repeat(SOURCES, [1, samples, samples]),
+        "witness_value": value,
+        "min_pt_eigenvalue": np.concatenate(pt_mins),
+        # Python's float power, whose last bit numpy's square does not always give
+        "purity": np.array([norm**2 for norm in np.concatenate(norms).tolist()]),
+        "classification": np.where(value < -tol, HyperplaneSide.NEGATIVE.value, side),
+    }

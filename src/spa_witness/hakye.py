@@ -56,15 +56,30 @@ class HaKyeParams:
         if self.a == 0.0 and self.b == 0.0 and self.c == 0.0:
             raise InvalidParams("at least one of a, b, c must be positive")
 
+    def column(self) -> np.ndarray:
+        """The (4, 1) array a, b, c, theta: what the stacked forms take."""
+        return np.array([[self.a], [self.b], [self.c], [self.theta]], dtype=np.float64)
+
+
+def check_params(params: np.ndarray) -> None:
+    """HaKyeParams's rules over every column of a (4, n) array a, b, c, theta.
+
+    The first failing column is re-raised through HaKyeParams, so the error
+    and its message are those of the per-point build.
+    """
+    weights = params[:3]
+    bad = (
+        ~np.isfinite(params).all(axis=0)
+        | (weights < 0.0).any(axis=0)
+        | (weights == 0.0).all(axis=0)
+    )
+    if bad.any():
+        HaKyeParams(*params[:, int(np.argmax(bad))].tolist())
+
 
 def hakye_witness(params: HaKyeParams) -> HermitianOperator:
     """Assemble the dense 9x9 Ha-Kye matrix for the given parameters."""
-    return HermitianOperator(HAKYE_DIMS, hakye_matrices(param_columns([params]))[0])
-
-
-def param_columns(points: list[HaKyeParams]) -> np.ndarray:
-    """The (4, n) rows a, b, c, theta of the points: what the stacked forms take."""
-    return np.array([(p.a, p.b, p.c, p.theta) for p in points], dtype=np.float64).T
+    return HermitianOperator(HAKYE_DIMS, hakye_matrices(params.column())[0])
 
 
 def hakye_matrices(params: np.ndarray) -> np.ndarray:
@@ -96,12 +111,12 @@ def hakye_spectra_closed_form(params: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def hakye_spectrum_closed_form(params: HaKyeParams) -> np.ndarray:
     """Sorted eigenvalue multiset of the witness; see hakye_spectra_closed_form."""
-    return hakye_spectra_closed_form(param_columns([params]))[0][0]
+    return hakye_spectra_closed_form(params.column())[0][0]
 
 
 def hakye_pt_spectrum_closed_form(params: HaKyeParams) -> np.ndarray:
     """Sorted eigenvalue multiset of the partial transpose; see hakye_spectra_closed_form."""
-    return hakye_spectra_closed_form(param_columns([params]))[1][0]
+    return hakye_spectra_closed_form(params.column())[1][0]
 
 
 def reference_violation_params(theta: float = math.pi / 12.0) -> HaKyeParams:

@@ -1,11 +1,13 @@
 """Parameter grids over the Ha-Kye family and deterministic report emission.
 
+A grid is one validated (4, n) array of the parameters a, b, c, theta.
 Every grid point is evaluated twice: once through the dense eigensolver and
 once through the closed-form spectrum oracles.  The grid is solved in chunks
 of SCAN_CHUNK points, one checked, stacked eigensolve for the witnesses and
 one for their partial transposes.  A disagreement beyond ORACLE_TOL poisons
 the row's verdict with "oracle-mismatch" instead of a conclusion, so a
-regressed eigensolver cannot silently ship plausible numbers.  Reports are
+regressed eigensolver cannot silently ship plausible numbers.  The scan is a
+table of column arrays, and the reports are written from the columns,
 byte-deterministic for a fixed command line.
 """
 
@@ -14,16 +16,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import product
 from typing import IO
 
 import numpy as np
 
 from .errors import InvalidGrid
-from .hakye import HAKYE_DIMS, HaKyeParams, hakye_matrices, hakye_spectra_closed_form
-from .hakye import param_columns, reference_violation_params
+from .hakye import HAKYE_DIMS, HaKyeParams, check_params, hakye_matrices
+from .hakye import hakye_spectra_closed_form, reference_violation_params
 from .operators import check_hermitian, eigh_checked, partial_transpose_stack
 from .spa import Conclusion, gap_rule
 
@@ -104,13 +106,17 @@ def build_grid(
     axes: list[GridAxis],
     fixed: dict[str, float],
     cos_family: bool = False,
-) -> list[HaKyeParams]:
-    """Cartesian product of the axes, ordered lexicographically by key name.
+) -> np.ndarray:
+    """The grid as a validated (4, n) float64 array with rows a, b, c, theta.
 
+    Points are the Cartesian product of the axes, ordered lexicographically
+    by key name (np.meshgrid with indexing="ij" over the sorted axes).
     Non-scanned parameters come from ``fixed``; with ``cos_family`` the
     diagonal follows a = (4/3) cos(theta), b = (2/3) cos(theta), c = 0 at
     each grid point and only theta may be scanned or fixed.  A key that is
-    both fixed and scanned is rejected rather than silently dropped.
+    both fixed and scanned is rejected rather than silently dropped.  Every
+    point passes HaKyeParams's rules, and the first that fails, in grid
+    order, raises HaKyeParams's error.
     """
     seen = [axis.key for axis in axes]
     if len(set(seen)) != len(seen):
@@ -125,25 +131,31 @@ def build_grid(
             raise InvalidGrid(
                 f"--cos-family derives a, b, c from theta; cannot set or scan {extra}"
             )
-        if "theta" in fixed and not axes:
-            return [reference_violation_params(fixed["theta"])]
-        if not axes:
+        if not axes and "theta" not in fixed:
             raise InvalidGrid("--cos-family needs theta, scanned or fixed")
-        return [reference_violation_params(float(t)) for t in axes[0].values()]
-    missing = [
-        key for key in GRID_KEYS if key not in fixed and key not in seen
-    ]
-    if missing:
-        raise InvalidGrid(f"no value for --{', --'.join(missing)}; pass flags or scan them")
-    points: list[HaKyeParams] = []
-    axis_values = [axis.values() for axis in axes]
-    for combo in product(*axis_values):
-        values = dict(fixed)
-        values.update({axis.key: float(v) for axis, v in zip(axes, combo)})
-        points.append(
-            HaKyeParams(values["a"], values["b"], values["c"], values["theta"])
-        )
-    return points
+        theta = axes[0].values() if axes else np.array([fixed["theta"]], dtype=np.float64)
+        try:
+            ct = np.array(list(map(math.cos, theta.tolist())))
+        except ValueError:  # cos(+-inf): raised where the per-point build meets it
+            for t in theta.tolist():
+                reference_violation_params(t)
+            raise
+        params = np.array([4.0 * ct / 3.0, 2.0 * ct / 3.0, np.zeros_like(ct), theta])
+    else:
+        missing = [
+            key for key in GRID_KEYS if key not in fixed and key not in seen
+        ]
+        if missing:
+            raise InvalidGrid(f"no value for --{', --'.join(missing)}; pass flags or scan them")
+        grids = np.meshgrid(*[axis.values() for axis in axes], indexing="ij")
+        scanned = {axis.key: grid.ravel() for axis, grid in zip(axes, grids)}
+        n = math.prod(axis.count for axis in axes)
+        params = np.array([
+            scanned[key] if key in scanned else np.full(n, fixed[key], dtype=np.float64)
+            for key in GRID_KEYS
+        ])
+    check_params(params)
+    return params
 
 
 def analyze_point(
@@ -151,26 +163,30 @@ def analyze_point(
     condition_tol: float = DEFAULT_CONDITION_TOL,
     asserted_onew: bool = True,
 ) -> dict:
-    """One scan row: numeric spectra, oracle tripwire, condition, verdict."""
-    return run_scan([params], condition_tol, asserted_onew)[0]
+    """One scan row of plain Python values: numeric spectra, oracle
+    tripwire, condition, verdict."""
+    table = run_scan(params.column(), condition_tol, asserted_onew)
+    return {key: column.tolist()[0] for key, column in table.items()}
 
 
 def run_scan(
-    points: list[HaKyeParams],
+    params: np.ndarray,
     condition_tol: float = DEFAULT_CONDITION_TOL,
     asserted_onew: bool = True,
-) -> list[dict]:
-    """Scan rows in grid order, from one stacked solve and one array pass
-    (oracle tripwire, gap rule, verdicts) per SCAN_CHUNK points."""
+) -> dict[str, np.ndarray]:
+    """The scan of a (4, n >= 1) grid from build_grid as one column array
+    per ROW_KEYS entry, in grid order, from one stacked solve and one array
+    pass (oracle tripwire, gap rule, verdicts) per SCAN_CHUNK points."""
+    check_params(params)
     fired = (Conclusion.VIOLATES if asserted_onew else Conclusion.INCONCLUSIVE).value
-    rows: list[dict] = []
-    for start in range(0, len(points), SCAN_CHUNK):
-        params = param_columns(points[start:start + SCAN_CHUNK])
-        w = hakye_matrices(params)
+    chunks = []
+    for start in range(0, params.shape[1], SCAN_CHUNK):
+        chunk = params[:, start:start + SCAN_CHUNK]
+        w = hakye_matrices(chunk)
         check_hermitian(w)
         spectra, _ = eigh_checked(w)
         spectra_pt, _ = eigh_checked(partial_transpose_stack(w, HAKYE_DIMS))
-        closed, closed_pt = hakye_spectra_closed_form(params)
+        closed, closed_pt = hakye_spectra_closed_form(chunk)
         off = np.abs(spectra - closed).max(axis=1)
         off_pt = np.abs(spectra_pt - closed_pt).max(axis=1)
         mismatch = np.where(off_pt > off, off_pt, off)  # max(off, off_pt), nan included
@@ -180,9 +196,8 @@ def run_scan(
         # The row verdict rests on the gap alone: no tie-window downgrade.
         verdict = np.where(condition, fired, Conclusion.CONSISTENT.value)
         verdict = np.where(mismatch <= ORACLE_TOL, verdict, "oracle-mismatch")
-        columns = (*params, lam0, lam0_pt, gap, condition, raw[0], verdict, mismatch)
-        rows.extend(dict(zip(ROW_KEYS, row)) for row in zip(*(c.tolist() for c in columns)))
-    return rows
+        chunks.append((*chunk, lam0, lam0_pt, gap, condition, raw[0], verdict, mismatch))
+    return {key: np.concatenate(parts) for key, parts in zip(ROW_KEYS, zip(*chunks))}
 
 
 def timestamp() -> str:
@@ -197,10 +212,11 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _column_text(values: list, other) -> list[str]:
+def _column_text(column: np.ndarray, other) -> list[str]:
     """One column's cells: a column of finite floats by float.__repr__, of
     bools as true/false, of strings by other once per distinct value, and
-    any other column by other cell by cell."""
+    any other column (an object array, say) by other cell by cell."""
+    values = column.tolist()
     kinds = set(map(type, values))
     if kinds == {float} and all(map(math.isfinite, values)):
         return list(map(float.__repr__, values))
@@ -211,15 +227,24 @@ def _column_text(values: list, other) -> list[str]:
     return list(map(other, values))
 
 
+def _csv_plain(cells: list[str]) -> bool:
+    """Whether csv.writer writes every cell as it is: none is empty or holds
+    a delimiter, quote, line break or NUL (which Python 3.10 rejects)."""
+    text = "".join(cells)
+    return all(cells) and not any(ch in text for ch in ',"\r\n\0')
+
+
 def write_rows_csv(
-    rows: list[dict],
+    table: Mapping[str, np.ndarray],
     columns: tuple[str, ...],
     schema: str,
     stream: IO[str],
     reproducible: bool = False,
     notes: tuple[str, ...] = (),
 ) -> None:
-    """Versioned-header CSV: '#' preamble lines, then RFC-4180 content."""
+    """Versioned-header CSV of the named columns of a column table ('#'
+    preamble lines, then RFC-4180 content).  The body is one join of its
+    cells when no cell needs quoting, else csv.writer's rows."""
     stream.write(f"# schema={schema}\r\n")
     for note in notes:
         stream.write(f"# note={note}\r\n")
@@ -227,38 +252,45 @@ def write_rows_csv(
         stream.write(f"# generated={timestamp()}\r\n")
     writer = csv.writer(stream, lineterminator="\r\n")
     writer.writerow(columns)
-    cells = [_column_text([row[col] for row in rows], _csv_cell) for col in columns]
-    writer.writerows(zip(*cells))
+    cells = [_column_text(table[col], _csv_cell) for col in columns]
+    if all(map(_csv_plain, cells)):
+        row = ",".join(["%s"] * len(columns)) + "\r\n"
+        stream.write("".join(map(row.__mod__, zip(*cells))))
+    else:
+        writer.writerows(zip(*cells))
 
 
 def scan_report_json(
-    rows: list[dict], reproducible: bool = False, notes: tuple[str, ...] = ()
+    table: Mapping[str, np.ndarray], reproducible: bool = False, notes: tuple[str, ...] = ()
 ) -> dict:
+    """The scan report as one document, a row object per grid point."""
     doc: dict = {"schema_version": 1, "kind": SCAN_SCHEMA}
     if notes:
         doc["notes"] = list(notes)
     if not reproducible:
         doc["generated"] = timestamp()
-    doc["rows"] = [{k: v for k, v in row.items()} for row in rows]
+    values = [column.tolist() for column in table.values()]
+    doc["rows"] = [dict(zip(table, row)) for row in zip(*values)]
     return doc
 
 
 def write_scan_json(
-    rows: list[dict],
+    table: Mapping[str, np.ndarray],
     stream: IO[str],
     reproducible: bool = False,
     notes: tuple[str, ...] = (),
 ) -> None:
     """The bytes of json.dumps(scan_report_json(...), indent=2, allow_nan=False)
-    and a newline, each row, keyed as the first, from one format string."""
-    text = json.dumps(scan_report_json([], reproducible, notes), indent=2)
-    if rows:
+    and a newline, each row, keyed in the table's column order, from one
+    format string."""
+    text = json.dumps(scan_report_json({}, reproducible, notes), indent=2)
+    if any(map(len, table.values())):
         try:
-            cells = [_column_text([row[k] for row in rows], _JSON_CELL) for k in rows[0]]
-        except ValueError:
-            _JSON_CELL(rows)  # names the first non-finite float in row order
+            cells = [_column_text(column, _JSON_CELL) for column in table.values()]
+        except ValueError:  # name the first non-finite float in row order
+            _JSON_CELL(list(zip(*(column.tolist() for column in table.values()))))
             raise
-        template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in rows[0]) + "\n    }"
+        template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in table) + "\n    }"
         body = ",\n".join(map(template.__mod__, zip(*cells)))
         text = text.removesuffix("[]\n}") + f"[\n{body}\n  ]\n}}"
     stream.write(text + "\n")

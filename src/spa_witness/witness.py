@@ -41,8 +41,8 @@ from .states import (
     DensityOperator,
     ProductVector,
     Provenance,
+    _unit_factors,
     haar_product_factors,
-    haar_unit_vector,
     joint_vectors,
 )
 
@@ -110,6 +110,11 @@ def _expectation_raw(entries: np.ndarray, joint: np.ndarray) -> float:
     return float((joint.conj() @ entries @ joint).real)
 
 
+def _expectations(entries: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """_expectation_raw for each row of an (n, d) stack, with its bits."""
+    return (joint.conj()[:, None, :] @ entries @ joint[:, :, None]).real[:, 0, 0]
+
+
 def c_sigma_max(
     sigma: DensityOperator,
     restarts: int = 32,
@@ -162,14 +167,14 @@ def c_sigma_max(
     dims = sigma.dims
     entries = sigma.op.entries
     t4 = entries.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
-    mu = np.empty((restarts, dims.dA), dtype=np.complex128)
-    nu = np.empty((restarts, dims.dB), dtype=np.complex128)
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        mu[r] = haar_unit_vector(dims.dA, rng)
-        nu[r] = haar_unit_vector(dims.dB, rng)
+    # restart r's start: a Haar mu then a Haar nu, from its own seed + r stream
+    width = 2 * dims.dA + 2 * dims.dB
+    mu, nu = _unit_factors(
+        np.array([np.random.default_rng(seed + r).standard_normal(width) for r in range(restarts)]),
+        dims,
+    )
     # objective at the end of each run's latest sweep (its start value first)
-    last = np.array([_expectation_raw(entries, joint) for joint in joint_vectors(mu, nu)])
+    last = _expectations(entries, joint_vectors(mu, nu))
     iterations = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     active = np.arange(restarts)
@@ -200,7 +205,7 @@ def c_sigma_max(
         done = sweep_start - obj_b < tol
         converged[active[done]] = True
         active = active[~done]
-    values = [_expectation_raw(entries, joint) for joint in joint_vectors(mu, nu)]
+    values = _expectations(entries, joint_vectors(mu, nu)).tolist()
     best = min(range(restarts), key=values.__getitem__)
     return CmaxEstimate(
         value=values[best],
@@ -252,7 +257,7 @@ def sigma_form_from_matrix(
     dims = raw.dims
     mu, nu = haar_product_factors(dims, spot_checks, np.random.default_rng(seed))
     joint = joint_vectors(mu, nu)
-    vals = (joint.conj()[:, None, :] @ raw.entries @ joint[:, :, None]).real[:, 0, 0]
+    vals = _expectations(raw.entries, joint)
     negative = np.flatnonzero(vals < -neg_tol)
     if negative.size:
         val = float(vals[negative[0]])

@@ -4,13 +4,15 @@ Everything here recomputes quantities through a different route than the
 library: characteristic polynomials instead of eigh, brute-force index
 loops instead of reshape/transpose, and direct sampling or grid search
 instead of the see-saw.  Keep these free of spa_witness internals beyond
-plain array access; the one exception is geometry_rows_one_at_a_time, the
-per-object route that the stacked geometry rows must reproduce bit for bit.
-The scalar and row-by-row references at the end are the routes that the
-array forms and the column-wise report writers must reproduce bit for bit,
-and the per-cell operator-file loader and per-entry writer are the ones
-that fileio's array loader and writer must reproduce byte for byte, errors
-included.
+plain array access; the exceptions are geometry_rows_one_at_a_time and
+scan_row_one_at_a_time, the per-object routes that the stacked geometry
+rows and scan columns must reproduce bit for bit, and grid_one_at_a_time,
+the per-point HaKyeParams build that the grid array must reproduce, errors
+included.  The scalar and row-by-row references at the end are the routes
+that the array forms and the column-wise report writers must reproduce bit
+for bit, and the per-cell operator-file loader and per-entry writer are the
+ones that fileio's array loader and writer must reproduce byte for byte,
+errors included.
 """
 
 from __future__ import annotations
@@ -20,18 +22,22 @@ import io
 import json
 import math
 import sys
+from itertools import product
 from numbers import Real
 
 import numpy as np
 
 from spa_witness.errors import DimensionMismatch, ParseError
+from spa_witness.hakye import HaKyeParams, hakye_witness
 from spa_witness.operators import (
     Dims,
     HermitianOperator,
+    eig_hermitian,
     hs_inner,
     hs_norm,
     make_hermitian,
     min_eigenpair,
+    partial_transpose,
 )
 from spa_witness.spa import hyperplane_classify, pt_min_eigenvalue
 from spa_witness.states import (
@@ -240,6 +246,54 @@ def gap_rule_one_at_a_time(
         s = max(0.0, -lam)
         sides.append((s, trace + dAB * s, floor + s))
     return abs(lam0 - lam0_pt), sides
+
+
+def grid_one_at_a_time(axes: list, fixed: dict, cos_family: bool = False) -> list[HaKyeParams]:
+    """The grid as one validated HaKyeParams per point, in the order of the
+    Cartesian product of the axes sorted by key (fixed and scanned keys are
+    assumed consistent)."""
+    axes = sorted(axes, key=lambda axis: axis.key)
+    if cos_family:
+        points = []
+        for theta in axes[0].values().tolist() if axes else [fixed["theta"]]:
+            ct = math.cos(theta)
+            points.append(HaKyeParams(4.0 * ct / 3.0, 2.0 * ct / 3.0, 0.0, theta))
+        return points
+    points = []
+    for combo in product(*[axis.values() for axis in axes]):
+        values = dict(fixed)
+        values.update({axis.key: float(v) for axis, v in zip(axes, combo)})
+        points.append(HaKyeParams(values["a"], values["b"], values["c"], values["theta"]))
+    return points
+
+
+def scan_row_one_at_a_time(
+    p: HaKyeParams, condition_tol: float, oracle_tol: float, asserted_onew: bool = True
+) -> dict:
+    """One scan row from a single witness object: its own eigensolves of W
+    and W^PT, the scalar closed forms and the scalar gap arithmetic."""
+    w = hakye_witness(p)
+    spectrum = eig_hermitian(w).eigenvalues
+    spectrum_pt = eig_hermitian(partial_transpose(w)).eigenvalues
+    closed, closed_pt = hakye_spectra_one_at_a_time(p.a, p.b, p.c, p.theta)
+    mismatch = max(
+        float(np.abs(spectrum - closed).max()), float(np.abs(spectrum_pt - closed_pt).max())
+    )
+    lam0, lam0_pt = float(spectrum[0]), float(spectrum_pt[0])
+    gap, sides = gap_rule_one_at_a_time(lam0, lam0_pt, float(np.trace(w.entries).real), 9)
+    condition = gap > condition_tol
+    if not mismatch <= oracle_tol:
+        verdict = "oracle-mismatch"
+    elif condition:
+        verdict = "VIOLATES" if asserted_onew else "INCONCLUSIVE"
+    else:
+        verdict = "CONSISTENT"
+    return {
+        "a": p.a, "b": p.b, "c": p.c, "theta": p.theta,
+        "lambda0_W": lam0, "lambda0_WGamma": lam0_pt, "gap": gap,
+        "condition_holds": condition, "spa_min_pt_eig": sides[0][2],
+        "verdict": verdict, "oracle_discrepancy": mismatch,
+    }
 
 
 def scan_report_reference(

@@ -7,7 +7,7 @@ import importlib
 import numpy as np
 import pytest
 
-from conftest import random_negative_hermitian
+from conftest import random_negative_hermitian, table_rows
 from oracles import geometry_rows_one_at_a_time
 from spa_witness.cli import EXIT_NUMERIC, main
 from spa_witness.errors import (
@@ -21,13 +21,14 @@ from spa_witness.fileio import save_operator
 from spa_witness.geometry import GEOMETRY_CHUNK, GEOMETRY_COLUMNS, geometry_rows
 from spa_witness.hakye import hakye_witness, reference_violation_params
 from spa_witness.operators import Dims
+from spa_witness.spa import hyperplane_side
 from spa_witness.states import draw_densities, draw_ensembles
 
 geometry_module = importlib.import_module("spa_witness.geometry")
 
 
 def reference_rows(samples=6, seed=3):
-    return geometry_rows(hakye_witness(reference_violation_params()), samples, seed)
+    return table_rows(geometry_rows(hakye_witness(reference_violation_params()), samples, seed))
 
 
 def test_row_layout_and_counts():
@@ -91,13 +92,34 @@ class TestStackedRows:
         # random densities only, both kinds, and one mixture alone
         for seed in (0, 5) if samples == 1 else (3,):
             witness = random_negative_hermitian(dims, np.random.default_rng(seed + 40))
-            assert geometry_rows(witness, samples, seed) == geometry_rows_one_at_a_time(
-                witness, samples, seed
+            assert table_rows(geometry_rows(witness, samples, seed)) == (
+                geometry_rows_one_at_a_time(witness, samples, seed)
             )
 
     def test_reference_witness_rows_equal_the_one_at_a_time_route(self):
         witness = hakye_witness(reference_violation_params())
-        assert geometry_rows(witness, 7, 2) == geometry_rows_one_at_a_time(witness, 7, 2)
+        rows = table_rows(geometry_rows(witness, 7, 2))
+        assert rows == geometry_rows_one_at_a_time(witness, 7, 2)
+
+    def test_columns_are_arrays_in_report_order(self):
+        table = geometry_rows(hakye_witness(reference_violation_params()), 3, 1)
+        assert tuple(table) == GEOMETRY_COLUMNS
+        assert all(isinstance(c, np.ndarray) and c.shape == (7,) for c in table.values())
+        assert table["witness_value"].dtype == np.float64
+
+    def test_classification_uses_hyperplane_side_comparisons(self, monkeypatch):
+        tol = 1e-8
+        edges = [-1.0, -tol, -tol * 1.5, 0.0, -0.0, tol, tol * 1.5, np.nan, np.inf, -np.inf]
+
+        def values(m, w):
+            return np.resize(np.array(edges), len(m))
+
+        monkeypatch.setattr(geometry_module, "hs_inner_stack", values)
+        witness = random_negative_hermitian(Dims(2, 2), np.random.default_rng(1))
+        table = geometry_rows(witness, 6, tol=tol)
+        expected = [hyperplane_side(v, tol).value for v in table["witness_value"].tolist()]
+        assert table["classification"].tolist() == expected
+        assert "on-plane" in expected
 
     def test_one_corrupted_pt_solve_in_a_stack_fails(self, monkeypatch, capsys, tmp_path):
         real_eigh = np.linalg.eigh

@@ -19,7 +19,6 @@ from spa_witness.hakye import (
     hakye_spectra_closed_form,
     hakye_spectrum_closed_form,
     hakye_witness,
-    param_columns,
     reference_violation_params,
 )
 from spa_witness.operators import min_eigenpair, partial_transpose
@@ -180,7 +179,7 @@ class TestArrayOracles:
     @settings(max_examples=300, deadline=None)
     @given(points=VALID_POINTS)
     def test_match_scalar_arithmetic_bit_for_bit(self, points):
-        direct, pt = hakye_spectra_closed_form(param_columns(points))
+        direct, pt = hakye_spectra_closed_form(np.hstack([p.column() for p in points]))
         for k, p in enumerate(points):
             ref, ref_pt = hakye_spectra_one_at_a_time(p.a, p.b, p.c, p.theta)
             assert direct[k].tobytes() == ref.tobytes()

@@ -2,22 +2,35 @@
 
 from __future__ import annotations
 
+import csv
 import importlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import rows_csv_row_by_row, scan_report_reference
+from conftest import rows_table, table_rows
+from oracles import (
+    grid_one_at_a_time,
+    rows_csv_row_by_row,
+    scan_report_reference,
+    scan_row_one_at_a_time,
+)
 from spa_witness.cli import EXIT_NUMERIC, main
-from spa_witness.errors import ConvergenceFailure, InvalidGrid
+from spa_witness.errors import ConvergenceFailure, InvalidGrid, InvalidParams
 from spa_witness.geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, geometry_rows
-from spa_witness.hakye import HaKyeParams, hakye_witness, param_columns, reference_violation_params
+from spa_witness.hakye import HaKyeParams, hakye_witness, reference_violation_params
 from spa_witness.operators import eig_hermitian, partial_transpose
 from spa_witness.scan import (
     DEFAULT_CONDITION_TOL,
+    GRID_KEYS,
+    ORACLE_TOL,
+    ROW_KEYS,
     SCAN_COLUMNS,
     SCAN_SCHEMA,
     GridAxis,
@@ -68,8 +81,8 @@ class TestParseGridAxis:
 class TestBuildGrid:
     def test_axes_sorted_by_key(self):
         axes = [parse_grid_axis("theta=0:1:2"), parse_grid_axis("a=1:2:2")]
-        points = build_grid(axes, {"b": 0.5, "c": 0.0})
-        assert [(p.a, p.theta) for p in points] == [
+        grid = build_grid(axes, {"b": 0.5, "c": 0.0})
+        assert list(zip(grid[0].tolist(), grid[3].tolist())) == [
             (1.0, 0.0),
             (1.0, 1.0),
             (2.0, 0.0),
@@ -86,23 +99,25 @@ class TestBuildGrid:
             build_grid([parse_grid_axis("a=1:2:2")], {"b": 0.5})
 
     def test_fixed_only_single_point(self):
-        points = build_grid([], {"a": 1.0, "b": 2.0, "c": 3.0, "theta": 0.1})
-        assert points == [HaKyeParams(1.0, 2.0, 3.0, 0.1)]
+        grid = build_grid([], {"a": 1.0, "b": 2.0, "c": 3.0, "theta": 0.1})
+        assert grid.dtype == np.float64
+        assert grid.tolist() == [[1.0], [2.0], [3.0], [0.1]]
 
     def test_cos_family_from_scanned_theta(self):
-        points = build_grid(
+        grid = build_grid(
             [parse_grid_axis("theta=0.0:0.5:3")], {}, cos_family=True
         )
-        assert len(points) == 3
-        for p in points:
-            ct = math.cos(p.theta)
-            assert p.a == pytest.approx(4 * ct / 3)
-            assert p.b == pytest.approx(2 * ct / 3)
-            assert p.c == 0.0
+        assert grid.shape == (4, 3)
+        for a, b, c, theta in grid.T:
+            ct = math.cos(theta)
+            assert a == pytest.approx(4 * ct / 3)
+            assert b == pytest.approx(2 * ct / 3)
+            assert c == 0.0
 
     def test_cos_family_fixed_theta(self):
-        points = build_grid([], {"theta": math.pi / 12}, cos_family=True)
-        assert points == [reference_violation_params()]
+        grid = build_grid([], {"theta": math.pi / 12}, cos_family=True)
+        assert grid.shape == (4, 1)
+        assert HaKyeParams(*grid[:, 0].tolist()) == reference_violation_params()
 
     def test_cos_family_rejects_other_axes(self):
         with pytest.raises(InvalidGrid, match="cos-family"):
@@ -161,7 +176,7 @@ class TestAnalyzePoint:
 
     def test_oracle_tripwire(self, monkeypatch):
         params = reference_violation_params()
-        good, good_pt = scan_module.hakye_spectra_closed_form(param_columns([params]))
+        good, good_pt = scan_module.hakye_spectra_closed_form(params.column())
         monkeypatch.setattr(
             scan_module, "hakye_spectra_closed_form", lambda p: (good + 1e-6, good_pt)
         )
@@ -172,15 +187,16 @@ class TestAnalyzePoint:
 
 class TestBatchedScan:
     def test_rows_across_a_chunk_boundary_match_single_points(self):
-        points = build_grid(
+        grid = build_grid(
             [parse_grid_axis(f"theta=0.01:1.5:{SCAN_CHUNK + 1}")], {}, cos_family=True
         )
-        rows = run_scan(points)
+        rows = table_rows(run_scan(grid))
         assert len(rows) == SCAN_CHUNK + 1
         for k in (0, SCAN_CHUNK - 1, SCAN_CHUNK):
-            assert rows[k] == analyze_point(points[k])
+            point = HaKyeParams(*grid[:, k].tolist())
+            assert rows[k] == analyze_point(point)
             # the stacked solve returns the bits of a one-matrix solve
-            w = hakye_witness(points[k])
+            w = hakye_witness(point)
             assert rows[k]["lambda0_W"] == eig_hermitian(w).min_eigenvalue
             assert rows[k]["lambda0_WGamma"] == eig_hermitian(partial_transpose(w)).min_eigenvalue
 
@@ -206,61 +222,61 @@ class TestBatchedScan:
 
 
 class TestEmission:
-    def _rows(self):
+    def _table(self):
         return run_scan(
             build_grid([parse_grid_axis("theta=0.2:0.3:2")], {}, cos_family=True)
         )
 
     def test_csv_layout(self):
-        rows = self._rows()
+        table = self._table()
         buf = io.StringIO()
         write_rows_csv(
-            rows, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible=True, notes=("n1",)
+            table, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible=True, notes=("n1",)
         )
         text = buf.getvalue()
         lines = text.split("\r\n")
         assert lines[0] == f"# schema={SCAN_SCHEMA}"
         assert lines[1] == "# note=n1"
         assert lines[2] == ",".join(SCAN_COLUMNS)
-        assert len(lines) == 3 + len(rows) + 1
+        assert len(lines) == 3 + len(table["a"]) + 1
         assert text.endswith("\r\n")
         assert "generated" not in text
 
     def test_csv_cell_formats(self):
-        rows = self._rows()
+        table = self._table()
         buf = io.StringIO()
-        write_rows_csv(rows, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible=True)
+        write_rows_csv(table, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible=True)
         body = buf.getvalue().split("\r\n")[2:]
         first = body[0].split(",")
         assert first[SCAN_COLUMNS.index("condition_holds")] in ("true", "false")
         lam_cell = first[SCAN_COLUMNS.index("lambda0_W")]
-        assert float(lam_cell) == rows[0]["lambda0_W"]
+        assert float(lam_cell) == table["lambda0_W"][0]
         assert "np.float64" not in buf.getvalue()
 
     def test_timestamp_emitted_unless_reproducible(self):
-        rows = self._rows()
+        table = self._table()
         buf = io.StringIO()
-        write_rows_csv(rows, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible=False)
+        write_rows_csv(table, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible=False)
         assert "# generated=" in buf.getvalue()
 
     def test_json_report_shape(self):
-        rows = self._rows()
+        table = self._table()
         buf = io.StringIO()
-        write_scan_json(rows, buf, reproducible=True, notes=("x",))
+        write_scan_json(table, buf, reproducible=True, notes=("x",))
         doc = json.loads(buf.getvalue())
         assert doc["schema_version"] == 1
         assert doc["kind"] == SCAN_SCHEMA
         assert doc["notes"] == ["x"]
         assert "generated" not in doc
-        assert len(doc["rows"]) == len(rows)
+        assert len(doc["rows"]) == len(table["a"])
         assert doc["rows"][0]["verdict"] in ("VIOLATES", "CONSISTENT", "INCONCLUSIVE")
 
     def test_reports_are_deterministic(self):
-        rows1 = self._rows()
-        rows2 = self._rows()
+        table1 = self._table()
+        table2 = self._table()
         b1, b2 = io.StringIO(), io.StringIO()
-        write_rows_csv(rows1, SCAN_COLUMNS, SCAN_SCHEMA, b1, reproducible=True)
-        write_rows_csv(rows2, SCAN_COLUMNS, SCAN_SCHEMA, b2, reproducible=True)
+        write_rows_csv(table1, SCAN_COLUMNS, SCAN_SCHEMA, b1, reproducible=True)
+        write_rows_csv(table2, SCAN_COLUMNS, SCAN_SCHEMA, b2, reproducible=True)
         assert b1.getvalue() == b2.getvalue()
 
 
@@ -286,43 +302,48 @@ class TestReportBytes:
         return run_scan(build_grid([parse_grid_axis(s) for s in specs], {}, cos_family))
 
     @pytest.fixture(scope="class", params=sorted(GRIDS))
-    def rows(self, request):
+    def table(self, request):
         return self._scan(*self.GRIDS[request.param][:2])
 
-    def _json(self, rows, reproducible=True, notes=NOTES):
+    def _json(self, table, reproducible=True, notes=NOTES):
         buf = io.StringIO()
-        write_scan_json(rows, buf, reproducible=reproducible, notes=notes)
+        write_scan_json(table, buf, reproducible=reproducible, notes=notes)
         return buf.getvalue()
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_grids_cross_a_chunk_with_their_verdicts(self, grid):
         specs, cos_family, verdicts = self.GRIDS[grid]
-        rows = self._scan(specs, cos_family)
-        assert len(rows) > SCAN_CHUNK
-        assert {row["verdict"] for row in rows} == verdicts
+        table = self._scan(specs, cos_family)
+        assert len(table["verdict"]) > SCAN_CHUNK
+        assert set(table["verdict"].tolist()) == verdicts
 
     @pytest.mark.parametrize("reproducible", [True, False])
     @pytest.mark.parametrize("notes", [NOTES, ()])
-    def test_json(self, rows, reproducible, notes, monkeypatch):
+    def test_json(self, table, reproducible, notes, monkeypatch):
         monkeypatch.setattr(scan_module, "timestamp", lambda: self.STAMP)
         stamp = None if reproducible else self.STAMP
-        text = self._json(rows, reproducible, notes)
-        assert text == scan_report_reference(rows, notes, stamp)
-        doc = scan_report_json(rows, reproducible, notes)
+        text = self._json(table, reproducible, notes)
+        assert text == scan_report_reference(table_rows(table), notes, stamp)
+        doc = scan_report_json(table, reproducible, notes)
         assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
     @pytest.mark.parametrize("reproducible", [True, False])
-    def test_csv(self, rows, reproducible, monkeypatch):
+    def test_csv(self, table, reproducible, monkeypatch):
         monkeypatch.setattr(scan_module, "timestamp", lambda: self.STAMP)
         buf = io.StringIO()
-        write_rows_csv(rows, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible, self.NOTES)
+        write_rows_csv(table, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible, self.NOTES)
         stamp = None if reproducible else self.STAMP
         assert buf.getvalue() == rows_csv_row_by_row(
-            rows, SCAN_COLUMNS, SCAN_SCHEMA, self.NOTES, stamp
+            table_rows(table), SCAN_COLUMNS, SCAN_SCHEMA, self.NOTES, stamp
         )
 
     def test_empty_report(self):
-        assert self._json([]) == scan_report_reference([], self.NOTES)
+        assert self._json({}) == scan_report_reference([], self.NOTES)
+        empty = {key: np.empty(0) for key in ROW_KEYS}
+        assert self._json(empty) == scan_report_reference([], self.NOTES)
+        buf = io.StringIO()
+        write_rows_csv(empty, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible=True)
+        assert buf.getvalue() == rows_csv_row_by_row([], SCAN_COLUMNS, SCAN_SCHEMA)
 
     def test_mixed_columns_fall_back_cell_by_cell(self):
         rows = [
@@ -332,10 +353,10 @@ class TestReportBytes:
         ]
         columns = ("x", "y", "z", "w", "v")
         buf = io.StringIO()
-        write_rows_csv(rows, columns, "s", buf, reproducible=True)
+        write_rows_csv(rows_table(rows, columns), columns, "s", buf, reproducible=True)
         assert buf.getvalue() == rows_csv_row_by_row(rows, columns, "s")
         rows[2]["w"] = -2.5
-        assert self._json(rows) == scan_report_reference(rows, self.NOTES)
+        assert self._json(rows_table(rows, columns)) == scan_report_reference(rows, self.NOTES)
 
     @pytest.mark.parametrize(
         "bad",
@@ -345,21 +366,223 @@ class TestReportBytes:
             {2: {"spa_min_pt_eig": -math.inf}},
         ],
     )
-    def test_non_finite_float_raises_like_the_encoder(self, rows, bad):
-        rows = [dict(row) for row in rows[:3]]
+    def test_non_finite_float_raises_like_the_encoder(self, table, bad):
+        rows = table_rows(table)[:3]
         for k, fields in bad.items():
             rows[k].update(fields)
         with pytest.raises(ValueError) as reference:
             scan_report_reference(rows)
         buf = io.StringIO()
         with pytest.raises(ValueError) as raised:
-            write_scan_json(rows, buf, reproducible=True)
+            write_scan_json({k: np.array([row[k] for row in rows]) for k in ROW_KEYS}, buf, True)
         assert str(raised.value) == str(reference.value)
         assert buf.getvalue() == ""
 
     def test_geometry_csv(self, hakye_reference):
         _, op = hakye_reference
-        rows = geometry_rows(op, samples=40, seed=3)
+        table = geometry_rows(op, samples=40, seed=3)
         buf = io.StringIO()
-        write_rows_csv(rows, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, buf, reproducible=True)
-        assert buf.getvalue() == rows_csv_row_by_row(rows, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA)
+        write_rows_csv(table, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, buf, reproducible=True)
+        assert buf.getvalue() == rows_csv_row_by_row(
+            table_rows(table), GEOMETRY_COLUMNS, GEOMETRY_SCHEMA
+        )
+
+
+# bounds and fixed values: signed zeros and moderate magnitudes; the
+# invalid ones add negatives and non-finite values
+VALID_BOUNDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(0.0, 10.0))
+BOUNDS = st.one_of(VALID_BOUNDS, st.sampled_from([-1.0, -2.5]), st.floats(-10.0, 10.0))
+FIXED = st.one_of(BOUNDS, st.sampled_from([math.nan, math.inf, -math.inf, 1e308]))
+
+
+@st.composite
+def grid_specs(draw, bounds=BOUNDS, fixed_values=FIXED, thetas=st.floats(-4.0, 4.0)):
+    """(axes, fixed, cos_family) with consistent keys."""
+    if draw(st.booleans()):  # cos-family: theta scanned or fixed
+        if draw(st.booleans()):
+            return [], {"theta": draw(st.one_of(thetas, fixed_values))}, True
+        lo, hi = draw(thetas), draw(thetas)
+        return [GridAxis("theta", lo, hi, draw(st.integers(1, 6)))], {}, True
+    scanned = draw(st.lists(st.sampled_from(GRID_KEYS), unique=True, max_size=4))
+    axes = [
+        GridAxis(key, draw(bounds), draw(bounds), draw(st.integers(1, 4))) for key in scanned
+    ]
+    fixed = {key: draw(fixed_values) for key in GRID_KEYS if key not in scanned}
+    return draw(st.permutations(axes)), fixed, False
+
+
+# mostly valid: non-negative weights and theta within the cos-family slice
+VALID_SPECS = grid_specs(
+    bounds=VALID_BOUNDS, fixed_values=st.floats(1.0, 10.0), thetas=st.floats(-1.5, 1.5)
+)
+
+
+class TestGridParity:
+    """build_grid's array is the per-point HaKyeParams build, bit for bit,
+    and fails where and as that build fails."""
+
+    @staticmethod
+    def _compare(axes, fixed, cos_family):
+        try:
+            points = grid_one_at_a_time(axes, fixed, cos_family)
+        except (InvalidParams, ValueError) as reference:
+            with pytest.raises(type(reference)) as raised:
+                build_grid(axes, fixed, cos_family)
+            assert str(raised.value) == str(reference)
+            return
+        grid = build_grid(axes, fixed, cos_family)
+        expected = np.array([[p.a, p.b, p.c, p.theta] for p in points], dtype=np.float64).T
+        assert grid.dtype == np.float64
+        assert grid.shape == expected.shape
+        assert grid.tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=VALID_SPECS)
+    def test_valid_grids_match_the_per_point_build(self, spec):
+        try:
+            grid_one_at_a_time(*spec)
+        except InvalidParams:  # every weight zero at some point
+            assume(False)
+        self._compare(*spec)
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec=grid_specs())
+    def test_matches_the_per_point_build(self, spec):
+        self._compare(*spec)
+
+    @pytest.mark.parametrize("spec", [
+        # a single fixed point, +-0.0 weights and bounds
+        ([], {"a": 1.0, "b": 2.0, "c": 3.0, "theta": 0.1}, False),
+        ([], {"a": -0.0, "b": 0.0, "c": 1e-300, "theta": -0.0}, False),
+        (
+            [GridAxis("a", -0.0, 0.0, 3), GridAxis("c", 0.0, -0.0, 2)],
+            {"b": 1.0, "theta": 0.0},
+            False,
+        ),
+        ([GridAxis("theta", -0.0, 1.0, 3)], {}, True),
+        ([], {"theta": math.pi / 12}, True),
+        # invalid: every rule, and the first failing point in grid order
+        ([GridAxis("a", 1.0, -1.0, 3)], {"b": 0.0, "c": 0.0, "theta": 0.0}, False),
+        ([GridAxis("b", 1.0, 0.0, 2), GridAxis("a", 1.0, 0.0, 2)], {"c": 0.0, "theta": 0.0}, False),
+        ([GridAxis("a", 0.0, 1.0, 2)], {"b": -0.0, "c": -0.0, "theta": 0.0}, False),
+        ([GridAxis("theta", 0.0, 1.0, 2)], {"a": 1.0, "b": math.nan, "c": -1.0}, False),
+        ([GridAxis("c", 1.0, -1.0, 3)], {"a": 1.0, "b": 1.0, "theta": math.inf}, False),
+        ([GridAxis("a", -1e308, 1e308, 3)], {"b": 0.0, "c": 0.0, "theta": 0.0}, False),
+        ([GridAxis("theta", 0.0, 3.0, 5)], {}, True),
+        ([GridAxis("theta", 1e308, -1e308, 4)], {}, True),
+        ([], {"theta": math.inf}, True),
+        ([], {"theta": math.nan}, True),
+        ([], {"theta": 2.0}, True),
+    ])
+    def test_edge_grids(self, spec):
+        with np.errstate(over="ignore", invalid="ignore"):  # linspace over 2e308
+            self._compare(*spec)
+
+
+class TestScanParity:
+    """run_scan's columns are the rows built one point at a time."""
+
+    @pytest.mark.parametrize("specs, cos_family, tol, asserted", [
+        ([f"theta=0.003:1.5707963267948966:{SCAN_CHUNK + 2}"], True, DEFAULT_CONDITION_TOL, True),
+        (["a=0:2:6", "b=0:2:5", "c=0.1:2:5", "theta=0:3.1:4"], False, DEFAULT_CONDITION_TOL, True),
+        (["theta=0.1:1.5:40"], True, 0.0899, False),
+    ])
+    def test_columns_equal_the_per_point_rows(self, specs, cos_family, tol, asserted):
+        axes = [parse_grid_axis(s) for s in specs]
+        table = run_scan(build_grid(axes, {}, cos_family), tol, asserted)
+        assert tuple(table) == ROW_KEYS
+        assert len({len(column) for column in table.values()}) == 1
+        expected = [
+            scan_row_one_at_a_time(p, tol, ORACLE_TOL, asserted)
+            for p in grid_one_at_a_time(axes, {}, cos_family)
+        ]
+        assert table_rows(table) == expected
+        # equal as values, and each float with its bits
+        for key in ("lambda0_W", "lambda0_WGamma", "gap", "spa_min_pt_eig", "oracle_discrepancy"):
+            assert table[key].tobytes() == np.array([row[key] for row in expected]).tobytes()
+
+    def test_invalid_array_is_rejected(self):
+        grid = build_grid([parse_grid_axis("a=1:2:3")], {"b": 0.0, "c": 0.0, "theta": 0.0})
+        grid[0, 1] = -1.0
+        with pytest.raises(InvalidParams, match=r"got a=-1\.0, b=0\.0, c=0\.0"):
+            run_scan(grid)
+
+
+CELL = st.one_of(
+    st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", "a,b", 'say "hi"', "é", " x ", "\0"]),
+    st.text(alphabet=st.sampled_from('ab ,"\r\n\t#'), max_size=4),
+)
+
+
+class TestCsvJoin:
+    """The joined CSV body is csv.writer's, byte for byte; a column with any
+    cell that csv.writer would quote goes through csv.writer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 6),
+        text=st.lists(st.lists(CELL, min_size=6, max_size=6), min_size=1, max_size=3),
+        floats=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6),
+    )
+    def test_matches_the_row_by_row_writer(self, n, text, floats):
+        table = {"x": np.array(floats[:n]), "flag": np.array([True, False] * 3)[:n]}
+        table.update({f"t{k}": np.array(column[:n], dtype=object) for k, column in enumerate(text)})
+        columns = tuple(table)
+        buf = io.StringIO()
+        try:
+            write_rows_csv(table, columns, "s", buf, reproducible=True, notes=("n",))
+        except csv.Error as exc:  # a NUL cell on Python 3.10: the reference fails alike
+            with pytest.raises(csv.Error, match=re.escape(str(exc))):
+                rows_csv_row_by_row(table_rows(table), columns, "s", ("n",))
+            return
+        assert buf.getvalue() == rows_csv_row_by_row(table_rows(table), columns, "s", ("n",))
+
+    @pytest.fixture
+    def writerows_calls(self, monkeypatch):
+        """Counts the csv.writer.writerows calls of the writer under test."""
+        calls = []
+        real_writer = csv.writer
+
+        class Spy:
+            def __init__(self, stream, **kwargs):
+                self._writer = real_writer(stream, **kwargs)
+                self.writerow = self._writer.writerow
+
+            def writerows(self, rows):
+                calls.append(rows)
+                return self._writer.writerows(rows)
+
+        monkeypatch.setattr(scan_module.csv, "writer", Spy)
+        return calls
+
+    @pytest.mark.parametrize("cell", ["", ",", '"', "\r", "\n", "x\0"])
+    def test_a_cell_that_needs_quoting_takes_csv_writer(self, cell, request):
+        rows = [{"x": 1.5, "s": "plain"}, {"x": 2.5, "s": cell}]
+        try:
+            expected = rows_csv_row_by_row(rows, ("x", "s"), "s")
+        except csv.Error:  # NUL on Python 3.10
+            expected = None
+        calls = request.getfixturevalue("writerows_calls")
+        buf = io.StringIO()
+        if expected is None:
+            with pytest.raises(csv.Error):
+                write_rows_csv(rows_table(rows, ("x", "s")), ("x", "s"), "s", buf, True)
+        else:
+            write_rows_csv(rows_table(rows, ("x", "s")), ("x", "s"), "s", buf, True)
+            assert buf.getvalue() == expected
+        assert len(calls) == 1
+
+    def test_scan_and_geometry_bodies_take_the_join(self, hakye_reference, request):
+        _, op = hakye_reference
+        grid = build_grid([parse_grid_axis(f"theta=0.01:1.5:{SCAN_CHUNK + 1}")], {}, True)
+        reports = [
+            (run_scan(grid), SCAN_COLUMNS, SCAN_SCHEMA),
+            (geometry_rows(op, samples=300, seed=4), GEOMETRY_COLUMNS, GEOMETRY_SCHEMA),
+        ]
+        expected = [rows_csv_row_by_row(table_rows(t), c, s) for t, c, s in reports]
+        calls = request.getfixturevalue("writerows_calls")
+        for (table, columns, schema), text in zip(reports, expected):
+            buf = io.StringIO()
+            write_rows_csv(table, columns, schema, buf, reproducible=True)
+            assert buf.getvalue() == text
+        assert calls == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 import re
 
@@ -43,7 +44,9 @@ from spa_witness.states import (
     Provenance,
     SeparableEnsemble,
     ensemble_density,
+    haar_product_factors,
     haar_unit_vector,
+    joint_vectors,
     maximally_mixed,
     random_density,
     random_separable_ensemble,
@@ -51,6 +54,7 @@ from spa_witness.states import (
 from spa_witness.witness import (
     FinerVerdict,
     _expectation_raw,
+    _expectations,
     build_witness,
     c_sigma_max,
     detects,
@@ -65,6 +69,9 @@ from spa_witness.witness import (
 
 D22 = Dims(2, 2)
 D33 = Dims(3, 3)
+SEESAW_DIMS = (Dims(2, 2), Dims(2, 3), Dims(3, 3), Dims(3, 4), Dims(4, 4))
+
+witness_module = importlib.import_module("spa_witness.witness")
 
 
 def swap_operator(d: int) -> HermitianOperator:
@@ -144,6 +151,38 @@ class TestSeesaw:
         assert np.array_equal(stacked.argmin.nu_b, best.argmin.nu_b)
         assert (stacked.iterations, stacked.converged) == (best.iterations, best.converged)
         assert stacked.restarts == restarts
+
+    @pytest.mark.parametrize("dims", SEESAW_DIMS, ids=str)
+    def test_starts_are_the_per_restart_haar_draws(self, dims, monkeypatch):
+        # restart r starts from haar_unit_vector(dA), then (dB), of seed + r
+        seed, restarts = 11, 9
+        starts = []
+
+        def record(mu, nu):
+            starts.append((mu.copy(), nu.copy()))
+            return joint_vectors(mu, nu)
+
+        monkeypatch.setattr(witness_module, "joint_vectors", record)
+        c_sigma_max(random_density(dims, 2), restarts=restarts, max_iter=0, seed=seed)
+        mu, nu = starts[0]
+        for r in range(restarts):
+            rng = np.random.default_rng(seed + r)
+            assert mu[r].tobytes() == haar_unit_vector(dims.dA, rng).tobytes()
+            assert nu[r].tobytes() == haar_unit_vector(dims.dB, rng).tobytes()
+
+    @pytest.mark.parametrize("dims", SEESAW_DIMS, ids=str)
+    def test_stacked_expectations_equal_the_per_vector_product(self, dims):
+        rng = np.random.default_rng(dims.dAB)
+        for trial in range(50):
+            sigma = random_density(dims, int(rng.integers(2**31))).op.entries
+            if trial % 2:  # a Hermitian matrix of no particular scale
+                sigma = random_negative_hermitian(dims, rng).entries * 10.0 ** rng.uniform(-3, 3)
+            mu, nu = haar_product_factors(dims, 12, rng)
+            joint = joint_vectors(mu, nu)
+            stacked = _expectations(sigma, joint)
+            for r in range(len(joint)):
+                single = np.float64(_expectation_raw(sigma, joint[r]))
+                assert stacked[r].tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("raised_call", [1, 2], ids=["A-side", "B-side"])
     def test_rising_objective_names_the_restart(
