@@ -5,7 +5,6 @@ eigenvalue conditions under which an approximation fails the PPT test.
 
 from .errors import (
     ConvergenceFailure,
-    DifferentSigma,
     DimensionMismatch,
     EstimateMissing,
     ExceedsCmax,
@@ -58,12 +57,10 @@ from .scan import (
 from .spa import (
     Conclusion,
     ConjectureVerdict,
-    ExtremalProjectors,
     HyperplaneSide,
     PptStatus,
     PptVerdict,
     SpaResult,
-    extremal_projectors,
     hyperplane_classify,
     ppt_check,
     pt_min_eigenvalue,
@@ -80,21 +77,17 @@ from .states import (
     ensemble_density,
     maximally_mixed,
     random_density,
-    random_product_vector,
     random_separable_ensemble,
 )
 from .witness import (
     CmaxEstimate,
-    FinerVerdict,
     SigmaFormWitness,
     build_witness,
     c_sigma_max,
     detects,
-    finer_than,
     is_weakly_optimal,
     product_expectation,
     sigma_form_from_matrix,
-    to_tau_form,
     verify_decomposition,
     witness_value,
 )

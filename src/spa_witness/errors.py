@@ -61,10 +61,6 @@ class EstimateMissing(InputError):
     """An operation needed a cached c_max estimate that was never computed."""
 
 
-class DifferentSigma(InputError):
-    """Two witnesses do not share the same sigma and cannot be compared."""
-
-
 class ZeroTrace(NumericalError):
     """Normalization by trace is impossible (trace vanishes)."""
 

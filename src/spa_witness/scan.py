@@ -99,6 +99,8 @@ def parse_grid_axis(text: str) -> GridAxis:
         raise InvalidGrid(f"grid spec {text!r}: N must be >= 1")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise InvalidGrid(f"grid spec {text!r}: bounds must be finite")
+    if not math.isfinite(stop - start):
+        raise InvalidGrid(f"grid spec {text!r}: span stop - start overflows")
     return GridAxis(key, start, stop, count)
 
 
@@ -191,7 +193,8 @@ def run_scan(
         off_pt = np.abs(spectra_pt - closed_pt).max(axis=1)
         mismatch = np.where(off_pt > off, off_pt, off)  # max(off, off_pt), nan included
         lam0, lam0_pt = spectra[:, 0], spectra_pt[:, 0]
-        trace = np.trace(w, axis1=1, axis2=2).real
+        with np.errstate(over="ignore"):  # an overflowing trace is inf, as in gap_rule
+            trace = np.trace(w, axis1=1, axis2=2).real
         gap, condition, _, raw, _ = gap_rule(lam0, lam0_pt, trace, HAKYE_DIMS.dAB, condition_tol)
         # The row verdict rests on the gap alone: no tie-window downgrade.
         verdict = np.where(condition, fired, Conclusion.CONSISTENT.value)

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import ConvergenceFailure, InvalidParams, NotNegative, ZeroTrace
 from .operators import (
     HermitianOperator,
-    eig_hermitian,
     eigh_checked,
     hs_inner,
     min_eigenpair,
@@ -46,7 +45,6 @@ from .states import DensityOperator, Provenance
 from .witness import SigmaFormWitness
 
 DEFAULT_COMPARE_TOL = 1e-8
-DEFAULT_DEGENERACY_TOL = 1e-8
 _MIN_TRACE = 1e-12
 
 
@@ -327,47 +325,6 @@ def spa_violation_from_gap(
         )
     return gap_verdict(
         lam0, lam0_pt, witness_op.trace, witness_op.dims.dAB, tol, asserted_onew
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ExtremalProjectors:
-    """Ground-eigenspace projectors of sigma and of its partial transpose."""
-
-    sigma_ground: HermitianOperator
-    sigma_pt_ground: HermitianOperator
-    sigma_ground_degenerate: bool
-    sigma_pt_ground_degenerate: bool
-
-
-def _ground_projector(
-    op: HermitianOperator, tol: float
-) -> tuple[HermitianOperator, bool]:
-    spectrum = eig_hermitian(op)
-    mask = spectrum.eigenvalues <= spectrum.eigenvalues[0] + tol
-    vecs = spectrum.eigenvectors[:, mask]
-    proj = HermitianOperator(op.dims, vecs @ vecs.conj().T)
-    return proj, int(mask.sum()) > 1
-
-
-def extremal_projectors(
-    sigma: DensityOperator, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-) -> ExtremalProjectors:
-    """Projectors onto the bottom eigenspaces of sigma and sigma^PT.
-
-    Non-degenerate ground spaces give rank-one projectors (the states a
-    sigma-form witness detects most strongly); degenerate ones return the
-    full eigenspace projector and set the corresponding flag.
-    """
-    ground, ground_degenerate = _ground_projector(sigma.op, degeneracy_tol)
-    pt_ground, pt_degenerate = _ground_projector(
-        partial_transpose(sigma.op), degeneracy_tol
-    )
-    return ExtremalProjectors(
-        sigma_ground=ground,
-        sigma_pt_ground=pt_ground,
-        sigma_ground_degenerate=ground_degenerate,
-        sigma_pt_ground_degenerate=pt_degenerate,
     )
 
 

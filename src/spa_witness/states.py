@@ -272,12 +272,6 @@ def maximally_mixed(dims: Dims) -> DensityOperator:
     return DensityOperator(op, Provenance.SEPARABLE)
 
 
-def random_product_vector(dims: Dims, seed: SeedLike) -> ProductVector:
-    """Haar-random product vector; deterministic for a fixed seed."""
-    mu, nu = haar_product_factors(dims, 1, np.random.default_rng(seed))
-    return ProductVector(mu[0], nu[0])
-
-
 def random_density(dims: Dims, seed: SeedLike) -> DensityOperator:
     """Hilbert-Schmidt random density: G G^dag normalized, G complex Gaussian."""
     m = draw_densities(dims, 1, np.random.default_rng(seed))[0]

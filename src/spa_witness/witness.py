@@ -7,20 +7,18 @@ operator is positive and detects nothing) and at most at the product-state
 infimum c_max = inf <mu nu|sigma|mu nu> (otherwise some product state is
 "detected", which no witness may do).  This module builds such witnesses,
 estimates c_max by alternating eigenvector descent, and provides the small
-algebra around them: values on states, detection, fineness comparison, and
-decomposability certificates.
+algebra around them: values on states, detection, and decomposability
+certificates.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConvergenceFailure,
-    DifferentSigma,
     DimensionMismatch,
     EstimateMissing,
     ExceedsCmax,
@@ -274,16 +272,6 @@ def sigma_form_from_matrix(
     return SigmaFormWitness(sigma, c, lam0_sigma)
 
 
-def to_tau_form(witness: SigmaFormWitness) -> tuple[DensityOperator, float]:
-    """Rescale the offset against the maximally mixed state: c' = c*dAB.
-
-    The witness operator is recovered as sigma - (c'/dAB)*I, so both forms
-    describe the same hyperplane; c' is the offset measured in units of the
-    maximally mixed state's product expectation.
-    """
-    return witness.sigma, witness.c * witness.dims.dAB
-
-
 def is_weakly_optimal(
     witness: SigmaFormWitness, tol: float = DEFAULT_WOPT_TOL
 ) -> tuple[bool, ProductVector | None]:
@@ -314,34 +302,6 @@ def detects(
 ) -> bool:
     """True when tr(W rho) < -tol, i.e. rho is flagged as entangled."""
     return witness_value(witness, rho) < -tol
-
-
-class FinerVerdict(enum.Enum):
-    """Outcome of the shared-sigma fineness comparison."""
-
-    FINER = "finer"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable-by-this-test"
-
-
-def finer_than(w2: SigmaFormWitness, w1: SigmaFormWitness) -> FinerVerdict:
-    """Compare witnesses sharing one sigma: a larger offset detects more.
-
-    At fixed sigma the value on any state drops by exactly c2 - c1, so
-    c2 > c1 makes w2 detect everything w1 detects.  Witnesses with different
-    sigmas are rejected, and c2 < c1 yields INCOMPARABLE because this test
-    only ever certifies the forward direction.
-    """
-    diff = float(np.abs(w2.sigma.op.entries - w1.sigma.op.entries).max())
-    if diff > 1e-12:
-        raise DifferentSigma(
-            f"sigmas differ by {diff:.3e} in max entry; fineness needs one sigma"
-        )
-    if w2.c > w1.c:
-        return FinerVerdict.FINER
-    if w2.c == w1.c:
-        return FinerVerdict.EQUAL
-    return FinerVerdict.INCOMPARABLE
 
 
 def verify_decomposition(

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,7 @@ class TestParseGridAxis:
             "theta=0:1:x",
             "theta=0:1:0",
             "theta=inf:1:2",
+            "a=-1e308:1e308:3",
         ],
     )
     def test_malformed_rejected(self, text):
@@ -219,6 +221,18 @@ class TestBatchedScan:
         code = main(["hakye", "--cos-family", "--scan", "theta=0.05:0.6:8"])
         assert code == EXIT_NUMERIC
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflowing_trace_warns_nothing(self, capsys):
+        # tr W = 3e308 overflows to inf inside numpy, outside the tier-1
+        # filter on spa_witness; the row and the exit code stand as before
+        argv = ["hakye", "--a", "1e308", "--b", "1e308", "--c", "1e308", "--theta", "0.1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*argv, "--reproducible"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert out.splitlines()[-1].endswith(",true,1e+308,oracle-mismatch")
+        assert err == "numerical failure: eigensolver disagrees with closed-form oracles\n"
 
 
 class TestEmission:

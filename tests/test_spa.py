@@ -43,7 +43,6 @@ from spa_witness.spa import (
     HyperplaneSide,
     PptStatus,
     PptVerdict,
-    extremal_projectors,
     gap_rule,
     gap_verdict,
     hyperplane_classify,
@@ -475,38 +474,28 @@ class TestGapRuleArrays:
             )
 
 
-class TestExtremalProjectors:
-    def test_rank_one_ground_projector(self, hakye_reference):
-        _, op = hakye_reference
-        w = sigma_form_from_matrix(op)
-        proj = extremal_projectors(w.sigma)
-        p = proj.sigma_ground.entries
-        assert not proj.sigma_ground_degenerate
-        assert float(np.trace(p).real) == pytest.approx(1.0, abs=1e-10)
-        assert_allclose(p @ p, p, atol=1e-10)
+def ground_projector(op: HermitianOperator) -> HermitianOperator:
+    """Rank-one projector onto a unit eigenvector of op's minimum eigenvalue."""
+    _, vec = min_eigenpair(op)
+    return HermitianOperator(op.dims, np.outer(vec, vec.conj()))
 
+
+class TestGroundProjectors:
     def test_ground_state_value_is_lam0_minus_c(self, hakye_reference):
         _, op = hakye_reference
         w = sigma_form_from_matrix(op)
-        proj = extremal_projectors(w.sigma)
-        value = hs_inner(proj.sigma_ground, w.operator())
+        value = hs_inner(ground_projector(w.sigma.op), w.operator())
         assert value == pytest.approx(w.lambda0_sigma - w.c, abs=1e-12)
         assert value < 0
 
     def test_pt_trace_duality(self, hakye_reference):
-        # tr(W e0^PT) = tr(W^PT e0) for the PT-side ground projector
+        # tr(W e0^PT) = tr(W^PT e0) for the ground projector of sigma^PT
         _, op = hakye_reference
         w = sigma_form_from_matrix(op)
-        proj = extremal_projectors(w.sigma)
-        lhs = hs_inner(partial_transpose(proj.sigma_pt_ground), w.operator())
-        rhs = hs_inner(proj.sigma_pt_ground, partial_transpose(w.operator()))
+        e0 = ground_projector(partial_transpose(w.sigma.op))
+        lhs = hs_inner(partial_transpose(e0), w.operator())
+        rhs = hs_inner(e0, partial_transpose(w.operator()))
         assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_degenerate_flags(self):
-        proj = extremal_projectors(maximally_mixed(D22))
-        assert proj.sigma_ground_degenerate
-        assert proj.sigma_pt_ground_degenerate
-        assert_allclose(proj.sigma_ground.entries, np.eye(4), atol=1e-12)
 
 
 class TestHyperplaneClassify:

@@ -24,7 +24,6 @@ from spa_witness.states import (
     maximally_mixed,
     mix_products,
     random_density,
-    random_product_vector,
     random_separable_ensemble,
     vector_norms,
 )
@@ -50,7 +49,8 @@ class TestProductVector:
         assert np.linalg.norm(joint) == pytest.approx(1.0)
 
     def test_projector_is_rank_one(self):
-        pv = random_product_vector(D33, 5)
+        mu, nu = haar_product_factors(D33, 1, np.random.default_rng(5))
+        pv = ProductVector(mu[0], nu[0])
         proj = pv.projector()
         assert proj.trace == pytest.approx(1.0)
         assert_allclose(proj.entries @ proj.entries, proj.entries, atol=1e-12)
@@ -167,14 +167,6 @@ class TestDensityValidation:
 
 
 class TestRandomSampling:
-    def test_product_vector_deterministic_per_seed(self):
-        pv1 = random_product_vector(D23, 123)
-        pv2 = random_product_vector(D23, 123)
-        assert_allclose(pv1.mu_a, pv2.mu_a)
-        assert_allclose(pv1.nu_b, pv2.nu_b)
-        pv3 = random_product_vector(D23, 124)
-        assert float(np.abs(pv1.mu_a - pv3.mu_a).max()) > 1e-3
-
     def test_density_deterministic_per_seed(self):
         r1 = random_density(D22, 9)
         r2 = random_density(D22, 9)
