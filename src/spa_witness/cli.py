@@ -147,7 +147,7 @@ def _cmd_hakye(args: argparse.Namespace) -> int:
                 "label": f"hakye a={p.a!r} b={p.b!r} c={p.c!r} theta={p.theta!r}"
             },
         )
-    table = run_scan(grid, condition_tol=args.tol, asserted_onew=True)
+    table = run_scan(grid, args.tol)
     notes = (ASSERTION_LINE, LABEL_LINE)
     with _report_stream(args.out) as fh:
         if args.format == "json":

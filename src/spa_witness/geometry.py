@@ -28,7 +28,7 @@ from .operators import (
     min_eigenpair,
     partial_transpose_stack,
 )
-from .spa import HyperplaneSide
+from .spa import DEFAULT_COMPARE_TOL, HyperplaneSide
 from .states import (
     check_density,
     check_product_terms,
@@ -52,10 +52,7 @@ SOURCES = ("ground-projector", "random-density", "separable-ensemble")
 
 
 def geometry_rows(
-    witness_op: HermitianOperator,
-    samples: int,
-    seed: int = 0,
-    tol: float = 1e-8,
+    witness_op: HermitianOperator, samples: int, seed: int = 0
 ) -> dict[str, np.ndarray]:
     """The rows as one column array per GEOMETRY_COLUMNS entry: the ground
     projector row, then `samples` random and `samples` separable rows."""
@@ -84,6 +81,7 @@ def geometry_rows(
         norms.append(vector_norms(m.reshape(len(m), -1)))
     value = np.concatenate(values)
     # hyperplane_side's comparisons: nan lands on the plane
+    tol = DEFAULT_COMPARE_TOL
     side = np.where(value > tol, HyperplaneSide.POSITIVE.value, HyperplaneSide.ON_PLANE.value)
     return {
         "source": np.repeat(SOURCES, [1, samples, samples]),

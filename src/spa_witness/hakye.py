@@ -101,7 +101,7 @@ def hakye_spectra_closed_form(params: np.ndarray) -> tuple[np.ndarray, np.ndarra
     circulant = a[:, None] - 2.0 * np.array(list(map(math.cos, phases))).reshape(-1, 3)
     radius = np.array(list(map(math.hypot, ((b - c) / 2.0).tolist(), [1.0] * len(b))))
     with np.errstate(over="ignore"):  # overflow gives inf silently, as float arithmetic does
-        mid = (b + c) / 2.0
+        mid = b / 2.0 + c / 2.0  # (b + c) / 2.0 overflows for b + c beyond ~1.8e308
         lower, upper = mid - radius, mid + radius
     return (
         np.sort(np.column_stack([circulant] + [b] * 3 + [c] * 3), axis=1),

@@ -19,8 +19,6 @@ DEFAULT_EIG_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-9
 _ORTHONORMALITY_TOL = 1e-8
 _IMAG_TRACE_TOL = 1e-10
-# row and column axes of the transposed factor in the (dA, dB, dA, dB) view
-_PT_SWAPPED_AXES = {"A": (-4, -2), "B": (-3, -1)}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -131,38 +129,39 @@ def scaled(op: HermitianOperator, factor: float) -> HermitianOperator:
 
 
 def _squared_residuals(
-    m: np.ndarray, w: np.ndarray, v: np.ndarray, tol: float
+    m: np.ndarray, w: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Largest squared residual ||A v_k - w_k v_k||^2 of each matrix of the
-    stack, and its squared limit tol^2 * max(1, ||A||^2)."""
+    stack, and its squared limit DEFAULT_EIG_TOL^2 * max(1, ||A||^2)."""
     # both sides squared, to spare the square roots; squares that overflow
     # make limit2 non-finite, and eigh_checked then rescales
     with np.errstate(over="ignore", invalid="ignore"):
         r = m @ v - v * w[..., None, :]
         residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
-        limit2 = tol**2 * np.maximum(1.0, np.vecdot(m, m).real.sum(axis=-1))
+        limit2 = DEFAULT_EIG_TOL**2 * np.maximum(1.0, np.vecdot(m, m).real.sum(axis=-1))
     return residual2, limit2
 
 
-def eigh_checked(m: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh_checked(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of each matrix of a (..., d, d) Hermitian stack, verified.
 
-    Residuals ||A v_k - w_k v_k|| are checked against tol*max(1, ||A||) where
-    ||.|| is the Hilbert-Schmidt norm of each matrix; pairwise eigenvector
-    overlaps are checked to 1e-8.  Violations raise ConvergenceFailure.
+    Residuals ||A v_k - w_k v_k|| are checked against
+    DEFAULT_EIG_TOL*max(1, ||A||) where ||.|| is the Hilbert-Schmidt norm of
+    each matrix; pairwise eigenvector overlaps are checked to
+    _ORTHONORMALITY_TOL.  Violations raise ConvergenceFailure.
     """
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     s = 1.0
-    residual2, limit2 = _squared_residuals(m, w, v, tol)
+    residual2, limit2 = _squared_residuals(m, w, v)
     if not (limit2 < np.inf).all():
         # Squares of entries beyond ~1e154 overflow.  Run the same test on
         # m/s with s = max(1, max |entry|) per matrix, whose eigenpairs are
         # (w/s, v): where s > 1, ||A||/s >= 1, so both sides scale by 1/s.
         s = np.abs(m).max(axis=(-2, -1), initial=1.0)
-        residual2, limit2 = _squared_residuals(m / s[..., None, None], w / s[..., None], v, tol)
+        residual2, limit2 = _squared_residuals(m / s[..., None, None], w / s[..., None], v)
     ok = residual2 <= limit2
     if not ok.all():
         k = int(np.argmin(ok))
@@ -177,9 +176,9 @@ def eigh_checked(m: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> tuple[np.ndarra
     return w, v
 
 
-def eig_hermitian(op: HermitianOperator, tol: float = DEFAULT_EIG_TOL) -> Spectrum:
+def eig_hermitian(op: HermitianOperator) -> Spectrum:
     """Eigendecomposition of op, verified by eigh_checked."""
-    w, v = eigh_checked(op.entries, tol)
+    w, v = eigh_checked(op.entries)
     return Spectrum(_read_only(w), _read_only(v))
 
 
@@ -189,14 +188,14 @@ def min_eigenpair(op: HermitianOperator) -> tuple[float, np.ndarray]:
     return spectrum.min_eigenvalue, spectrum.eigenvectors[:, 0].copy()
 
 
-def partial_transpose(op: HermitianOperator, subsystem: str = "B") -> HermitianOperator:
-    """Transpose one tensor factor, leaving the other untouched.
+def partial_transpose(op: HermitianOperator) -> HermitianOperator:
+    """Transpose the second tensor factor, leaving the first untouched.
 
-    For the default B side the entry map is
-    output[(i,j),(k,l)] = input[(i,l),(k,j)]; the A side transposes the first
-    factor instead.  Both sides yield the same spectrum.
+    The entry map is output[(i,j),(k,l)] = input[(i,l),(k,j)].  Transposing
+    the first factor instead gives the full transpose of this result, so
+    both choices share every spectrum and every PPT verdict.
     """
-    out = partial_transpose_stack(op.entries, op.dims, subsystem)
+    out = partial_transpose_stack(op.entries, op.dims)
     # an entry permutation commuting with the conjugate transpose keeps op
     # exactly as Hermitian and finite as it was, so validation is skipped
     pt = object.__new__(HermitianOperator)
@@ -205,12 +204,10 @@ def partial_transpose(op: HermitianOperator, subsystem: str = "B") -> HermitianO
     return pt
 
 
-def partial_transpose_stack(m: np.ndarray, dims: Dims, subsystem: str = "B") -> np.ndarray:
+def partial_transpose_stack(m: np.ndarray, dims: Dims) -> np.ndarray:
     """partial_transpose of each matrix of a (..., dAB, dAB) stack, as a new array."""
-    if subsystem not in _PT_SWAPPED_AXES:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     t = m.reshape(*m.shape[:-2], dims.dA, dims.dB, dims.dA, dims.dB)
-    return np.swapaxes(t, *_PT_SWAPPED_AXES[subsystem]).reshape(m.shape)
+    return np.swapaxes(t, -3, -1).reshape(m.shape)
 
 
 def hs_inner(a: HermitianOperator, b: HermitianOperator) -> float:
@@ -239,8 +236,8 @@ def hs_norm(op: HermitianOperator) -> float:
     return float(np.linalg.norm(op.entries))
 
 
-def numeric_rank(op: HermitianOperator, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Number of eigenvalues above tol times the largest magnitude eigenvalue."""
+def numeric_rank(op: HermitianOperator) -> int:
+    """Number of eigenvalues above DEFAULT_RANK_TOL times the largest magnitude eigenvalue."""
     try:
         w = np.abs(np.linalg.eigvalsh(op.entries))
     except np.linalg.LinAlgError as exc:
@@ -248,4 +245,4 @@ def numeric_rank(op: HermitianOperator, tol: float = DEFAULT_RANK_TOL) -> int:
     top = float(w.max())
     if top == 0.0:
         return 0
-    return int(np.count_nonzero(w > tol * top))
+    return int(np.count_nonzero(w > DEFAULT_RANK_TOL * top))

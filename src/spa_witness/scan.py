@@ -160,27 +160,20 @@ def build_grid(
     return params
 
 
-def analyze_point(
-    params: HaKyeParams,
-    condition_tol: float = DEFAULT_CONDITION_TOL,
-    asserted_onew: bool = True,
-) -> dict:
+def analyze_point(params: HaKyeParams) -> dict:
     """One scan row of plain Python values: numeric spectra, oracle
     tripwire, condition, verdict."""
-    table = run_scan(params.column(), condition_tol, asserted_onew)
+    table = run_scan(params.column())
     return {key: column.tolist()[0] for key, column in table.items()}
 
 
 def run_scan(
-    params: np.ndarray,
-    condition_tol: float = DEFAULT_CONDITION_TOL,
-    asserted_onew: bool = True,
+    params: np.ndarray, condition_tol: float = DEFAULT_CONDITION_TOL
 ) -> dict[str, np.ndarray]:
     """The scan of a (4, n >= 1) grid from build_grid as one column array
     per ROW_KEYS entry, in grid order, from one stacked solve and one array
     pass (oracle tripwire, gap rule, verdicts) per SCAN_CHUNK points."""
     check_params(params)
-    fired = (Conclusion.VIOLATES if asserted_onew else Conclusion.INCONCLUSIVE).value
     chunks = []
     for start in range(0, params.shape[1], SCAN_CHUNK):
         chunk = params[:, start:start + SCAN_CHUNK]
@@ -196,8 +189,9 @@ def run_scan(
         with np.errstate(over="ignore"):  # an overflowing trace is inf, as in gap_rule
             trace = np.trace(w, axis1=1, axis2=2).real
         gap, condition, _, raw, _ = gap_rule(lam0, lam0_pt, trace, HAKYE_DIMS.dAB, condition_tol)
-        # The row verdict rests on the gap alone: no tie-window downgrade.
-        verdict = np.where(condition, fired, Conclusion.CONSISTENT.value)
+        # The row verdict rests on the gap alone, with the family's optimality
+        # asserted (ASSERTION_LINE): no tie-window downgrade.
+        verdict = np.where(condition, Conclusion.VIOLATES.value, Conclusion.CONSISTENT.value)
         verdict = np.where(mismatch <= ORACLE_TOL, verdict, "oracle-mismatch")
         chunks.append((*chunk, lam0, lam0_pt, gap, condition, raw[0], verdict, mismatch))
     return {key: np.concatenate(parts) for key, parts in zip(ROW_KEYS, zip(*chunks))}

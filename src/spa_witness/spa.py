@@ -162,22 +162,20 @@ def spa_sigma_form(witness: SigmaFormWitness) -> SpaResult:
     return SpaResult(s=witness.c - lam0, spa_operator=op, normalized_state=state)
 
 
-def pt_min_eigenvalue(op: HermitianOperator, subsystem: str = "B") -> float:
+def pt_min_eigenvalue(op: HermitianOperator) -> float:
     """Minimum eigenvalue of the partial transpose, without normalization."""
-    lam, _ = min_eigenpair(partial_transpose(op, subsystem))
+    lam, _ = min_eigenpair(partial_transpose(op))
     return lam
 
 
 def ppt_check(
-    candidate: HermitianOperator | DensityOperator,
-    tol: float = DEFAULT_COMPARE_TOL,
-    subsystem: str = "B",
+    candidate: HermitianOperator | DensityOperator, tol: float = DEFAULT_COMPARE_TOL
 ) -> PptVerdict:
     """Partial-transpose test; NPT implies entanglement for a valid state."""
     op = candidate.op if isinstance(candidate, DensityOperator) else candidate
     tr = op.trace
     normalized = scaled(op, 1.0 / tr) if tr > _MIN_TRACE else op
-    lam = pt_min_eigenvalue(normalized, subsystem)
+    lam = pt_min_eigenvalue(normalized)
     status = PptStatus.NPT_ENTANGLED if lam < -tol else PptStatus.PPT
     return PptVerdict(
         min_pt_eigenvalue=lam,
@@ -334,19 +332,16 @@ class HyperplaneSide(enum.Enum):
     POSITIVE = "positive-side"
 
 
-def hyperplane_classify(
-    witness_op: HermitianOperator,
-    rho: DensityOperator,
-    tol: float = DEFAULT_COMPARE_TOL,
-) -> HyperplaneSide:
+def hyperplane_classify(witness_op: HermitianOperator, rho: DensityOperator) -> HyperplaneSide:
     """Which side of the witness hyperplane tr(W rho) = 0 a state falls on."""
-    return hyperplane_side(hs_inner(rho.op, witness_op), tol)
+    return hyperplane_side(hs_inner(rho.op, witness_op))
 
 
-def hyperplane_side(value: float, tol: float = DEFAULT_COMPARE_TOL) -> HyperplaneSide:
-    """Side of the witness hyperplane for a witness value tr(W rho)."""
-    if value < -tol:
+def hyperplane_side(value: float) -> HyperplaneSide:
+    """Side of the witness hyperplane for a witness value tr(W rho), with
+    values within DEFAULT_COMPARE_TOL of zero on the plane."""
+    if value < -DEFAULT_COMPARE_TOL:
         return HyperplaneSide.NEGATIVE
-    if value > tol:
+    if value > DEFAULT_COMPARE_TOL:
         return HyperplaneSide.POSITIVE
     return HyperplaneSide.ON_PLANE

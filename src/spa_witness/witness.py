@@ -47,6 +47,8 @@ from .states import (
 CMAX_SLACK = 1e-10
 DEFAULT_DETECT_TOL = 1e-10
 DEFAULT_WOPT_TOL = 1e-8
+SPOT_CHECKS = 64
+SIGMA_MARGIN = 1e-6
 _MONOTONE_SLACK = 1e-12
 
 
@@ -228,23 +230,17 @@ def build_witness(
     return SigmaFormWitness(sigma, float(c), lam0, cmax_estimate)
 
 
-def sigma_form_from_matrix(
-    raw: HermitianOperator,
-    margin: float | None = None,
-    spot_checks: int = 64,
-    seed: int = 0,
-) -> SigmaFormWitness:
+def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
     """Recast an arbitrary witness matrix into the form sigma - c*I.
 
-    With lam = min eigenvalue of the input (required negative) and a small
-    margin eps, gamma = 1 / (tr(W) + dAB*(|lam| + eps)) rescales the matrix
-    so that sigma = gamma*W + c*I is a strictly positive unit-trace density
-    and the witness operator round-trips to gamma*W.  Product expectations
-    of the input are spot-checked on random product vectors: a clearly
-    negative sample proves the input is no witness.
+    With lam = min eigenvalue of the input (required negative) and the
+    margin eps = SIGMA_MARGIN*||W||, gamma = 1 / (tr(W) + dAB*(|lam| + eps))
+    rescales the matrix so that sigma = gamma*W + c*I is a strictly positive
+    unit-trace density and the witness operator round-trips to gamma*W.
+    Product expectations of the input are spot-checked on SPOT_CHECKS random
+    product vectors from default_rng(0): a clearly negative sample proves
+    the input is no witness.
     """
-    if spot_checks < 0:
-        raise InvalidParams(f"need spot_checks >= 0, got {spot_checks!r}")
     lam0, _ = min_eigenpair(raw)
     if not lam0 < 0.0:
         raise NotNegative(
@@ -253,7 +249,7 @@ def sigma_form_from_matrix(
     scale = hs_norm(raw)
     neg_tol = 1e-8 * max(1.0, scale)
     dims = raw.dims
-    mu, nu = haar_product_factors(dims, spot_checks, np.random.default_rng(seed))
+    mu, nu = haar_product_factors(dims, SPOT_CHECKS, np.random.default_rng(0))
     joint = joint_vectors(mu, nu)
     vals = _expectations(raw.entries, joint)
     negative = np.flatnonzero(vals < -neg_tol)
@@ -263,7 +259,7 @@ def sigma_form_from_matrix(
             f"input is negative ({val!r}) on a sampled product state; "
             "it cannot be an entanglement witness"
         )
-    eps = float(margin) if margin is not None else 1e-6 * scale
+    eps = SIGMA_MARGIN * scale
     gamma = 1.0 / (raw.trace + dims.dAB * (abs(lam0) + eps))
     c = gamma * (abs(lam0) + eps)
     sigma_op = shifted(scaled(raw, gamma), c)
@@ -272,10 +268,9 @@ def sigma_form_from_matrix(
     return SigmaFormWitness(sigma, c, lam0_sigma)
 
 
-def is_weakly_optimal(
-    witness: SigmaFormWitness, tol: float = DEFAULT_WOPT_TOL
-) -> tuple[bool, ProductVector | None]:
-    """Whether c sits at the estimated c_max, with the certificate vector.
+def is_weakly_optimal(witness: SigmaFormWitness) -> tuple[bool, ProductVector | None]:
+    """Whether c sits within DEFAULT_WOPT_TOL of the estimated c_max, with
+    the certificate vector.
 
     The witness hyperplane touches the separable set when c equals the
     product-state infimum; the estimate's argmin is then a product state on
@@ -287,7 +282,7 @@ def is_weakly_optimal(
         raise EstimateMissing(
             "no c_max estimate attached; run c_sigma_max and rebuild the witness"
         )
-    if abs(witness.c - est.value) <= tol:
+    if abs(witness.c - est.value) <= DEFAULT_WOPT_TOL:
         return True, est.argmin
     return False, None
 
@@ -297,11 +292,9 @@ def witness_value(witness: SigmaFormWitness, rho: DensityOperator) -> float:
     return hs_inner(rho.op, witness.operator())
 
 
-def detects(
-    witness: SigmaFormWitness, rho: DensityOperator, tol: float = DEFAULT_DETECT_TOL
-) -> bool:
-    """True when tr(W rho) < -tol, i.e. rho is flagged as entangled."""
-    return witness_value(witness, rho) < -tol
+def detects(witness: SigmaFormWitness, rho: DensityOperator) -> bool:
+    """True when tr(W rho) < -DEFAULT_DETECT_TOL, i.e. rho is flagged as entangled."""
+    return witness_value(witness, rho) < -DEFAULT_DETECT_TOL
 
 
 def verify_decomposition(
@@ -309,7 +302,6 @@ def verify_decomposition(
     p: HermitianOperator,
     q: HermitianOperator,
     tol: float = 1e-8,
-    subsystem: str = "B",
 ) -> bool:
     """Check W = P + Q^PT with P, Q positive semidefinite within tol.
 
@@ -322,6 +314,6 @@ def verify_decomposition(
     lam_q, _ = min_eigenpair(q)
     if lam_p < -tol or lam_q < -tol:
         return False
-    recomposed = p.entries + partial_transpose(q, subsystem).entries
+    recomposed = p.entries + partial_transpose(q).entries
     residual = float(np.linalg.norm(witness_op.entries - recomposed))
     return residual <= tol

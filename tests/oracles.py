@@ -176,7 +176,7 @@ def _haar_one_at_a_time(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def geometry_rows_one_at_a_time(
-    witness_op: HermitianOperator, samples: int, seed: int = 0, tol: float = 1e-8
+    witness_op: HermitianOperator, samples: int, seed: int = 0
 ) -> list[dict]:
     """The geometry rows built one state object at a time.
 
@@ -219,7 +219,7 @@ def geometry_rows_one_at_a_time(
             "witness_value": float(hs_inner(rho.op, witness_op)),
             "min_pt_eigenvalue": float(pt_min_eigenvalue(rho.op)),
             "purity": float(hs_norm(rho.op) ** 2),
-            "classification": hyperplane_classify(witness_op, rho, tol).value,
+            "classification": hyperplane_classify(witness_op, rho).value,
         })
     return rows
 
@@ -228,7 +228,7 @@ def hakye_spectra_one_at_a_time(a: float, b: float, c: float, theta: float) -> t
     """Closed-form sorted spectra of one Ha-Kye witness and of its partial
     transpose, in scalar float arithmetic."""
     circulant = [a - 2.0 * math.cos(theta + 2.0 * math.pi * k / 3.0) for k in range(3)]
-    mid = (b + c) / 2.0
+    mid = b / 2.0 + c / 2.0
     radius = math.hypot((b - c) / 2.0, 1.0)
     return (
         np.sort(np.array(circulant + [b] * 3 + [c] * 3)),
@@ -267,9 +267,7 @@ def grid_one_at_a_time(axes: list, fixed: dict, cos_family: bool = False) -> lis
     return points
 
 
-def scan_row_one_at_a_time(
-    p: HaKyeParams, condition_tol: float, oracle_tol: float, asserted_onew: bool = True
-) -> dict:
+def scan_row_one_at_a_time(p: HaKyeParams, condition_tol: float, oracle_tol: float) -> dict:
     """One scan row from a single witness object: its own eigensolves of W
     and W^PT, the scalar closed forms and the scalar gap arithmetic."""
     w = hakye_witness(p)
@@ -285,7 +283,7 @@ def scan_row_one_at_a_time(
     if not mismatch <= oracle_tol:
         verdict = "oracle-mismatch"
     elif condition:
-        verdict = "VIOLATES" if asserted_onew else "INCONCLUSIVE"
+        verdict = "VIOLATES"
     else:
         verdict = "CONSISTENT"
     return {

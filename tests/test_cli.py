@@ -192,6 +192,18 @@ class TestHakye:
         assert code == EXIT_OK
         assert "CONSISTENT" in out
 
+    def test_huge_weights_exit_alike_in_both_formats(self, capsys):
+        # (b + c) / 2 overflows to inf here; the closed form must not
+        argv = ["hakye", "--a", "1e308", "--b", "1e308", "--c", "1e308", "--theta", "0.1"]
+        code, out, err = run_cli(capsys, *argv, "--format", "json", "--reproducible")
+        assert code == EXIT_NUMERIC
+        assert err == "numerical failure: eigensolver disagrees with closed-form oracles\n"
+        [row] = json.loads(out)["rows"]
+        assert row["verdict"] == "oracle-mismatch"
+        assert math.isfinite(row["oracle_discrepancy"])
+        code_csv, _, err_csv = run_cli(capsys, *argv, "--format", "csv", "--reproducible")
+        assert (code_csv, err_csv) == (code, err)
+
     def test_save_operator_single_point(self, capsys, tmp_path):
         op_path = tmp_path / "witness.json"
         code, _, _ = run_cli(

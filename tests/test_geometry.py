@@ -21,7 +21,7 @@ from spa_witness.fileio import save_operator
 from spa_witness.geometry import GEOMETRY_CHUNK, GEOMETRY_COLUMNS, geometry_rows
 from spa_witness.hakye import hakye_witness, reference_violation_params
 from spa_witness.operators import Dims
-from spa_witness.spa import hyperplane_side
+from spa_witness.spa import DEFAULT_COMPARE_TOL, hyperplane_side
 from spa_witness.states import draw_densities, draw_ensembles
 
 geometry_module = importlib.import_module("spa_witness.geometry")
@@ -108,7 +108,7 @@ class TestStackedRows:
         assert table["witness_value"].dtype == np.float64
 
     def test_classification_uses_hyperplane_side_comparisons(self, monkeypatch):
-        tol = 1e-8
+        tol = DEFAULT_COMPARE_TOL
         edges = [-1.0, -tol, -tol * 1.5, 0.0, -0.0, tol, tol * 1.5, np.nan, np.inf, -np.inf]
 
         def values(m, w):
@@ -116,8 +116,8 @@ class TestStackedRows:
 
         monkeypatch.setattr(geometry_module, "hs_inner_stack", values)
         witness = random_negative_hermitian(Dims(2, 2), np.random.default_rng(1))
-        table = geometry_rows(witness, 6, tol=tol)
-        expected = [hyperplane_side(v, tol).value for v in table["witness_value"].tolist()]
+        table = geometry_rows(witness, 6)
+        expected = [hyperplane_side(v).value for v in table["witness_value"].tolist()]
         assert table["classification"].tolist() == expected
         assert "on-plane" in expected
 

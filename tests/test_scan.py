@@ -157,11 +157,6 @@ class TestAnalyzePoint:
         assert row["oracle_discrepancy"] < 1e-10
         assert all(isinstance(row[k], float) for k in ("a", "b", "theta", "gap"))
 
-    def test_unasserted_condition_is_inconclusive(self):
-        row = analyze_point(reference_violation_params(), asserted_onew=False)
-        assert row["condition_holds"] is True
-        assert row["verdict"] == "INCONCLUSIVE"
-
     def test_gap_free_point_is_consistent(self):
         # both bottom eigenvalues equal 3 here: direct min(b, a-2) = 3,
         # partial-transpose min(a, b-1) = 3
@@ -171,7 +166,7 @@ class TestAnalyzePoint:
 
     def test_condition_tol_is_respected(self):
         params = reference_violation_params()
-        row = analyze_point(params, condition_tol=0.1)
+        [row] = table_rows(run_scan(params.column(), 0.1))
         assert row["gap"] < 0.1
         assert row["condition_holds"] is False
         assert row["verdict"] == "CONSISTENT"
@@ -283,7 +278,7 @@ class TestEmission:
         assert doc["notes"] == ["x"]
         assert "generated" not in doc
         assert len(doc["rows"]) == len(table["a"])
-        assert doc["rows"][0]["verdict"] in ("VIOLATES", "CONSISTENT", "INCONCLUSIVE")
+        assert doc["rows"][0]["verdict"] in ("VIOLATES", "CONSISTENT")
 
     def test_reports_are_deterministic(self):
         table1 = self._table()
@@ -496,18 +491,18 @@ class TestGridParity:
 class TestScanParity:
     """run_scan's columns are the rows built one point at a time."""
 
-    @pytest.mark.parametrize("specs, cos_family, tol, asserted", [
-        ([f"theta=0.003:1.5707963267948966:{SCAN_CHUNK + 2}"], True, DEFAULT_CONDITION_TOL, True),
-        (["a=0:2:6", "b=0:2:5", "c=0.1:2:5", "theta=0:3.1:4"], False, DEFAULT_CONDITION_TOL, True),
-        (["theta=0.1:1.5:40"], True, 0.0899, False),
+    @pytest.mark.parametrize("specs, cos_family, tol", [
+        ([f"theta=0.003:1.5707963267948966:{SCAN_CHUNK + 2}"], True, DEFAULT_CONDITION_TOL),
+        (["a=0:2:6", "b=0:2:5", "c=0.1:2:5", "theta=0:3.1:4"], False, DEFAULT_CONDITION_TOL),
+        (["theta=0.1:1.5:40"], True, 0.0899),
     ])
-    def test_columns_equal_the_per_point_rows(self, specs, cos_family, tol, asserted):
+    def test_columns_equal_the_per_point_rows(self, specs, cos_family, tol):
         axes = [parse_grid_axis(s) for s in specs]
-        table = run_scan(build_grid(axes, {}, cos_family), tol, asserted)
+        table = run_scan(build_grid(axes, {}, cos_family), tol)
         assert tuple(table) == ROW_KEYS
         assert len({len(column) for column in table.values()}) == 1
         expected = [
-            scan_row_one_at_a_time(p, tol, ORACLE_TOL, asserted)
+            scan_row_one_at_a_time(p, tol, ORACLE_TOL)
             for p in grid_one_at_a_time(axes, {}, cos_family)
         ]
         assert table_rows(table) == expected

@@ -49,6 +49,7 @@ from spa_witness.states import (
     random_separable_ensemble,
 )
 from spa_witness.witness import (
+    SPOT_CHECKS,
     _expectation_raw,
     _expectations,
     build_witness,
@@ -317,36 +318,25 @@ class TestSigmaFormFromMatrix:
         with pytest.raises(NotNegative):
             sigma_form_from_matrix(make_hermitian(np.eye(4), D22))
 
-    def test_negative_spot_check_count_rejected(self):
-        with pytest.raises(InvalidParams):
-            sigma_form_from_matrix(swap_operator(2), spot_checks=-1)
-
     def test_product_negative_input_rejected(self):
         bad = make_hermitian(np.diag([-1.0, 0.2, 0.2, 0.2]), D22)
         with pytest.raises(NotAWitness):
             sigma_form_from_matrix(bad)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_spot_checks_report_the_first_negative_sample(self, seed):
+    def test_spot_checks_report_the_first_negative_sample(self):
         bad = make_hermitian(np.diag([-1.0, 0.5, 0.5, 0.5, 0.5, 0.5]), Dims(2, 3))
         # reference: one product vector per sample, drawn and checked in turn
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         vals = [
             _expectation_raw(
                 bad.entries, np.kron(haar_unit_vector(2, rng), haar_unit_vector(3, rng))
             )
-            for _ in range(64)
+            for _ in range(SPOT_CHECKS)
         ]
         first = next(k for k, val in enumerate(vals) if val < -1e-8 * hs_norm(bad))
         assert first > 0
         with pytest.raises(NotAWitness, match=re.escape(f"({vals[first]!r})")):
-            sigma_form_from_matrix(bad, seed=seed)
-
-    def test_margin_raises_offset_monotonically(self):
-        v = swap_operator(2)
-        cs = [sigma_form_from_matrix(v, margin=m).c for m in (1e-6, 1e-3, 1e-1)]
-        assert cs[0] < cs[1] < cs[2]
-        assert all(c < 0.25 + 1e-12 for c in cs)
+            sigma_form_from_matrix(bad)
 
 
 class TestWeakOptimality:
