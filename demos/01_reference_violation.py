@@ -48,13 +48,14 @@ print(f"\nSPA shift s                   : {result.s:.12f}")
 print(f"min eig of SPA^PT (raw)       : {raw:+.12f}")
 print(f"equals lam0(W^PT) - lam0(W)   : {lam0_pt - lam0:+.12f}")
 
-# Route 2: recast as sigma - c*I and compare sigma with its partial
-# transpose; the sigma route reaches the same verdict.
+# Route 2: recast as sigma - c*I, a positive rescaling of W.  The sigma-form
+# check is W's side of the same gap verdict: one stacked eigensolve of sigma
+# and sigma^PT, each bottom eigenvalue less c, gives the numbers of sigma - c*I.
 witness = sigma_form_from_matrix(w)
 verdict_sigma = spa_violation_from_sigma(witness, asserted_onew=True)
 print(f"\nsigma-form offset c           : {witness.c:.12f}")
-print(f"lam0(sigma)                   : {verdict_sigma.lambda0:+.12f}")
-print(f"lam0(sigma^PT)                : {verdict_sigma.lambda0_pt:+.12f}")
-print(f"sigma-route conclusion        : {verdict_sigma.conclusion.value}")
+print(f"lam0(sigma) - c               : {verdict_sigma.lambda0:+.12f}")
+print(f"lam0(sigma^PT) - c            : {verdict_sigma.lambda0_pt:+.12f}")
+print(f"sigma-form conclusion         : {verdict_sigma.conclusion.value}")
 assert verdict_sigma.conclusion is verdict.conclusion
-print("\nboth routes agree: the SPA of this witness is an NPT state")
+print("\nboth forms agree: the SPA of this witness is an NPT state")

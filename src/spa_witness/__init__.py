@@ -42,7 +42,6 @@ from .operators import (
     identity,
     make_hermitian,
     min_eigenpair,
-    numeric_rank,
     partial_transpose,
     scaled,
     shifted,

@@ -11,25 +11,26 @@ For a sigma-form witness the SPA collapses to sigma - (min eig sigma)*I
 independently of the offset c, and when sigma is rank deficient the SPA is
 sigma itself, so separability of the approximation is inherited from sigma.
 
-The gap check needs no SPA operator at all.  Partial transposition is linear
-and fixes the identity, so (W + s*I)^PT = W^PT + s*I and
+The violation checks need no SPA operator at all.  Partial transposition is
+linear and fixes the identity, so (W + s*I)^PT = W^PT + s*I and
 
     min eig (W + s*I)^PT = min eig(W^PT) + s
 
 holds exactly; normalizing by the trace tr(W) + dAB*s is a positive rescale.
 Both SPA verdicts therefore follow from min eig(W), min eig(W^PT) and tr(W),
 which is what :func:`gap_verdict` computes from, after one stacked eigensolve.
+The sigma-form check feeds it the same three numbers for W = sigma - c*I.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidParams, NotNegative, ZeroTrace
+from .errors import InvalidParams, NotNegative, ZeroTrace
 from .operators import (
     HermitianOperator,
     eigh_checked,
@@ -95,46 +96,62 @@ class Conclusion(enum.Enum):
 class ConjectureVerdict:
     """Outcome of a sufficient-condition check for an entangled SPA.
 
-    ``lambda0`` and ``lambda0_pt`` hold the minimum eigenvalues of the
-    compared operator and of its partial transpose: sigma for the
-    sigma-form check, the witness matrix itself for the gap check.
-    ``spa_ppt`` is the partial-transpose verdict of the (NPT-side) SPA;
-    the gap check also records the partner side.
+    ``lambda0`` and ``lambda0_pt`` are the minimum eigenvalues of the
+    witness matrix W and of W^PT, on both routes.  ``spa_sides`` holds the
+    PPT verdicts of the SPA of W and of the SPA of W^PT, in that order;
+    ``npt_side`` names the side the condition fired on, if any, and
+    ``spa_ppt`` is that side's verdict (W's when nothing fired).
     """
 
     condition_holds: bool
     lambda0: float
     lambda0_pt: float
-    spa_ppt: PptVerdict
+    spa_sides: tuple[SpaPptVerdict, SpaPptVerdict]
     conclusion: Conclusion
     assertion_note: str
     npt_side: str | None = None
-    partner_spa_ppt: SpaPptVerdict | None = None
 
     @property
     def gap(self) -> float:
         return abs(self.lambda0 - self.lambda0_pt)
 
     @property
-    def spa_sides(self) -> tuple[SpaPptVerdict, SpaPptVerdict]:
-        """The SPA verdicts of W and of W^PT, in that order; gap verdicts only."""
-        primary, partner = self.spa_ppt, self.partner_spa_ppt
-        if not (isinstance(primary, SpaPptVerdict) and isinstance(partner, SpaPptVerdict)):
-            raise TypeError("only a gap verdict records the SPA verdicts of both sides")
-        if self.npt_side == "partial-transpose":
-            return partner, primary
-        return primary, partner
+    def spa_ppt(self) -> SpaPptVerdict:
+        return self.spa_sides[self.npt_side == "partial-transpose"]
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
+def _normalized(op: HermitianOperator) -> HermitianOperator:
+    """op over its trace; ZeroTrace unless that trace is above _MIN_TRACE."""
+    tr = op.trace
+    if not tr > _MIN_TRACE:
+        raise ZeroTrace(f"operator has trace {tr!r}; cannot normalize")
+    return scaled(op, 1.0 / tr)
+
+
+def _ppt_fields(x: float, tol: float, dAB: int) -> dict:
+    """PptVerdict fields for a normalized PT floor x: NPT iff x < -tol, and a
+    PPT verdict conclusive for separability only when dAB <= 6."""
+    npt = x < -tol
+    return {
+        "min_pt_eigenvalue": x,
+        "status": PptStatus.NPT_ENTANGLED if npt else PptStatus.PPT,
+        "conclusive_separability": not npt and dAB <= 6,
+    }
 
 
 def spa(witness_op: HermitianOperator) -> SpaResult:
-    """Smallest identity admixture that renders the operator positive."""
+    """Smallest identity admixture s = max(0, -min eig) that renders the
+    operator positive, and the trace-normalized result; ZeroTrace when that
+    trace is not above _MIN_TRACE."""
     lam0, _ = min_eigenpair(witness_op)
     s = max(0.0, -lam0)
     op = shifted(witness_op, s) if s > 0.0 else witness_op
-    tr = op.trace
-    if not tr > _MIN_TRACE:
-        raise ZeroTrace(f"shifted operator has trace {tr!r}; cannot normalize")
-    state = DensityOperator(scaled(op, 1.0 / tr), Provenance.UNKNOWN)
+    state = DensityOperator(_normalized(op), Provenance.UNKNOWN)
     return SpaResult(s=s, spa_operator=op, normalized_state=state)
 
 
@@ -155,10 +172,7 @@ def spa_sigma_form(witness: SigmaFormWitness) -> SpaResult:
         )
     lam0 = witness.lambda0_sigma
     op = shifted(sigma.op, -lam0)
-    tr = op.trace
-    if not tr > _MIN_TRACE:
-        raise ZeroTrace(f"SPA operator has trace {tr!r}; cannot normalize")
-    state = DensityOperator(scaled(op, 1.0 / tr), Provenance.UNKNOWN)
+    state = DensityOperator(_normalized(op), Provenance.UNKNOWN)
     return SpaResult(s=witness.c - lam0, spa_operator=op, normalized_state=state)
 
 
@@ -171,17 +185,12 @@ def pt_min_eigenvalue(op: HermitianOperator) -> float:
 def ppt_check(
     candidate: HermitianOperator | DensityOperator, tol: float = DEFAULT_COMPARE_TOL
 ) -> PptVerdict:
-    """Partial-transpose test; NPT implies entanglement for a valid state."""
+    """Partial-transpose test on the trace-normalized input; NPT implies
+    entanglement for a valid state.  InvalidParams for a tolerance that is
+    not finite and >= 0, ZeroTrace for a trace not above _MIN_TRACE."""
+    _check_tol(tol)
     op = candidate.op if isinstance(candidate, DensityOperator) else candidate
-    tr = op.trace
-    normalized = scaled(op, 1.0 / tr) if tr > _MIN_TRACE else op
-    lam = pt_min_eigenvalue(normalized)
-    status = PptStatus.NPT_ENTANGLED if lam < -tol else PptStatus.PPT
-    return PptVerdict(
-        min_pt_eigenvalue=lam,
-        status=status,
-        conclusive_separability=(status is PptStatus.PPT and op.dims.dAB <= 6),
-    )
+    return PptVerdict(**_ppt_fields(pt_min_eigenvalue(_normalized(op)), tol, op.dims.dAB))
 
 
 def _assertion_note(asserted_onew: bool) -> str:
@@ -198,40 +207,35 @@ def _assertion_note(asserted_onew: bool) -> str:
     )
 
 
+def _bottom_eigenvalues(op: HermitianOperator) -> list[float]:
+    """min eig(op) and min eig(op^PT), from one checked, stacked eigensolve."""
+    m = op.entries
+    w, _ = eigh_checked(np.stack([m, partial_transpose_stack(m, op.dims)]))
+    return w[:, 0].tolist()
+
+
 def spa_violation_from_sigma(
     witness: SigmaFormWitness,
     tol: float = DEFAULT_COMPARE_TOL,
     asserted_onew: bool = False,
 ) -> ConjectureVerdict:
-    """Sufficient condition on sigma for the witness's SPA to be NPT.
+    """The gap verdict of W = sigma - c*I, on W's side only.
 
-    The partial transpose of the SPA is sigma^PT - (min eig sigma)*I, so its
-    bottom eigenvalue equals min eig(sigma^PT) - min eig(sigma) exactly; the
-    SPA fails the PPT test precisely when that difference is negative.  The
-    PPT verdict of the actual SPA operator is recomputed as a cross-check
-    and must agree whenever the condition fires.
+    One checked, stacked eigensolve of sigma and sigma^PT gives min eig(W) =
+    min eig(sigma) - c, min eig(W^PT) = min eig(sigma^PT) - c and tr W =
+    tr sigma - dAB*c, which :func:`gap_verdict` takes.  The SPA of W is
+    sigma - (min eig sigma)*I for every c, with PT floor min eig(sigma^PT) -
+    min eig(sigma).  A gap on the partial-transpose side makes the SPA of
+    W^PT NPT, not the SPA of W, so it reads CONSISTENT here.
     """
-    lam0 = witness.lambda0_sigma
-    lam0_pt, _ = min_eigenpair(partial_transpose(witness.sigma.op))
-    condition = lam0_pt < lam0 - tol
-    result = spa_sigma_form(witness)
-    verdict_ppt = ppt_check(result.spa_operator, tol)
-    if condition and verdict_ppt.status is not PptStatus.NPT_ENTANGLED:
-        raise ConvergenceFailure(
-            "eigenvalue condition fired but the SPA passed the PPT test; "
-            "the two eigensolver paths disagree"
-        )
-    if condition:
-        conclusion = Conclusion.VIOLATES if asserted_onew else Conclusion.INCONCLUSIVE
-    else:
-        conclusion = Conclusion.CONSISTENT
-    return ConjectureVerdict(
-        condition_holds=condition,
-        lambda0=lam0,
-        lambda0_pt=lam0_pt,
-        spa_ppt=verdict_ppt,
-        conclusion=conclusion,
-        assertion_note=_assertion_note(asserted_onew),
+    sigma, c = witness.sigma.op, witness.c
+    lam0, lam0_pt = (lam - c for lam in _bottom_eigenvalues(sigma))
+    dAB = sigma.dims.dAB
+    verdict = gap_verdict(lam0, lam0_pt, sigma.trace - dAB * c, dAB, tol, asserted_onew)
+    if verdict.npt_side != "partial-transpose":
+        return verdict
+    return replace(
+        verdict, condition_holds=False, npt_side=None, conclusion=Conclusion.CONSISTENT
     )
 
 
@@ -244,8 +248,7 @@ def gap_rule(
     elementwise; ZeroTrace names the first point, W's side first, whose SPA
     trace is not above _MIN_TRACE.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
+    _check_tol(tol)
     lams = np.array([lam0, lam0_pt], dtype=np.float64)
     # +0.0 wherever max(0.0, -lam) gives it: for -lam <= 0 and for nan
     s = np.where(-lams > 0.0, -lams, 0.0)
@@ -278,21 +281,14 @@ def gap_verdict(
     """
     _, holds, shift, raw, lam = gap_rule(lam0, lam0_pt, trace, dAB, tol)
     sides = tuple(
-        SpaPptVerdict(
-            min_pt_eigenvalue=x,
-            status=PptStatus.NPT_ENTANGLED if x < -tol else PptStatus.PPT,
-            conclusive_separability=not x < -tol and dAB <= 6,
-            shift=s,
-            min_pt_eigenvalue_raw=r,
-        )
+        SpaPptVerdict(**_ppt_fields(x, tol, dAB), shift=s, min_pt_eigenvalue_raw=r)
         for s, r, x in zip(shift.tolist(), raw.tolist(), lam.tolist())
     )
     condition = bool(holds)
     npt_side = ("direct" if lam0 > lam0_pt else "partial-transpose") if condition else None
-    primary, partner = sides[::-1] if npt_side == "partial-transpose" else sides
     if not condition:
         conclusion = Conclusion.CONSISTENT
-    elif primary.status is PptStatus.NPT_ENTANGLED and asserted_onew:
+    elif sides[npt_side == "partial-transpose"].status is PptStatus.NPT_ENTANGLED and asserted_onew:
         conclusion = Conclusion.VIOLATES
     else:
         conclusion = Conclusion.INCONCLUSIVE
@@ -300,11 +296,10 @@ def gap_verdict(
         condition_holds=condition,
         lambda0=lam0,
         lambda0_pt=lam0_pt,
-        spa_ppt=primary,
+        spa_sides=sides,
         conclusion=conclusion,
         assertion_note=_assertion_note(asserted_onew),
         npt_side=npt_side,
-        partner_spa_ppt=partner,
     )
 
 
@@ -314,9 +309,7 @@ def spa_violation_from_gap(
     asserted_onew: bool = False,
 ) -> ConjectureVerdict:
     """Eigenvalue-gap condition from one checked, stacked eigensolve of W and W^PT."""
-    m = witness_op.entries
-    w, _ = eigh_checked(np.stack([m, partial_transpose_stack(m, witness_op.dims)]))
-    lam0, lam0_pt = w[:, 0].tolist()
+    lam0, lam0_pt = _bottom_eigenvalues(witness_op)
     if not lam0 < 0.0:
         raise NotNegative(
             f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate"

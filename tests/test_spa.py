@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -9,10 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-
-import importlib
-
-spa_module = importlib.import_module("spa_witness.spa")
 
 from oracles import gap_rule_one_at_a_time
 from conftest import (
@@ -22,7 +19,6 @@ from conftest import (
     rank_deficient_separable,
 )
 from spa_witness.errors import (
-    ConvergenceFailure,
     InvalidParams,
     NotNegative,
     SpaWitnessError,
@@ -42,7 +38,6 @@ from spa_witness.spa import (
     Conclusion,
     HyperplaneSide,
     PptStatus,
-    PptVerdict,
     gap_rule,
     gap_verdict,
     hyperplane_classify,
@@ -217,6 +212,11 @@ class TestPptCheck:
         verdict = ppt_check(make_hermitian(m, D22), tol=1e-8)
         assert verdict.status is PptStatus.PPT
 
+    def test_non_positive_trace_rejected(self):
+        # -I is no state; its partial transpose is not tested unnormalized
+        with pytest.raises(ZeroTrace):
+            ppt_check(make_hermitian(-np.eye(4), D22))
+
     @pytest.mark.parametrize("dims", DIMS_SMALL, ids=str)
     def test_separable_densities_pass(self, dims):
         rng = np.random.default_rng(12)
@@ -242,11 +242,21 @@ class TestSigmaRouteCondition:
         assert verdict.conclusion is Conclusion.INCONCLUSIVE
         assert "assertion" in verdict.assertion_note
 
-    def test_single_side_has_no_spa_sides(self, hakye_reference):
+    def test_spa_sides_are_those_of_w(self, hakye_reference):
+        # W's eigenvalues and the sides (SPA of W, SPA of W^PT), as the gap
+        # route gives them for the matrix sigma - c*I
         _, op = hakye_reference
-        verdict = spa_violation_from_sigma(sigma_form_from_matrix(op))
-        with pytest.raises(TypeError, match="gap verdict"):
-            verdict.spa_sides
+        w = sigma_form_from_matrix(op)
+        verdict = spa_violation_from_sigma(w)
+        gap = spa_violation_from_gap(w.operator())
+        assert verdict.npt_side == gap.npt_side == "direct"
+        assert verdict.spa_ppt is verdict.spa_sides[0]
+        assert verdict.lambda0 == pytest.approx(gap.lambda0, abs=1e-12)
+        assert verdict.lambda0_pt == pytest.approx(gap.lambda0_pt, abs=1e-12)
+        for mine, theirs in zip(verdict.spa_sides, gap.spa_sides):
+            assert mine.shift == pytest.approx(theirs.shift, abs=1e-12)
+            assert mine.min_pt_eigenvalue == pytest.approx(theirs.min_pt_eigenvalue, abs=1e-12)
+            assert mine.status is theirs.status
 
     def test_exact_pt_eigenvalue_identity(self, hakye_reference):
         # min eig of SPA^PT equals min eig(sigma^PT) - min eig(sigma)
@@ -268,15 +278,38 @@ class TestSigmaRouteCondition:
         assert verdict.conclusion is Conclusion.CONSISTENT
         assert verdict.gap < 1e-10
 
-    def test_cross_check_tripwire(self, hakye_reference, monkeypatch):
-        _, op = hakye_reference
-        w = sigma_form_from_matrix(op)
-        fake = PptVerdict(
-            min_pt_eigenvalue=0.0, status=PptStatus.PPT, conclusive_separability=False
-        )
-        monkeypatch.setattr(spa_module, "ppt_check", lambda *a, **k: fake)
-        with pytest.raises(ConvergenceFailure):
-            spa_violation_from_sigma(w)
+    def test_matches_explicit_sigma_form_build(self):
+        # build the SPA and PPT-check it, the way the closed form avoids
+        rng = np.random.default_rng(51)
+        for dims in itertools.islice(itertools.cycle(DIMS_SMALL), 40):
+            sigma = full_rank_separable(dims, rng)
+            lam0 = min_eigenpair(sigma.op)[0]
+            w = build_witness(sigma, lam0 + float(rng.uniform(0.01, 1.0)))
+            side = spa_violation_from_sigma(w).spa_sides[0]
+            built = spa_sigma_form(w)
+            assert not built.rank_deficient_shortcut
+            explicit = ppt_check(built.spa_operator)
+            assert side.shift == pytest.approx(built.s, abs=1e-12)
+            assert side.min_pt_eigenvalue == pytest.approx(
+                explicit.min_pt_eigenvalue, abs=1e-12
+            )
+            assert side.min_pt_eigenvalue_raw == pytest.approx(
+                pt_min_eigenvalue(built.spa_operator), abs=1e-12
+            )
+            assert side.status is explicit.status
+            assert side.conclusive_separability == explicit.conclusive_separability
+
+    def test_rank_deficient_draws_raise_nothing(self):
+        # criterion 4's draws: lam0(sigma) and lam0(sigma^PT) are rounding
+        # noise there, so at tol 0 the gap may fire, and every field must
+        # then tell the same story
+        rng = np.random.default_rng(77)
+        for dims in itertools.islice(itertools.cycle(DIMS_SMALL), 100):
+            sigma = rank_deficient_separable(dims, rng)
+            verdict = spa_violation_from_sigma(build_witness(sigma, 0.05), tol=0.0)
+            assert verdict.condition_holds is (verdict.conclusion is not Conclusion.CONSISTENT)
+            assert verdict.condition_holds is (verdict.npt_side == "direct")
+            assert verdict.spa_ppt is verdict.spa_sides[0]
 
 
 class TestGapCondition:
@@ -288,7 +321,7 @@ class TestGapCondition:
         assert verdict.gap == pytest.approx(0.0846302540741, abs=1e-10)
         assert verdict.spa_ppt.status is PptStatus.NPT_ENTANGLED
         assert verdict.conclusion is Conclusion.VIOLATES
-        assert verdict.partner_spa_ppt is not None
+        assert verdict.spa_sides[1] is not None
 
     def test_raw_pt_floor_identity(self, hakye_reference):
         _, op = hakye_reference
@@ -328,7 +361,7 @@ class TestGapCondition:
         assert verdict.condition_holds
         assert verdict.npt_side == "partial-transpose"
         assert verdict.spa_ppt.status is PptStatus.NPT_ENTANGLED
-        assert verdict.partner_spa_ppt.status is PptStatus.PPT
+        assert verdict.spa_sides[0].status is PptStatus.PPT
 
     def test_tie_window_degrades_to_inconclusive(self):
         # gap clears tol on the raw scale but not after trace normalization
@@ -370,9 +403,11 @@ class TestGapVerdict:
                 assert side.status is explicit.status
                 assert side.conclusive_separability == explicit.conclusive_separability
 
-    @pytest.mark.parametrize("matrix", ["reference", "swap"])
+    @pytest.mark.parametrize("matrix", ["reference", "swap", "sigma"])
     def test_one_stacked_eigensolve(self, matrix, hakye_reference, monkeypatch):
-        op = hakye_reference[1] if matrix == "reference" else make_hermitian(SWAP_22, D22)
+        op = make_hermitian(SWAP_22, D22) if matrix == "swap" else hakye_reference[1]
+        # the sigma route on the reference sigma, recast before counting
+        witness = sigma_form_from_matrix(op) if matrix == "sigma" else None
         calls = []
         for name in ("eigh", "eigvalsh"):
             real = getattr(np.linalg, name)
@@ -382,14 +417,23 @@ class TestGapVerdict:
                 return _real(m, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        spa_violation_from_gap(op)
+        if witness is None:
+            spa_violation_from_gap(op)
+        else:
+            spa_violation_from_sigma(witness)
         d = op.dims.dAB
         assert calls == [("eigh", (2, d, d))]
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_bad_tolerance_rejected(self, tol):
-        with pytest.raises(InvalidParams):
-            gap_verdict(-1.0, -2.0, 4.0, 4, tol=tol)
+        w = sigma_form_from_matrix(make_hermitian(SWAP_22, D22))
+        for check in (
+            lambda: gap_verdict(-1.0, -2.0, 4.0, 4, tol=tol),
+            lambda: spa_violation_from_sigma(w, tol=tol),
+            lambda: ppt_check(singlet_state(), tol=tol),
+        ):
+            with pytest.raises(InvalidParams):
+                check()
 
     def test_zero_trace_spa_rejected(self):
         # tr W + dAB*s vanishes: W = -I has lam0 = -1 and trace -dAB
