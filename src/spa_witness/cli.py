@@ -30,12 +30,12 @@ from .scan import (
     SCAN_SCHEMA,
     build_grid,
     parse_grid_axis,
+    report_header,
     run_scan,
-    timestamp,
     write_rows_csv,
     write_scan_json,
 )
-from .spa import spa_violation_from_gap
+from .spa import DEFAULT_COMPARE_TOL, spa_violation_from_gap
 from .states import DensityOperator
 from .witness import c_sigma_max
 
@@ -50,14 +50,6 @@ def _report_stream(path: str | None):
     if path:
         return open(path, "w", encoding="utf-8", newline="")
     return contextlib.nullcontext(sys.stdout)
-
-
-def _report(args: argparse.Namespace, kind: str, **fields) -> dict:
-    """Report header (schema, kind, timestamp unless reproducible), then fields."""
-    report: dict = {"schema_version": 1, "kind": kind}
-    if not args.reproducible:
-        report["generated"] = timestamp()
-    return report | fields
 
 
 def _emit(args: argparse.Namespace, report: dict, pairs: list[tuple[str, object]]) -> None:
@@ -99,21 +91,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         }
         for name, side in zip(("direct", "partial_transpose"), verdict.spa_sides)
     }
-    report = _report(
-        args,
-        kind="witness-analysis",
-        input=str(args.witness),
-        dims={"dA": op.dims.dA, "dB": op.dims.dB},
-        lambda0_W=lam0,
-        lambda0_WGamma=lam0_pt,
-        gap=verdict.gap,
-        tol=args.tol,
-        condition_holds=verdict.condition_holds,
-        spa=sides,
-        npt_side=verdict.npt_side,
-        conclusion=verdict.conclusion.value,
-        assertion_note=verdict.assertion_note,
-    )
+    report = report_header("witness-analysis", args.reproducible, ()) | {
+        "input": str(args.witness),
+        "dims": {"dA": op.dims.dA, "dB": op.dims.dB},
+        "lambda0_W": lam0,
+        "lambda0_WGamma": lam0_pt,
+        "gap": verdict.gap,
+        "tol": args.tol,
+        "condition_holds": verdict.condition_holds,
+        "spa": sides,
+        "npt_side": verdict.npt_side,
+        "conclusion": verdict.conclusion.value,
+        "assertion_note": verdict.assertion_note,
+    }
     if metadata.get("label"):
         report["label"] = metadata["label"]
     _emit(args, report, [
@@ -180,16 +170,14 @@ def _cmd_cmax(args: argparse.Namespace) -> int:
     )
     mu = [[z.real, z.imag] for z in estimate.argmin.mu_a.tolist()]
     nu = [[z.real, z.imag] for z in estimate.argmin.nu_b.tolist()]
-    report = _report(
-        args,
-        kind="cmax-estimate",
-        input=str(args.sigma),
-        value=estimate.value,
-        argmin={"mu_a": mu, "nu_b": nu},
-        restarts=estimate.restarts,
-        iterations=estimate.iterations,
-        converged=estimate.converged,
-    )
+    report = report_header("cmax-estimate", args.reproducible, ()) | {
+        "input": str(args.sigma),
+        "value": estimate.value,
+        "argmin": {"mu_a": mu, "nu_b": nu},
+        "restarts": estimate.restarts,
+        "iterations": estimate.iterations,
+        "converged": estimate.converged,
+    }
     _emit(args, report, [
         ("input", report["input"]),
         ("value", estimate.value),
@@ -233,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="eigenvalue-gap condition and SPA PPT verdicts for a witness file",
     )
     analyze.add_argument("witness", help="operator file (JSON) holding the witness")
-    analyze.add_argument("--tol", type=float, default=1e-8, help="gap tolerance")
+    analyze.add_argument("--tol", type=float, default=DEFAULT_COMPARE_TOL, help="gap tolerance")
     analyze.add_argument(
         "--assert-onew",
         action="store_true",

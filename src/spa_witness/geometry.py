@@ -12,7 +12,7 @@ drawn in row order from one generator.  Each chunk is validated as a whole
 (Hermitian, unit trace, positive; unit factors and normalized weights for
 the mixtures) and gets one stacked witness-value product and one checked,
 stacked eigensolve of its partial transposes.  The rows come out as one
-array per column, and the hyperplane side as one array comparison.
+array per column, and the hyperplane sides from one hyperplane_side call.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .operators import (
     min_eigenpair,
     partial_transpose_stack,
 )
-from .spa import DEFAULT_COMPARE_TOL, HyperplaneSide
+from .spa import hyperplane_side
 from .states import (
     check_density,
     check_product_terms,
@@ -80,14 +80,11 @@ def geometry_rows(
         pt_mins.append(pt_spectra[:, 0])
         norms.append(vector_norms(m.reshape(len(m), -1)))
     value = np.concatenate(values)
-    # hyperplane_side's comparisons: nan lands on the plane
-    tol = DEFAULT_COMPARE_TOL
-    side = np.where(value > tol, HyperplaneSide.POSITIVE.value, HyperplaneSide.ON_PLANE.value)
     return {
         "source": np.repeat(SOURCES, [1, samples, samples]),
         "witness_value": value,
         "min_pt_eigenvalue": np.concatenate(pt_mins),
         # Python's float power, whose last bit numpy's square does not always give
         "purity": np.array([norm**2 for norm in np.concatenate(norms).tolist()]),
-        "classification": np.where(value < -tol, HyperplaneSide.NEGATIVE.value, side),
+        "classification": hyperplane_side(value),
     }

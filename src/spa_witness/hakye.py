@@ -119,12 +119,22 @@ def hakye_pt_spectrum_closed_form(params: HaKyeParams) -> np.ndarray:
     return hakye_spectra_closed_form(params.column())[1][0]
 
 
+def cos_family_params(theta: np.ndarray) -> np.ndarray:
+    """The (4, n) array a = (4/3) cos(theta), b = (2/3) cos(theta), c = 0, theta
+    over a 1-D theta array; InvalidParams names the first non-finite theta."""
+    bad = ~np.isfinite(theta)
+    if bad.any():
+        raise InvalidParams(f"theta must be finite, got {theta[np.argmax(bad)].item()!r}")
+    # math.cos, not numpy's: that may differ in the last bit
+    ct = np.array(list(map(math.cos, theta.tolist())), dtype=np.float64)
+    return np.array([4.0 * ct / 3.0, 2.0 * ct / 3.0, np.zeros_like(ct), theta])
+
+
 def reference_violation_params(theta: float = math.pi / 12.0) -> HaKyeParams:
-    """The family slice a = (4/3) cos(theta), b = (2/3) cos(theta), c = 0.
+    """The cos_family_params point at theta.
 
     At the default theta = pi/12 this is the standard instance whose SPA
     fails the partial-transpose test: the witness and its partial transpose
     have bottom eigenvalues near -0.6440 and -0.7286 respectively.
     """
-    ct = math.cos(theta)
-    return HaKyeParams(a=4.0 * ct / 3.0, b=2.0 * ct / 3.0, c=0.0, theta=theta)
+    return HaKyeParams(*cos_family_params(np.array([theta], dtype=np.float64))[:, 0].tolist())

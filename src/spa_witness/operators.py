@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NonRealResult, NotHermitian
+from .errors import ConvergenceFailure, DimensionMismatch, InvalidParams, NonRealResult
+from .errors import NotHermitian
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_EIG_TOL = 1e-10
@@ -31,6 +32,20 @@ def _first_failure(bad: np.ndarray, noun: str = "matrix") -> tuple[tuple[int, ..
     prefix naming it; both are empty for a single item."""
     at = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), np.shape(bad)))
     return at, (f"{noun} {at}: " if at else "")
+
+
+def check_tol(tol: float) -> None:
+    """Raise InvalidParams unless the tolerance tol is finite and >= 0."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
+def lapack_eig(solver, m: np.ndarray):
+    """solver(m) for a numpy.linalg eigensolver; LAPACK failure is ConvergenceFailure."""
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
 def check_hermitian(m: np.ndarray) -> None:
@@ -142,38 +157,45 @@ def _squared_residuals(
     return residual2, limit2
 
 
-def eigh_checked(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of each matrix of a (..., d, d) Hermitian stack, verified.
 
     Residuals ||A v_k - w_k v_k|| are checked against
     DEFAULT_EIG_TOL*max(1, ||A||) where ||.|| is the Hilbert-Schmidt norm of
     each matrix; pairwise eigenvector overlaps are checked to
-    _ORTHONORMALITY_TOL.  Violations raise ConvergenceFailure.
+    _ORTHONORMALITY_TOL, one (n, d, d) stack of the leading axes at a time,
+    which bounds the checks' memory.  Violations raise ConvergenceFailure.
     """
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    s = 1.0
-    residual2, limit2 = _squared_residuals(m, w, v)
-    if not (limit2 < np.inf).all():
-        # Squares of entries beyond ~1e154 overflow.  Run the same test on
-        # m/s with s = max(1, max |entry|) per matrix, whose eigenpairs are
-        # (w/s, v): where s > 1, ||A||/s >= 1, so both sides scale by 1/s.
-        s = np.abs(m).max(axis=(-2, -1), initial=1.0)
-        residual2, limit2 = _squared_residuals(m / s[..., None, None], w / s[..., None], v)
-    ok = residual2 <= limit2
-    if not ok.all():
-        k = int(np.argmin(ok))
-        scale = np.broadcast_to(s, ok.shape).flat[k]
-        raise ConvergenceFailure(
-            f"eigenpair residual {np.sqrt(residual2.flat[k]) * scale:.3e} exceeds "
-            f"{np.sqrt(limit2.flat[k]) * scale:.3e}"
-        )
-    gram = np.abs(v.mT.conj() @ v - np.eye(m.shape[-1]))
-    if not float(gram.max()) <= _ORTHONORMALITY_TOL:
-        raise ConvergenceFailure(f"eigenvectors lost orthonormality by {float(gram.max()):.3e}")
-    return w, v
+    w_all, v_all = lapack_eig(np.linalg.eigh, stack)
+    for at in np.ndindex(stack.shape[:-3]):
+        m, w, v = stack[at], w_all[at], v_all[at]
+        s = 1.0
+        residual2, limit2 = _squared_residuals(m, w, v)
+        if not (limit2 < np.inf).all():
+            # Squares of entries beyond ~1e154 overflow.  Run the same test on
+            # m/s with s = max(1, max |entry|) per matrix, whose eigenpairs are
+            # (w/s, v): where s > 1, ||A||/s >= 1, so both sides scale by 1/s.
+            s = np.abs(m).max(axis=(-2, -1), initial=1.0)
+            residual2, limit2 = _squared_residuals(m / s[..., None, None], w / s[..., None], v)
+        ok = residual2 <= limit2
+        if not ok.all():
+            k = int(np.argmin(ok))
+            scale = np.broadcast_to(s, ok.shape).flat[k]
+            raise ConvergenceFailure(
+                f"eigenpair residual {np.sqrt(residual2.flat[k]) * scale:.3e} exceeds "
+                f"{np.sqrt(limit2.flat[k]) * scale:.3e}"
+            )
+        gram = float(np.abs(v.mT.conj() @ v - np.eye(m.shape[-1])).max())
+        if not gram <= _ORTHONORMALITY_TOL:
+            raise ConvergenceFailure(f"eigenvectors lost orthonormality by {gram:.3e}")
+    return w_all, v_all
+
+
+def spectra_with_pt(m: np.ndarray, dims: Dims) -> np.ndarray:
+    """The (2, ..., dAB) ascending spectra of the (..., dAB, dAB) stack m and
+    of its partial transpose, from one checked, stacked eigensolve."""
+    w, _ = eigh_checked(np.stack([m, partial_transpose_stack(m, dims)]))
+    return w
 
 
 def eig_hermitian(op: HermitianOperator) -> Spectrum:
@@ -238,10 +260,7 @@ def hs_norm(op: HermitianOperator) -> float:
 
 def numeric_rank(op: HermitianOperator) -> int:
     """Number of eigenvalues above DEFAULT_RANK_TOL times the largest magnitude eigenvalue."""
-    try:
-        w = np.abs(np.linalg.eigvalsh(op.entries))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    w = np.abs(lapack_eig(np.linalg.eigvalsh, op.entries))
     top = float(w.max())
     if top == 0.0:
         return 0

@@ -3,9 +3,9 @@
 A grid is one validated (4, n) array of the parameters a, b, c, theta.
 Every grid point is evaluated twice: once through the dense eigensolver and
 once through the closed-form spectrum oracles.  The grid is solved in chunks
-of SCAN_CHUNK points, one checked, stacked eigensolve for the witnesses and
-one for their partial transposes.  A disagreement beyond ORACLE_TOL poisons
-the row's verdict with "oracle-mismatch" instead of a conclusion, so a
+of SCAN_CHUNK points, one checked, stacked eigensolve per chunk for the
+witnesses and their partial transposes.  A disagreement beyond ORACLE_TOL
+poisons the row's verdict with "oracle-mismatch" instead of a conclusion, so a
 regressed eigensolver cannot silently ship plausible numbers.  The scan is a
 table of column arrays, and the reports are written from the columns,
 byte-deterministic for a fixed command line.
@@ -24,9 +24,9 @@ from typing import IO
 import numpy as np
 
 from .errors import InvalidGrid
-from .hakye import HAKYE_DIMS, HaKyeParams, check_params, hakye_matrices
-from .hakye import hakye_spectra_closed_form, reference_violation_params
-from .operators import check_hermitian, eigh_checked, partial_transpose_stack
+from .hakye import HAKYE_DIMS, HaKyeParams, check_params, cos_family_params
+from .hakye import hakye_matrices, hakye_spectra_closed_form
+from .operators import check_hermitian, spectra_with_pt
 from .spa import Conclusion, gap_rule
 
 SCAN_SCHEMA = "hakye-scan-v1"
@@ -136,13 +136,7 @@ def build_grid(
         if not axes and "theta" not in fixed:
             raise InvalidGrid("--cos-family needs theta, scanned or fixed")
         theta = axes[0].values() if axes else np.array([fixed["theta"]], dtype=np.float64)
-        try:
-            ct = np.array(list(map(math.cos, theta.tolist())))
-        except ValueError:  # cos(+-inf): raised where the per-point build meets it
-            for t in theta.tolist():
-                reference_violation_params(t)
-            raise
-        params = np.array([4.0 * ct / 3.0, 2.0 * ct / 3.0, np.zeros_like(ct), theta])
+        params = cos_family_params(theta)
     else:
         missing = [
             key for key in GRID_KEYS if key not in fixed and key not in seen
@@ -179,8 +173,7 @@ def run_scan(
         chunk = params[:, start:start + SCAN_CHUNK]
         w = hakye_matrices(chunk)
         check_hermitian(w)
-        spectra, _ = eigh_checked(w)
-        spectra_pt, _ = eigh_checked(partial_transpose_stack(w, HAKYE_DIMS))
+        spectra, spectra_pt = spectra_with_pt(w, HAKYE_DIMS)
         closed, closed_pt = hakye_spectra_closed_form(chunk)
         off = np.abs(spectra - closed).max(axis=1)
         off_pt = np.abs(spectra_pt - closed_pt).max(axis=1)
@@ -199,6 +192,17 @@ def run_scan(
 
 def timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
+def report_header(kind: str, reproducible: bool, notes: tuple[str, ...]) -> dict:
+    """The head of every report: schema version, kind, notes if any, and the
+    generation time unless reproducible."""
+    head: dict = {"schema_version": 1, "kind": kind}
+    if notes:
+        head["notes"] = list(notes)
+    if not reproducible:
+        head["generated"] = timestamp()
+    return head
 
 
 def _csv_cell(value) -> str:
@@ -242,11 +246,12 @@ def write_rows_csv(
     """Versioned-header CSV of the named columns of a column table ('#'
     preamble lines, then RFC-4180 content).  The body is one join of its
     cells when no cell needs quoting, else csv.writer's rows."""
+    head = report_header(schema, reproducible, notes)
     stream.write(f"# schema={schema}\r\n")
     for note in notes:
         stream.write(f"# note={note}\r\n")
-    if not reproducible:
-        stream.write(f"# generated={timestamp()}\r\n")
+    if "generated" in head:
+        stream.write(f"# generated={head['generated']}\r\n")
     writer = csv.writer(stream, lineterminator="\r\n")
     writer.writerow(columns)
     cells = [_column_text(table[col], _csv_cell) for col in columns]
@@ -261,11 +266,7 @@ def scan_report_json(
     table: Mapping[str, np.ndarray], reproducible: bool = False, notes: tuple[str, ...] = ()
 ) -> dict:
     """The scan report as one document, a row object per grid point."""
-    doc: dict = {"schema_version": 1, "kind": SCAN_SCHEMA}
-    if notes:
-        doc["notes"] = list(notes)
-    if not reproducible:
-        doc["generated"] = timestamp()
+    doc = report_header(SCAN_SCHEMA, reproducible, notes)
     values = [column.tolist() for column in table.values()]
     doc["rows"] = [dict(zip(table, row)) for row in zip(*values)]
     return doc

@@ -25,25 +25,24 @@ The sigma-form check feeds it the same three numbers for W = sigma - c*I.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParams, NotNegative, ZeroTrace
+from .errors import ZeroTrace
 from .operators import (
     HermitianOperator,
-    eigh_checked,
+    check_tol,
     hs_inner,
     min_eigenpair,
     numeric_rank,
     partial_transpose,
-    partial_transpose_stack,
     scaled,
     shifted,
+    spectra_with_pt,
 )
 from .states import DensityOperator, Provenance
-from .witness import SigmaFormWitness
+from .witness import SigmaFormWitness, check_candidate
 
 DEFAULT_COMPARE_TOL = 1e-8
 _MIN_TRACE = 1e-12
@@ -120,11 +119,6 @@ class ConjectureVerdict:
         return self.spa_sides[self.npt_side == "partial-transpose"]
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
-
-
 def _normalized(op: HermitianOperator) -> HermitianOperator:
     """op over its trace; ZeroTrace unless that trace is above _MIN_TRACE."""
     tr = op.trace
@@ -188,7 +182,7 @@ def ppt_check(
     """Partial-transpose test on the trace-normalized input; NPT implies
     entanglement for a valid state.  InvalidParams for a tolerance that is
     not finite and >= 0, ZeroTrace for a trace not above _MIN_TRACE."""
-    _check_tol(tol)
+    check_tol(tol)
     op = candidate.op if isinstance(candidate, DensityOperator) else candidate
     return PptVerdict(**_ppt_fields(pt_min_eigenvalue(_normalized(op)), tol, op.dims.dAB))
 
@@ -207,13 +201,6 @@ def _assertion_note(asserted_onew: bool) -> str:
     )
 
 
-def _bottom_eigenvalues(op: HermitianOperator) -> list[float]:
-    """min eig(op) and min eig(op^PT), from one checked, stacked eigensolve."""
-    m = op.entries
-    w, _ = eigh_checked(np.stack([m, partial_transpose_stack(m, op.dims)]))
-    return w[:, 0].tolist()
-
-
 def spa_violation_from_sigma(
     witness: SigmaFormWitness,
     tol: float = DEFAULT_COMPARE_TOL,
@@ -229,9 +216,9 @@ def spa_violation_from_sigma(
     W^PT NPT, not the SPA of W, so it reads CONSISTENT here.
     """
     sigma, c = witness.sigma.op, witness.c
-    lam0, lam0_pt = (lam - c for lam in _bottom_eigenvalues(sigma))
+    lam0, lam0_pt = spectra_with_pt(sigma.entries, sigma.dims)[:, 0].tolist()
     dAB = sigma.dims.dAB
-    verdict = gap_verdict(lam0, lam0_pt, sigma.trace - dAB * c, dAB, tol, asserted_onew)
+    verdict = gap_verdict(lam0 - c, lam0_pt - c, sigma.trace - dAB * c, dAB, tol, asserted_onew)
     if verdict.npt_side != "partial-transpose":
         return verdict
     return replace(
@@ -248,7 +235,7 @@ def gap_rule(
     elementwise; ZeroTrace names the first point, W's side first, whose SPA
     trace is not above _MIN_TRACE.
     """
-    _check_tol(tol)
+    check_tol(tol)
     lams = np.array([lam0, lam0_pt], dtype=np.float64)
     # +0.0 wherever max(0.0, -lam) gives it: for -lam <= 0 and for nan
     s = np.where(-lams > 0.0, -lams, 0.0)
@@ -309,14 +296,9 @@ def spa_violation_from_gap(
     asserted_onew: bool = False,
 ) -> ConjectureVerdict:
     """Eigenvalue-gap condition from one checked, stacked eigensolve of W and W^PT."""
-    lam0, lam0_pt = _bottom_eigenvalues(witness_op)
-    if not lam0 < 0.0:
-        raise NotNegative(
-            f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate"
-        )
-    return gap_verdict(
-        lam0, lam0_pt, witness_op.trace, witness_op.dims.dAB, tol, asserted_onew
-    )
+    lam0, lam0_pt = spectra_with_pt(witness_op.entries, witness_op.dims)[:, 0].tolist()
+    check_candidate(lam0)
+    return gap_verdict(lam0, lam0_pt, witness_op.trace, witness_op.dims.dAB, tol, asserted_onew)
 
 
 class HyperplaneSide(enum.Enum):
@@ -330,11 +312,11 @@ def hyperplane_classify(witness_op: HermitianOperator, rho: DensityOperator) -> 
     return hyperplane_side(hs_inner(rho.op, witness_op))
 
 
-def hyperplane_side(value: float) -> HyperplaneSide:
+def hyperplane_side(value: float | np.ndarray) -> HyperplaneSide | np.ndarray:
     """Side of the witness hyperplane for a witness value tr(W rho), with
-    values within DEFAULT_COMPARE_TOL of zero on the plane."""
-    if value < -DEFAULT_COMPARE_TOL:
-        return HyperplaneSide.NEGATIVE
-    if value > DEFAULT_COMPARE_TOL:
-        return HyperplaneSide.POSITIVE
-    return HyperplaneSide.ON_PLANE
+    values within DEFAULT_COMPARE_TOL of zero, and nan, on the plane; for
+    an array of values, the array of the sides' values."""
+    tol = DEFAULT_COMPARE_TOL
+    side = np.where(value > tol, HyperplaneSide.POSITIVE.value, HyperplaneSide.ON_PLANE.value)
+    side = np.where(value < -tol, HyperplaneSide.NEGATIVE.value, side)
+    return side if np.ndim(value) else HyperplaneSide(side.item())

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotADensity, WeightSumError
-from .operators import Dims, HermitianOperator, _first_failure, _read_only
+from .errors import DimensionMismatch, NotADensity, WeightSumError
+from .operators import Dims, HermitianOperator, _first_failure, _read_only, lapack_eig
 
 UNIT_NORM_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-10
@@ -185,10 +185,7 @@ def check_density(m: np.ndarray) -> None:
     if bad.any():
         at, where = _first_failure(bad)
         raise NotADensity(f"{where}trace is {float(tr[at])!r}, expected 1")
-    try:
-        min_eig = np.linalg.eigvalsh(m)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    min_eig = lapack_eig(np.linalg.eigvalsh, m)[..., 0]
     bad = ~(min_eig >= -DENSITY_MIN_EIG_TOL)
     if bad.any():
         at, where = _first_failure(bad)

@@ -28,8 +28,10 @@ from .errors import (
 )
 from .operators import (
     HermitianOperator,
+    check_tol,
     hs_inner,
     hs_norm,
+    lapack_eig,
     min_eigenpair,
     partial_transpose,
     scaled,
@@ -156,14 +158,14 @@ def c_sigma_max(
     InvalidParams
         When restarts, max_iter or tol is out of range.
     ConvergenceFailure
-        When a half step raises some run's objective, naming the restart.
+        When a half step raises some run's objective, naming the restart, or
+        an eigensolve fails.
     """
     if restarts < 1 or max_iter < 0:
         raise InvalidParams(
             f"need restarts >= 1 and max_iter >= 0, got {restarts!r} and {max_iter!r}"
         )
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
+    check_tol(tol)
     dims = sigma.dims
     entries = sigma.op.entries
     t4 = entries.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
@@ -183,10 +185,10 @@ def c_sigma_max(
             break
         # M[r,i,k] = sum_{j,l} conj(nu_rj) sigma[(i,j),(k,l)] nu_rl
         nu_run = nu[active]
-        w_a, v_a = np.linalg.eigh(np.einsum("ijkl,rj,rl->rik", t4, nu_run.conj(), nu_run))
+        w_a, v_a = lapack_eig(np.linalg.eigh, np.einsum("ijkl,rj,rl->rik", t4, nu_run.conj(), nu_run))
         mu_run = v_a[:, :, 0]
         # M[r,j,l] = sum_{i,k} conj(mu_ri) sigma[(i,j),(k,l)] mu_rk
-        w_b, v_b = np.linalg.eigh(np.einsum("ijkl,ri,rk->rjl", t4, mu_run.conj(), mu_run))
+        w_b, v_b = lapack_eig(np.linalg.eigh, np.einsum("ijkl,ri,rk->rjl", t4, mu_run.conj(), mu_run))
         obj_a, obj_b = w_a[:, 0], w_b[:, 0]
         sweep_start = last[active]
         a_rose = obj_a > sweep_start + _MONOTONE_SLACK
@@ -230,6 +232,12 @@ def build_witness(
     return SigmaFormWitness(sigma, float(c), lam0, cmax_estimate)
 
 
+def check_candidate(lam0: float) -> None:
+    """Raise NotNegative unless lam0, a witness matrix's minimum eigenvalue, is negative."""
+    if not lam0 < 0.0:
+        raise NotNegative(f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate")
+
+
 def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
     """Recast an arbitrary witness matrix into the form sigma - c*I.
 
@@ -242,10 +250,7 @@ def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
     the input is no witness.
     """
     lam0, _ = min_eigenpair(raw)
-    if not lam0 < 0.0:
-        raise NotNegative(
-            f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate"
-        )
+    check_candidate(lam0)
     scale = hs_norm(raw)
     neg_tol = 1e-8 * max(1.0, scale)
     dims = raw.dims

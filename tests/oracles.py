@@ -27,7 +27,7 @@ from numbers import Real
 
 import numpy as np
 
-from spa_witness.errors import DimensionMismatch, ParseError
+from spa_witness.errors import DimensionMismatch, InvalidParams, ParseError
 from spa_witness.hakye import HaKyeParams, hakye_witness
 from spa_witness.operators import (
     Dims,
@@ -254,8 +254,12 @@ def grid_one_at_a_time(axes: list, fixed: dict, cos_family: bool = False) -> lis
     assumed consistent)."""
     axes = sorted(axes, key=lambda axis: axis.key)
     if cos_family:
+        thetas = axes[0].values().tolist() if axes else [fixed["theta"]]
+        for theta in thetas:  # every theta is checked before any point is built
+            if not math.isfinite(theta):
+                raise InvalidParams(f"theta must be finite, got {theta!r}")
         points = []
-        for theta in axes[0].values().tolist() if axes else [fixed["theta"]]:
+        for theta in thetas:
             ct = math.cos(theta)
             points.append(HaKyeParams(4.0 * ct / 3.0, 2.0 * ct / 3.0, 0.0, theta))
         return points

@@ -233,6 +233,13 @@ class TestHakye:
         code, _, err = run_cli(capsys, "hakye", "--scan", "theta=0:1")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_cos_family_theta_rejected(self, capsys, theta):
+        code, out, err = run_cli(capsys, "hakye", "--cos-family", "--theta", theta)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: theta must be finite, got {float(theta)!r}\n"
+
     def test_fixed_and_scanned_flag_rejected(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -273,6 +280,19 @@ class TestCmax:
         save_operator(make_hermitian(np.eye(4), Dims(2, 2)), path)
         code, _, err = run_cli(capsys, "cmax", str(path))
         assert code == EXIT_INPUT
+
+    def test_lapack_failure_is_a_numerical_failure(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "tau.json"
+        save_operator(maximally_mixed(Dims(2, 2)).op, path)
+
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out, err = run_cli(capsys, "cmax", str(path), "--restarts", "2")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.startswith("numerical failure: eigensolver did not converge")
 
     def test_unconverged_estimate_flagged(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

@@ -202,9 +202,9 @@ class TestBatchedScan:
 
         def corrupt_one(a):
             w, v = real_eigh(a)
-            if w.ndim == 2 and len(w) > 3:
+            if w.ndim >= 2 and w.shape[-2] > 3:
                 w = w.copy()
-                w[3, 0] += 1e-3
+                w[..., 3, 0] += 1e-3
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", corrupt_one)

@@ -34,6 +34,7 @@ from spa_witness.operators import (
     min_eigenpair,
     partial_transpose,
 )
+from spa_witness.scan import SCAN_CHUNK, build_grid, parse_grid_axis, run_scan
 from spa_witness.spa import (
     Conclusion,
     HyperplaneSide,
@@ -403,7 +404,7 @@ class TestGapVerdict:
                 assert side.status is explicit.status
                 assert side.conclusive_separability == explicit.conclusive_separability
 
-    @pytest.mark.parametrize("matrix", ["reference", "swap", "sigma"])
+    @pytest.mark.parametrize("matrix", ["reference", "swap", "sigma", "scan"])
     def test_one_stacked_eigensolve(self, matrix, hakye_reference, monkeypatch):
         op = make_hermitian(SWAP_22, D22) if matrix == "swap" else hakye_reference[1]
         # the sigma route on the reference sigma, recast before counting
@@ -417,12 +418,17 @@ class TestGapVerdict:
                 return _real(m, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        if witness is None:
+        d = op.dims.dAB
+        expected = [("eigh", (2, d, d))]
+        if matrix == "scan":
+            # one solve of (W, W^PT) per chunk, the last chunk a single point
+            run_scan(build_grid([parse_grid_axis(f"theta=0.01:1.5:{SCAN_CHUNK + 1}")], {}, True))
+            expected = [("eigh", (2, SCAN_CHUNK, 9, 9)), ("eigh", (2, 1, 9, 9))]
+        elif witness is None:
             spa_violation_from_gap(op)
         else:
             spa_violation_from_sigma(witness)
-        d = op.dims.dAB
-        assert calls == [("eigh", (2, d, d))]
+        assert calls == expected
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_bad_tolerance_rejected(self, tol):

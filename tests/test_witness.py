@@ -251,6 +251,16 @@ class TestSeesaw:
         with pytest.raises(InvalidParams, match=re.escape(f"tolerance must be finite and >= 0, got {tol!r}")):
             c_sigma_max(maximally_mixed(D22), tol=tol)
 
+    def test_lapack_failure_raises_convergence_failure(self, monkeypatch):
+        rho = full_rank_separable(D22, np.random.default_rng(3))
+
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceFailure, match="^eigensolver did not converge: Eigen"):
+            c_sigma_max(rho, restarts=2)
+
     def test_zero_tolerance_accepted(self):
         est = c_sigma_max(maximally_mixed(D22), restarts=2, tol=0.0)
         assert est.value == pytest.approx(0.25, abs=1e-12)
