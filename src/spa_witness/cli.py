@@ -1,10 +1,10 @@
 """Command line: analyze, hakye, cmax, geometry.
 
-Exit codes: 0 clean, 1 bad input or validation failure (an InputError,
-OSError or ValueError), 2 numerical failure (a NumericalError or a numpy
-linear-algebra or floating-point error), 3 a violation of the
-SPA-separability conjecture was flagged (the eigenvalue-gap condition
-fired), so scripts can branch on the result.
+Exit codes: 0 clean, 1 bad input or validation failure (an argparse usage
+error, an InputError, OSError or ValueError), 2 numerical failure (a
+NumericalError or a numpy linear-algebra or floating-point error), 3 a
+violation of the SPA-separability conjecture was flagged (the eigenvalue-gap
+condition fired), so scripts can branch on the result.
 """
 
 from __future__ import annotations
@@ -201,9 +201,19 @@ def _cmd_geometry(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """An argparse usage error, carrying argparse's usage and error lines."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code of a numerical failure here
+    def error(self, message: str):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @functools.cache  # built once per process; main() may run many times
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spa-witness",
         description=(
             "Entanglement witnesses in separable-state form, their structural "
@@ -290,7 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        sys.stderr.write(str(exc))
+        return EXIT_INPUT
     try:
         return args.handler(args)
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:

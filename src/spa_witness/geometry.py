@@ -9,10 +9,11 @@ half-space cuts through state space.
 
 The states are built as (n, dAB, dAB) stacks of at most GEOMETRY_CHUNK rows,
 drawn in row order from one generator.  Each chunk is validated as a whole
-(Hermitian, unit trace, positive; unit factors and normalized weights for
-the mixtures) and gets one stacked witness-value product and one checked,
-stacked eigensolve of its partial transposes.  The rows come out as one
-array per column, and the hyperplane sides from one hyperplane_side call.
+(Hermitian, unit trace, positive by one stacked Cholesky factorisation; unit
+factors and normalized weights for the mixtures) and gets one stacked
+witness-value product and one checked, stacked eigensolve of its partial
+transposes, the chunk's only eigensolve.  The rows come out as one array
+per column, and the hyperplane sides from one hyperplane_side call.
 """
 
 from __future__ import annotations

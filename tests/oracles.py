@@ -8,7 +8,10 @@ plain array access; the exceptions are geometry_rows_one_at_a_time and
 scan_row_one_at_a_time, the per-object routes that the stacked geometry
 rows and scan columns must reproduce bit for bit, and grid_one_at_a_time,
 the per-point HaKyeParams build that the grid array must reproduce, errors
-included.  The scalar and row-by-row references at the end are the routes
+included, and check_density_eigvalsh_only and draw_ensembles_dirichlet_loop,
+the eigvalsh density rule and the rng.dirichlet ensemble stream that
+check_density's verdicts and messages and draw_ensembles' bits must
+reproduce.  The scalar and row-by-row references at the end are the routes
 that the array forms and the column-wise report writers must reproduce bit
 for bit, and the per-cell operator-file loader and per-entry writer are the
 ones that fileio's array loader and writer must reproduce byte for byte,
@@ -41,6 +44,8 @@ from spa_witness.operators import (
 )
 from spa_witness.spa import hyperplane_classify, pt_min_eigenvalue
 from spa_witness.states import (
+    DENSITY_MIN_EIG_TOL,
+    DENSITY_TRACE_TOL,
     DensityOperator,
     ProductVector,
     Provenance,
@@ -222,6 +227,50 @@ def geometry_rows_one_at_a_time(
             "classification": hyperplane_classify(witness_op, rho).value,
         })
     return rows
+
+
+def check_density_eigvalsh_only(m: np.ndarray) -> str | None:
+    """The NotADensity message for the (..., d, d) stack m, or None if it is
+    accepted, by the density rule with eigvalsh alone: trace 1 to
+    DENSITY_TRACE_TOL, then no eigenvalue below -DENSITY_MIN_EIG_TOL."""
+
+    def first(bad):
+        at = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
+        return at, (f"matrix {at}: " if at else "")
+
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    bad = ~(np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)
+    if bad.any():
+        at, where = first(bad)
+        return f"{where}trace is {float(tr[at])!r}, expected 1"
+    min_eig = np.linalg.eigvalsh(m)[..., 0]
+    bad = ~(min_eig >= -DENSITY_MIN_EIG_TOL)
+    if bad.any():
+        at, where = first(bad)
+        return f"{where}minimum eigenvalue {float(min_eig[at])!r} is negative"
+    return None
+
+
+def draw_ensembles_dirichlet_loop(
+    dims: Dims, n: int, n_terms: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n separable ensembles drawn one at a time: rng.dirichlet(2) weights
+    rescaled to sum 1, then one standard_normal draw of the ensemble's
+    factors, normalised one vector at a time."""
+    dA, dB = dims.dA, dims.dB
+    weights = np.empty((n, n_terms))
+    mu = np.empty((n, n_terms, dA), dtype=np.complex128)
+    nu = np.empty((n, n_terms, dB), dtype=np.complex128)
+    for k in range(n):
+        w = rng.dirichlet(2.0 * np.ones(n_terms))
+        weights[k] = w / w.sum()
+        z = rng.standard_normal((n_terms, 2 * dA + 2 * dB))
+        for t in range(n_terms):
+            a = z[t, :dA] + 1j * z[t, dA : 2 * dA]
+            b = z[t, 2 * dA : 2 * dA + dB] + 1j * z[t, 2 * dA + dB :]
+            mu[k, t] = a / np.linalg.norm(a)
+            nu[k, t] = b / np.linalg.norm(b)
+    return weights, mu, nu
 
 
 def hakye_spectra_one_at_a_time(a: float, b: float, c: float, theta: float) -> tuple:

@@ -350,6 +350,28 @@ def _write_non_finite(path):
 
 
 class TestInvalidInput:
+    @pytest.mark.parametrize("argv, message", [
+        (["hakye", "--a", "notanumber", "--b", "1", "--c", "1", "--theta", "0"],
+         "argument --a: invalid float value: 'notanumber'"),
+        (["hakye", "--cos-family", "--theta", "-inf"], "argument --theta: expected one argument"),
+        (["geometry"], "the following arguments are required: witness"),
+    ], ids=["not-a-number", "option-like-value", "no-witness"])
+    def test_usage_error_is_input_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"usage: spa-witness {argv[0]} [-h]")
+        assert err.endswith(f"\nspa-witness {argv[0]}: error: {message}\n")
+
+    @pytest.mark.parametrize("command", [[], ["geometry"]], ids=["top", "geometry"])
+    def test_help_exits_clean(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "--help"])
+        assert exited.value.code == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out.startswith(" ".join(["usage: spa-witness", *command, "[-h]"]))
+        assert "options:" in out and err == ""
+
     @pytest.mark.parametrize("command", ["analyze", "geometry"])
     def test_non_finite_entry_rejected(self, capsys, tmp_path, command):
         path = _write_non_finite(tmp_path / "inf.json")

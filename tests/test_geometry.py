@@ -121,6 +121,36 @@ class TestStackedRows:
         assert table["classification"].tolist() == expected
         assert "on-plane" in expected
 
+    @pytest.mark.parametrize("corrupt", [None, _make_negative], ids=["valid", "negative"])
+    def test_one_eigensolve_per_chunk(self, monkeypatch, corrupt):
+        # the density check factorises; eigvalsh runs only for a stack it rejects
+        witness = random_negative_hermitian(Dims(2, 2), np.random.default_rng(1))
+        calls = []
+        for name in ("eigh", "eigvalsh", "cholesky"):
+            real = getattr(np.linalg, name)
+
+            def counted(m, *args, _real=real, _name=name, **kwargs):
+                calls.append((_name, np.shape(m)))
+                return _real(m, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def draw(dims, n, rng):
+            m = draw_densities(dims, n, rng)
+            if corrupt is not None:
+                corrupt(m[0])
+            return m
+
+        monkeypatch.setattr(geometry_module, "draw_densities", draw)
+        stack = (2 * 100 + 1, 4, 4)
+        if corrupt is None:
+            geometry_rows(witness, 100)
+            assert calls == [("eigh", (4, 4)), ("cholesky", stack), ("eigh", stack)]
+        else:
+            with pytest.raises(NotADensity, match=r"^matrix \(1,\): minimum eigenvalue "):
+                geometry_rows(witness, 100)
+            assert calls == [("eigh", (4, 4)), ("cholesky", stack), ("eigvalsh", stack)]
+
     def test_one_corrupted_pt_solve_in_a_stack_fails(self, monkeypatch, capsys, tmp_path):
         real_eigh = np.linalg.eigh
 

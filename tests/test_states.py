@@ -7,9 +7,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import DIMS_SMALL
+from oracles import check_density_eigvalsh_only, draw_ensembles_dirichlet_loop
 from spa_witness.errors import DimensionMismatch, NotADensity, WeightSumError
 from spa_witness.operators import Dims, make_hermitian, partial_transpose
 from spa_witness.states import (
+    DENSITY_MIN_EIG_TOL,
     DensityOperator,
     ProductVector,
     Provenance,
@@ -31,6 +33,10 @@ from spa_witness.states import (
 D22 = Dims(2, 2)
 D23 = Dims(2, 3)
 D33 = Dims(3, 3)
+
+
+def _failed_cholesky(a):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
 
 
 def basis_product(dims: Dims, i: int, j: int) -> ProductVector:
@@ -161,9 +167,41 @@ class TestDensityValidation:
 
     def test_nan_spectrum_rejected(self, monkeypatch):
         op = make_hermitian(np.eye(4) / 4.0, D22)
+        # a failed factorisation leaves the verdict to the eigenvalues
+        monkeypatch.setattr(np.linalg, "cholesky", _failed_cholesky)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(4, np.nan))
         with pytest.raises(NotADensity, match="nan"):
             DensityOperator(op)
+
+    def test_nan_factor_is_not_accepted(self, monkeypatch):
+        op = make_hermitian(np.diag([1.5, -0.5, 0.0, 0.0]), D22)
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan))
+        with pytest.raises(NotADensity, match=r"^minimum eigenvalue -0\.5\d* is negative$"):
+            DensityOperator(op)
+
+    @pytest.mark.parametrize("dims", [D22, D23, D33, Dims(3, 4)], ids=str)
+    @pytest.mark.parametrize("scale", [-2.0, -1.01, -1.0, -0.99, -0.6, -0.5, -0.4, 0.0, 1.0])
+    def test_boundary_verdicts_equal_the_eigvalsh_rule(self, dims, scale):
+        d = dims.dAB
+        rng = np.random.default_rng(round(100 * scale) + 300 + 1000 * d)
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        lam0 = scale * DENSITY_MIN_EIG_TOL
+        lam = np.array([lam0] + [(1.0 - lam0) / (d - 1)] * (d - 1))
+        m = (u * lam) @ u.conj().T
+        m = (m + m.conj().T) / 2.0
+        m /= np.trace(m).real
+        stack = draw_densities(dims, 4, rng)
+        stack[2] = m
+        for case in (m, stack):
+            expected = check_density_eigvalsh_only(case)
+            if scale != -1.0:
+                assert (expected is None) == (scale > -1.0)
+            if expected is None:
+                check_density(case)
+            else:
+                with pytest.raises(NotADensity) as raised:
+                    check_density(case)
+                assert str(raised.value) == expected
 
 
 class TestRandomSampling:
@@ -235,6 +273,14 @@ class TestStackedSampling:
             ensemble = random_separable_ensemble(D23, 5, rng)
             assert [w for w, _ in ensemble.terms] == weights[k].tolist()
             assert np.array_equal(mixed[k], ensemble_density(ensemble).op.entries)
+
+    @pytest.mark.parametrize("n_terms", [1, 2, 7, 8, 9, 18, 24, 33])
+    def test_ensembles_equal_the_dirichlet_loop(self, n_terms):
+        for seed in (0, 1, 17, 2024):
+            got = draw_ensembles(D23, 5, n_terms, np.random.default_rng(seed))
+            want = draw_ensembles_dirichlet_loop(D23, 5, n_terms, np.random.default_rng(seed))
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
 
     def test_term_checks_name_the_offending_entry(self):
         weights, mu, nu = draw_ensembles(D22, 3, 4, np.random.default_rng(2))
