@@ -1,10 +1,11 @@
 """Command line: analyze, hakye, cmax, geometry.
 
 Exit codes: 0 clean, 1 bad input or validation failure (an argparse usage
-error, an InputError, OSError or ValueError), 2 numerical failure (a
-NumericalError or a numpy linear-algebra or floating-point error), 3 a
-violation of the SPA-separability conjecture was flagged (the eigenvalue-gap
-condition fired), so scripts can branch on the result.
+error, an InputError, OSError or ValueError, or a MemoryError such as a grid
+too large to allocate), 2 numerical failure (a NumericalError or a numpy
+linear-algebra or floating-point error), 3 a violation of the
+SPA-separability conjecture was flagged (the eigenvalue-gap condition
+fired), so scripts can branch on the result.
 """
 
 from __future__ import annotations
@@ -312,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # a grid too large to allocate, say; numpy names the array
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -166,10 +166,16 @@ def run_scan(
 ) -> dict[str, np.ndarray]:
     """The scan of a (4, n >= 1) grid from build_grid as one column array
     per ROW_KEYS entry, in grid order, from one stacked solve and one array
-    pass (oracle tripwire, gap rule, verdicts) per SCAN_CHUNK points."""
+    pass (oracle tripwire, gap rule, verdicts) per SCAN_CHUNK points.
+
+    It holds the output columns (133 bytes a point) and one chunk's
+    working arrays at once: each chunk is written into its slice of the
+    columns, which are allocated up front."""
     check_params(params)
-    chunks = []
-    for start in range(0, params.shape[1], SCAN_CHUNK):
+    n = params.shape[1]
+    dtypes = {"condition_holds": bool, "verdict": "<U15"}  # up to "oracle-mismatch"
+    table = {key: np.empty(n, dtypes.get(key, np.float64)) for key in ROW_KEYS}
+    for start in range(0, n, SCAN_CHUNK):
         chunk = params[:, start:start + SCAN_CHUNK]
         w = hakye_matrices(chunk)
         check_hermitian(w)
@@ -186,8 +192,10 @@ def run_scan(
         # asserted (ASSERTION_LINE): no tie-window downgrade.
         verdict = np.where(condition, Conclusion.VIOLATES.value, Conclusion.CONSISTENT.value)
         verdict = np.where(mismatch <= ORACLE_TOL, verdict, "oracle-mismatch")
-        chunks.append((*chunk, lam0, lam0_pt, gap, condition, raw[0], verdict, mismatch))
-    return {key: np.concatenate(parts) for key, parts in zip(ROW_KEYS, zip(*chunks))}
+        parts = (*chunk, lam0, lam0_pt, gap, condition, raw[0], verdict, mismatch)
+        for column, part in zip(table.values(), parts):
+            column[start:start + SCAN_CHUNK] = part
+    return table
 
 
 def timestamp() -> str:
@@ -228,6 +236,12 @@ def _column_text(column: np.ndarray, other) -> list[str]:
     return list(map(other, values))
 
 
+def _row_chunks(columns: list[np.ndarray]) -> range:
+    """The first row of each SCAN_CHUNK rows of a table, as far as its
+    shortest column (where zip stops)."""
+    return range(0, min(map(len, columns), default=0), SCAN_CHUNK)
+
+
 def _csv_plain(cells: list[str]) -> bool:
     """Whether csv.writer writes every cell as it is: none is empty or holds
     a delimiter, quote, line break or NUL (which Python 3.10 rejects)."""
@@ -244,8 +258,10 @@ def write_rows_csv(
     notes: tuple[str, ...] = (),
 ) -> None:
     """Versioned-header CSV of the named columns of a column table ('#'
-    preamble lines, then RFC-4180 content).  The body is one join of its
-    cells when no cell needs quoting, else csv.writer's rows."""
+    preamble lines, then RFC-4180 content).  The body is written SCAN_CHUNK
+    rows at a time, so it holds one chunk's cells and text at once: a join
+    of the chunk's cells when none needs quoting, else csv.writer's rows,
+    which are the same bytes for cells that need none."""
     head = report_header(schema, reproducible, notes)
     stream.write(f"# schema={schema}\r\n")
     for note in notes:
@@ -254,12 +270,14 @@ def write_rows_csv(
         stream.write(f"# generated={head['generated']}\r\n")
     writer = csv.writer(stream, lineterminator="\r\n")
     writer.writerow(columns)
-    cells = [_column_text(table[col], _csv_cell) for col in columns]
-    if all(map(_csv_plain, cells)):
-        row = ",".join(["%s"] * len(columns)) + "\r\n"
-        stream.write("".join(map(row.__mod__, zip(*cells))))
-    else:
-        writer.writerows(zip(*cells))
+    row = ",".join(["%s"] * len(columns)) + "\r\n"
+    arrays = [table[col] for col in columns]
+    for start in _row_chunks(arrays):
+        cells = [_column_text(a[start:start + SCAN_CHUNK], _csv_cell) for a in arrays]
+        if all(map(_csv_plain, cells)):
+            stream.write("".join(map(row.__mod__, zip(*cells))))
+        else:
+            writer.writerows(zip(*cells))
 
 
 def scan_report_json(
@@ -272,6 +290,23 @@ def scan_report_json(
     return doc
 
 
+def _check_json_cells(columns: list[np.ndarray]) -> None:
+    """Raise the encoder's error for the first value, in row order, that
+    json.dumps(..., allow_nan=False) rejects.  Float64 columns are checked
+    with np.isfinite, the others cell by cell, SCAN_CHUNK rows at a time."""
+    try:
+        for column in columns:
+            if column.dtype == np.float64:  # raises on its first non-finite value
+                _JSON_CELL(column[~np.isfinite(column)].tolist())
+            else:
+                for start in _row_chunks([column]):
+                    _column_text(column[start:start + SCAN_CHUNK], _JSON_CELL)
+    except ValueError:  # name the first non-finite float in row order
+        for start in _row_chunks(columns):
+            _JSON_CELL(list(zip(*(c[start:start + SCAN_CHUNK].tolist() for c in columns))))
+        raise
+
+
 def write_scan_json(
     table: Mapping[str, np.ndarray],
     stream: IO[str],
@@ -280,15 +315,18 @@ def write_scan_json(
 ) -> None:
     """The bytes of json.dumps(scan_report_json(...), indent=2, allow_nan=False)
     and a newline, each row, keyed in the table's column order, from one
-    format string."""
+    format string.  Every cell is checked before the first byte, so a value
+    the encoder rejects raises its error and writes nothing; then the rows
+    are written SCAN_CHUNK at a time, so it holds one chunk's text at once."""
     text = json.dumps(scan_report_json({}, reproducible, notes), indent=2)
-    if any(map(len, table.values())):
-        try:
-            cells = [_column_text(column, _JSON_CELL) for column in table.values()]
-        except ValueError:  # name the first non-finite float in row order
-            _JSON_CELL(list(zip(*(column.tolist() for column in table.values()))))
-            raise
-        template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in table) + "\n    }"
-        body = ",\n".join(map(template.__mod__, zip(*cells)))
-        text = text.removesuffix("[]\n}") + f"[\n{body}\n  ]\n}}"
-    stream.write(text + "\n")
+    if not any(map(len, table.values())):
+        stream.write(text + "\n")
+        return
+    columns = list(table.values())
+    _check_json_cells(columns)
+    template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in table) + "\n    }"
+    stream.write(text.removesuffix("[]\n}") + "[\n")
+    for start in _row_chunks(columns):
+        cells = [_column_text(c[start:start + SCAN_CHUNK], _JSON_CELL) for c in columns]
+        stream.write((",\n" if start else "") + ",\n".join(map(template.__mod__, zip(*cells))))
+    stream.write("\n  ]\n}\n")

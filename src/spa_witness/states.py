@@ -28,8 +28,6 @@ DENSITY_TRACE_TOL = 1e-10
 DENSITY_MIN_EIG_TOL = 1e-10
 WEIGHT_SUM_TOL = 1e-12
 
-SeedLike = int | np.random.Generator
-
 
 class Provenance(enum.Enum):
     """How much is known about separability of a density operator."""
@@ -288,14 +286,14 @@ def maximally_mixed(dims: Dims) -> DensityOperator:
     return DensityOperator(op, Provenance.SEPARABLE)
 
 
-def random_density(dims: Dims, seed: SeedLike) -> DensityOperator:
+def random_density(dims: Dims, seed: int | np.random.Generator) -> DensityOperator:
     """Hilbert-Schmidt random density: G G^dag normalized, G complex Gaussian."""
     m = draw_densities(dims, 1, np.random.default_rng(seed))[0]
     return DensityOperator(HermitianOperator(dims, m), Provenance.UNKNOWN)
 
 
 def random_separable_ensemble(
-    dims: Dims, n_terms: int, seed: SeedLike
+    dims: Dims, n_terms: int, seed: int | np.random.Generator
 ) -> SeparableEnsemble:
     """Random mixture of Haar product vectors with Dirichlet weights."""
     weights, mu, nu = draw_ensembles(dims, 1, n_terms, np.random.default_rng(seed))

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spa_witness
 from conftest import full_rank_separable
 from spa_witness.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_VIOLATION, main
 from spa_witness.fileio import save_operator
@@ -249,6 +254,51 @@ class TestHakye:
         assert code == EXIT_INPUT
         assert out == ""
         assert "both fixed and scanned" in err
+
+    @pytest.mark.parametrize("spec, builder, message", [
+        (["--cos-family", "--scan", "theta=0:1:100000000000"], "linspace",
+         "Unable to allocate 745. GiB for an array with shape (100000000000,) "
+         "and data type float64"),
+        ([f"--scan={key}=1:2:2000" for key in "abc"] + ["--scan=theta=0:1:2000"], "meshgrid",
+         ""),
+    ], ids=["cos-family", "four-axis"])
+    def test_grid_too_large_to_allocate_is_input_error(
+        self, capsys, monkeypatch, spec, builder, message
+    ):
+        def fail(*args, **kwargs):  # stands in for the allocation; none is made
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, builder, fail)
+        code, out, err = run_cli(capsys, "hakye", *spec, "--reproducible")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == f"error: {message or 'out of memory'}\n"
+
+
+def test_hakye_and_analyze_import_no_random_numbers(tmp_path):
+    """Neither hakye nor analyze draws a random number, so neither loads
+    numpy.random, nor the secrets and _hashlib modules it imports; cmax
+    loads it on its first draw."""
+    witness, sigma = tmp_path / "w.json", tmp_path / "tau.json"
+    save_operator(hakye_witness(reference_violation_params()), witness)
+    save_operator(maximally_mixed(Dims(2, 2)).op, sigma)
+    script = f"""
+import contextlib, io, sys
+from spa_witness.cli import main
+RANDOM = ("numpy.random", "secrets", "_hashlib")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["hakye", "--cos-family", "--scan", "theta=0.1:1.5:3", "--reproducible"]) == 3
+    assert main(["analyze", {str(witness)!r}, "--reproducible"]) == 3
+    assert not [m for m in RANDOM if m in sys.modules], [m for m in RANDOM if m in sys.modules]
+    assert main(["cmax", {str(sigma)!r}, "--restarts", "2", "--reproducible"]) == 0
+assert "numpy.random" in sys.modules
+"""
+    src = str(Path(spa_witness.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestCmax:

@@ -7,7 +7,9 @@ import importlib
 import io
 import json
 import math
+import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -387,6 +389,28 @@ class TestReportBytes:
         assert str(raised.value) == str(reference.value)
         assert buf.getvalue() == ""
 
+    @pytest.fixture(scope="class")
+    def long_tables(self, hakye_reference):
+        """A scan table and a geometry table of 3 * SCAN_CHUNK + 7 rows."""
+        n = 3 * SCAN_CHUNK + 7
+        scan = self._scan([f"theta=0.003:1.5707963267948966:{n}"], True)
+        return scan, geometry_rows(hakye_reference[1], samples=n // 2, seed=5)
+
+    @pytest.mark.parametrize(
+        "n", [1, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1, 3 * SCAN_CHUNK + 7]
+    )
+    def test_rows_written_a_chunk_at_a_time(self, long_tables, n):
+        scan, geometry = ({key: column[:n] for key, column in t.items()} for t in long_tables)
+        assert self._json(scan) == scan_report_reference(table_rows(scan), self.NOTES)
+        for table, columns, schema in (
+            (scan, SCAN_COLUMNS, SCAN_SCHEMA), (geometry, GEOMETRY_COLUMNS, GEOMETRY_SCHEMA)
+        ):
+            buf = io.StringIO()
+            write_rows_csv(table, columns, schema, buf, reproducible=True, notes=self.NOTES)
+            assert buf.getvalue() == rows_csv_row_by_row(
+                table_rows(table), columns, schema, self.NOTES
+            )
+
     def test_geometry_csv(self, hakye_reference):
         _, op = hakye_reference
         table = geometry_rows(op, samples=40, seed=3)
@@ -564,9 +588,12 @@ class TestCsvJoin:
         monkeypatch.setattr(scan_module.csv, "writer", Spy)
         return calls
 
+    # the cell in the first chunk, or alone in a later one: only its chunk is
+    # csv.writer's
+    @pytest.mark.parametrize("row", [1, 2 * SCAN_CHUNK + 3])
     @pytest.mark.parametrize("cell", ["", ",", '"', "\r", "\n", "x\0"])
-    def test_a_cell_that_needs_quoting_takes_csv_writer(self, cell, request):
-        rows = [{"x": 1.5, "s": "plain"}, {"x": 2.5, "s": cell}]
+    def test_a_cell_that_needs_quoting_takes_csv_writer(self, cell, row, request):
+        rows = [{"x": 1.5, "s": "plain"}] * row + [{"x": 2.5, "s": cell}]
         try:
             expected = rows_csv_row_by_row(rows, ("x", "s"), "s")
         except csv.Error:  # NUL on Python 3.10
@@ -595,3 +622,53 @@ class TestCsvJoin:
             write_rows_csv(table, columns, schema, buf, reproducible=True)
             assert buf.getvalue() == text
         assert calls == []
+
+
+def _traced_peak(f, *args):
+    """f(*args) and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """A scan holds its output columns and one chunk's working arrays, and a
+    report writer one chunk's text, whatever the number of points."""
+
+    N = 65536
+
+    @staticmethod
+    def _grid(n):
+        return build_grid([parse_grid_axis(f"theta=0.001:1.5:{n}")], {}, cos_family=True)
+
+    @pytest.fixture(scope="class")
+    def scan(self):
+        """A scan of N points, with run_scan's peak for it and for one chunk."""
+        _, chunk_peak = _traced_peak(run_scan, self._grid(SCAN_CHUNK))
+        table, peak = _traced_peak(run_scan, self._grid(self.N))
+        return table, peak, chunk_peak
+
+    def test_run_scan_holds_its_columns_and_one_chunk(self, scan):
+        table, peak, chunk_peak = scan
+        assert len(table["verdict"]) == self.N
+        columns = sum(column.nbytes for column in table.values())
+        assert peak <= columns + 1.5 * chunk_peak
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_writer_holds_one_chunk_of_text(self, scan, fmt):
+        def write(table, stream):
+            if fmt == "json":
+                write_scan_json(table, stream, reproducible=True)
+            else:
+                write_rows_csv(table, SCAN_COLUMNS, SCAN_SCHEMA, stream, reproducible=True)
+
+        table = scan[0]
+        with open(os.devnull, "w", encoding="utf-8", newline="") as stream:
+            _, chunk_peak = _traced_peak(
+                write, {key: column[:SCAN_CHUNK] for key, column in table.items()}, stream
+            )
+            _, peak = _traced_peak(write, table, stream)
+        assert peak <= 2 * chunk_peak
+        assert peak < 4_000_000  # a few MB; the report is 10 MB of CSV or 26 MB of JSON
