@@ -56,7 +56,6 @@ from .scan import (
 from .spa import (
     Conclusion,
     ConjectureVerdict,
-    HyperplaneSide,
     PptStatus,
     PptVerdict,
     SpaResult,
@@ -80,6 +79,7 @@ from .states import (
 )
 from .witness import (
     CmaxEstimate,
+    HyperplaneSide,
     SigmaFormWitness,
     build_witness,
     c_sigma_max,

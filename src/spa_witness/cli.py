@@ -30,6 +30,7 @@ from .scan import (
     SCAN_COLUMNS,
     SCAN_SCHEMA,
     build_grid,
+    json_text,
     parse_grid_axis,
     report_header,
     run_scan,
@@ -56,7 +57,7 @@ def _report_stream(path: str | None):
 def _emit(args: argparse.Namespace, report: dict, pairs: list[tuple[str, object]]) -> None:
     """The JSON report, or aligned text pairs led by the report's timestamp."""
     if args.json:
-        sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
+        sys.stdout.write(json_text(report) + "\n")
         return
     if "generated" in report:
         pairs.insert(0, ("generated", report["generated"]))

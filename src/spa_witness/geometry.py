@@ -7,13 +7,14 @@ the state's partial-transpose minimum, purity, and a hyperplane
 classification, which is enough to scatter-plot how the detection
 half-space cuts through state space.
 
-The states are built as (n, dAB, dAB) stacks of at most GEOMETRY_CHUNK rows,
-drawn in row order from one generator.  Each chunk is validated as a whole
-(Hermitian, unit trace, positive by one stacked Cholesky factorisation; unit
-factors and normalized weights for the mixtures) and gets one stacked
-witness-value product and one checked, stacked eigensolve of its partial
-transposes, the chunk's only eigensolve.  The rows come out as one array
-per column, and the hyperplane sides from one hyperplane_side call.
+The states are built as (n, dAB, dAB) stacks of at most scan.SCAN_CHUNK
+rows, the rows the CSV report is written in, drawn in row order from one
+generator.  Each chunk is validated as a whole (Hermitian, unit trace,
+positive by one stacked Cholesky factorisation; unit factors and normalized
+weights for the mixtures) and gets one stacked witness-value product and one
+checked, stacked eigensolve of its partial transposes, the chunk's only
+eigensolve.  The rows come out as one array per column, and the hyperplane
+sides from one witness.hyperplane_side call.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .operators import (
     min_eigenpair,
     partial_transpose_stack,
 )
-from .spa import hyperplane_side
+from .scan import SCAN_CHUNK
 from .states import (
     check_density,
     check_product_terms,
@@ -38,6 +39,7 @@ from .states import (
     mix_products,
     vector_norms,
 )
+from .witness import hyperplane_side
 
 GEOMETRY_SCHEMA = "witness-geometry-v1"
 GEOMETRY_COLUMNS = (
@@ -47,8 +49,6 @@ GEOMETRY_COLUMNS = (
     "purity",
     "classification",
 )
-# Rows per stacked eigensolve; bounds the working memory.
-GEOMETRY_CHUNK = 256
 SOURCES = ("ground-projector", "random-density", "separable-ensemble")
 
 
@@ -64,8 +64,8 @@ def geometry_rows(
     _, ground = min_eigenpair(witness_op)
     n_rows = 1 + 2 * samples
     values, pt_mins, norms = [], [], []
-    for start in range(0, n_rows, GEOMETRY_CHUNK):
-        stop = min(start + GEOMETRY_CHUNK, n_rows)
+    for start in range(0, n_rows, SCAN_CHUNK):
+        stop = min(start + SCAN_CHUNK, n_rows)
         # row 0 is the ground projector, rows 1..samples the random densities
         n_random = max(0, min(stop, 1 + samples) - max(start, 1))
         n_mixed = stop - start - n_random - (start == 0)

@@ -17,7 +17,6 @@ from .errors import NotHermitian
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_EIG_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-9
 _ORTHONORMALITY_TOL = 1e-8
 _IMAG_TRACE_TOL = 1e-10
 
@@ -257,11 +256,3 @@ def hs_norm(op: HermitianOperator) -> float:
     """Hilbert-Schmidt norm sqrt(tr op^2)."""
     return float(np.linalg.norm(op.entries))
 
-
-def numeric_rank(op: HermitianOperator) -> int:
-    """Number of eigenvalues above DEFAULT_RANK_TOL times the largest magnitude eigenvalue."""
-    w = np.abs(lapack_eig(np.linalg.eigvalsh, op.entries))
-    top = float(w.max())
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(w > DEFAULT_RANK_TOL * top))

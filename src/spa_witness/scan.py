@@ -50,9 +50,9 @@ SCAN_CHUNK = 512
 
 GRID_KEYS = ("a", "b", "c", "theta")
 
-# json.dumps(value, indent=2, allow_nan=False): the whole report's encoder
-# and error for each cell
-_JSON_CELL = json.JSONEncoder(indent=2, allow_nan=False).encode
+# json.dumps(value, indent=2, allow_nan=False): the encoder of every JSON
+# report (the CLI's --json reports and the scan's) and the error for each cell
+json_text = json.JSONEncoder(indent=2, allow_nan=False).encode
 
 ASSERTION_LINE = (
     "optimality of the Ha-Kye family is asserted from its published "
@@ -292,18 +292,18 @@ def scan_report_json(
 
 def _check_json_cells(columns: list[np.ndarray]) -> None:
     """Raise the encoder's error for the first value, in row order, that
-    json.dumps(..., allow_nan=False) rejects.  Float64 columns are checked
-    with np.isfinite, the others cell by cell, SCAN_CHUNK rows at a time."""
+    json_text rejects.  Float64 columns are checked with np.isfinite, the
+    others cell by cell, SCAN_CHUNK rows at a time."""
     try:
         for column in columns:
             if column.dtype == np.float64:  # raises on its first non-finite value
-                _JSON_CELL(column[~np.isfinite(column)].tolist())
+                json_text(column[~np.isfinite(column)].tolist())
             else:
                 for start in _row_chunks([column]):
-                    _column_text(column[start:start + SCAN_CHUNK], _JSON_CELL)
+                    _column_text(column[start:start + SCAN_CHUNK], json_text)
     except ValueError:  # name the first non-finite float in row order
         for start in _row_chunks(columns):
-            _JSON_CELL(list(zip(*(c[start:start + SCAN_CHUNK].tolist() for c in columns))))
+            json_text(list(zip(*(c[start:start + SCAN_CHUNK].tolist() for c in columns))))
         raise
 
 
@@ -318,15 +318,15 @@ def write_scan_json(
     format string.  Every cell is checked before the first byte, so a value
     the encoder rejects raises its error and writes nothing; then the rows
     are written SCAN_CHUNK at a time, so it holds one chunk's text at once."""
-    text = json.dumps(scan_report_json({}, reproducible, notes), indent=2)
+    text = json_text(scan_report_json({}, reproducible, notes))
     if not any(map(len, table.values())):
         stream.write(text + "\n")
         return
     columns = list(table.values())
     _check_json_cells(columns)
-    template = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in table) + "\n    }"
+    template = "    {\n" + ",\n".join(f"      {json_text(k)}: %s" for k in table) + "\n    }"
     stream.write(text.removesuffix("[]\n}") + "[\n")
     for start in _row_chunks(columns):
-        cells = [_column_text(c[start:start + SCAN_CHUNK], _JSON_CELL) for c in columns]
+        cells = [_column_text(c[start:start + SCAN_CHUNK], json_text) for c in columns]
         stream.write((",\n" if start else "") + ",\n".join(map(template.__mod__, zip(*cells))))
     stream.write("\n  ]\n}\n")

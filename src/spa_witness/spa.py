@@ -33,18 +33,19 @@ from .errors import ZeroTrace
 from .operators import (
     HermitianOperator,
     check_tol,
+    eig_hermitian,
     hs_inner,
     min_eigenpair,
-    numeric_rank,
     partial_transpose,
     scaled,
     shifted,
     spectra_with_pt,
 )
 from .states import DensityOperator, Provenance
-from .witness import SigmaFormWitness, check_candidate
+from .witness import HyperplaneSide, SigmaFormWitness, check_candidate, hyperplane_side
 
 DEFAULT_COMPARE_TOL = 1e-8
+DEFAULT_RANK_TOL = 1e-9
 _MIN_TRACE = 1e-12
 
 
@@ -155,9 +156,12 @@ def spa_sigma_form(witness: SigmaFormWitness) -> SpaResult:
     When sigma is rank deficient its minimum eigenvalue vanishes, the SPA
     is sigma itself, and the returned state keeps sigma's provenance; the
     approximation of such a witness is then separable whenever sigma is.
+    Sigma's rank counts its checked eigenvalues (eig_hermitian) whose
+    magnitude exceeds DEFAULT_RANK_TOL times the largest magnitude.
     """
     sigma = witness.sigma
-    if numeric_rank(sigma.op) < witness.dims.dAB:
+    magnitudes = np.abs(eig_hermitian(sigma.op).eigenvalues)
+    if not (magnitudes > DEFAULT_RANK_TOL * magnitudes.max()).all():
         return SpaResult(
             s=witness.c,
             spa_operator=sigma.op,
@@ -301,22 +305,6 @@ def spa_violation_from_gap(
     return gap_verdict(lam0, lam0_pt, witness_op.trace, witness_op.dims.dAB, tol, asserted_onew)
 
 
-class HyperplaneSide(enum.Enum):
-    NEGATIVE = "negative-side"
-    ON_PLANE = "on-plane"
-    POSITIVE = "positive-side"
-
-
 def hyperplane_classify(witness_op: HermitianOperator, rho: DensityOperator) -> HyperplaneSide:
-    """Which side of the witness hyperplane tr(W rho) = 0 a state falls on."""
+    """witness.hyperplane_side of the state's witness value tr(W rho)."""
     return hyperplane_side(hs_inner(rho.op, witness_op))
-
-
-def hyperplane_side(value: float | np.ndarray) -> HyperplaneSide | np.ndarray:
-    """Side of the witness hyperplane for a witness value tr(W rho), with
-    values within DEFAULT_COMPARE_TOL of zero, and nan, on the plane; for
-    an array of values, the array of the sides' values."""
-    tol = DEFAULT_COMPARE_TOL
-    side = np.where(value > tol, HyperplaneSide.POSITIVE.value, HyperplaneSide.ON_PLANE.value)
-    side = np.where(value < -tol, HyperplaneSide.NEGATIVE.value, side)
-    return side if np.ndim(value) else HyperplaneSide(side.item())

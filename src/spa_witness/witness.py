@@ -7,12 +7,13 @@ operator is positive and detects nothing) and at most at the product-state
 infimum c_max = inf <mu nu|sigma|mu nu> (otherwise some product state is
 "detected", which no witness may do).  This module builds such witnesses,
 estimates c_max by alternating eigenvector descent, and provides the small
-algebra around them: values on states, detection, and decomposability
-certificates.
+algebra around them: values on states, their side of the witness hyperplane
+(detection is the negative side), and decomposability certificates.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ from .states import (
 )
 
 CMAX_SLACK = 1e-10
-DEFAULT_DETECT_TOL = 1e-10
+DEFAULT_DETECT_TOL = 1e-8
 DEFAULT_WOPT_TOL = 1e-8
 SPOT_CHECKS = 64
 SIGMA_MARGIN = 1e-6
@@ -297,9 +298,25 @@ def witness_value(witness: SigmaFormWitness, rho: DensityOperator) -> float:
     return hs_inner(rho.op, witness.operator())
 
 
+class HyperplaneSide(enum.Enum):
+    NEGATIVE = "negative-side"
+    ON_PLANE = "on-plane"
+    POSITIVE = "positive-side"
+
+
+def hyperplane_side(value: float | np.ndarray) -> HyperplaneSide | np.ndarray:
+    """Side of the witness hyperplane for a witness value tr(W rho), with
+    values within DEFAULT_DETECT_TOL of zero, and nan, on the plane; for
+    an array of values, the array of the sides' values."""
+    tol = DEFAULT_DETECT_TOL
+    side = np.where(value > tol, HyperplaneSide.POSITIVE.value, HyperplaneSide.ON_PLANE.value)
+    side = np.where(value < -tol, HyperplaneSide.NEGATIVE.value, side)
+    return side if np.ndim(value) else HyperplaneSide(side.item())
+
+
 def detects(witness: SigmaFormWitness, rho: DensityOperator) -> bool:
-    """True when tr(W rho) < -DEFAULT_DETECT_TOL, i.e. rho is flagged as entangled."""
-    return witness_value(witness, rho) < -DEFAULT_DETECT_TOL
+    """True when rho is on the hyperplane's negative side, i.e. flagged as entangled."""
+    return hyperplane_side(witness_value(witness, rho)) is HyperplaneSide.NEGATIVE
 
 
 def verify_decomposition(

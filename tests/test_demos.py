@@ -23,13 +23,14 @@ DEMOS = (
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_exits_cleanly(name, tmp_path):
-    # a copy runs in tmp_path, so files a demo writes next to itself land there
+    # a copy runs in tmp_path, so files a demo writes next to itself land there;
+    # a RuntimeWarning from numpy (an overflow, say) fails the demo
     script = tmp_path / name
     shutil.copy(ROOT / "demos" / name, script)
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

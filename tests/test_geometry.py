@@ -18,11 +18,12 @@ from spa_witness.errors import (
     NotHermitian,
 )
 from spa_witness.fileio import save_operator
-from spa_witness.geometry import GEOMETRY_CHUNK, GEOMETRY_COLUMNS, geometry_rows
+from spa_witness.geometry import GEOMETRY_COLUMNS, geometry_rows
 from spa_witness.hakye import hakye_witness, reference_violation_params
 from spa_witness.operators import Dims
-from spa_witness.spa import DEFAULT_COMPARE_TOL, hyperplane_side
+from spa_witness.scan import SCAN_CHUNK
 from spa_witness.states import draw_densities, draw_ensembles
+from spa_witness.witness import DEFAULT_DETECT_TOL, hyperplane_side
 
 geometry_module = importlib.import_module("spa_witness.geometry")
 
@@ -86,9 +87,9 @@ def _make_asymmetric(m):
 
 class TestStackedRows:
     @pytest.mark.parametrize("dims", [Dims(2, 2), Dims(2, 3), Dims(3, 3), Dims(3, 4)], ids=str)
-    @pytest.mark.parametrize("samples", [1, GEOMETRY_CHUNK])
+    @pytest.mark.parametrize("samples", [1, SCAN_CHUNK])
     def test_rows_equal_the_one_at_a_time_route(self, dims, samples):
-        # GEOMETRY_CHUNK samples make three chunks: the ground projector and
+        # SCAN_CHUNK samples make three chunks: the ground projector and
         # random densities only, both kinds, and one mixture alone
         for seed in (0, 5) if samples == 1 else (3,):
             witness = random_negative_hermitian(dims, np.random.default_rng(seed + 40))
@@ -108,7 +109,7 @@ class TestStackedRows:
         assert table["witness_value"].dtype == np.float64
 
     def test_classification_uses_hyperplane_side_comparisons(self, monkeypatch):
-        tol = DEFAULT_COMPARE_TOL
+        tol = DEFAULT_DETECT_TOL
         edges = [-1.0, -tol, -tol * 1.5, 0.0, -0.0, tol, tol * 1.5, np.nan, np.inf, -np.inf]
 
         def values(m, w):

@@ -31,7 +31,6 @@ from spa_witness.operators import (
     identity,
     make_hermitian,
     min_eigenpair,
-    numeric_rank,
     partial_transpose,
     partial_transpose_stack,
     scaled,
@@ -249,26 +248,6 @@ class TestHsAlgebra:
         a = make_hermitian(m, D22)
         with pytest.raises(NonRealResult):
             hs_inner(a, a)
-
-
-class TestNumericRank:
-    def test_full_rank_identity(self):
-        assert numeric_rank(identity(D33)) == 9
-
-    def test_rank_one_projector(self):
-        v = np.zeros(4)
-        v[0] = 1.0
-        op = make_hermitian(np.outer(v, v), D22)
-        assert numeric_rank(op) == 1
-
-    def test_two_term_mixture(self):
-        m = np.zeros((4, 4))
-        m[0, 0] = 0.5
-        m[3, 3] = 0.5
-        assert numeric_rank(make_hermitian(m, D22)) == 2
-
-    def test_zero_matrix(self):
-        assert numeric_rank(make_hermitian(np.zeros((4, 4)), D22)) == 0
 
 
 class TestScaleShiftHelpers:

@@ -181,6 +181,38 @@ class TestSpaSigmaForm:
         assert result.s == pytest.approx(w.c)
         assert float(np.abs(result.spa_operator.entries - sigma.op.entries).max()) == 0.0
 
+    @pytest.mark.parametrize(
+        "diagonal, shortcut",
+        [
+            ([k / 45 for k in range(1, 10)], False),
+            ([1.0, 0.0, 0.0, 0.0], True),
+            ([0.5, 0.0, 0.0, 0.5], True),
+            # the rule: |eigenvalue| > DEFAULT_RANK_TOL * max |eigenvalue| (5e-10)
+            ([0.5, 0.5 - 2e-9, 1e-9, 1e-9], False),
+            ([0.5, 0.5 - 2e-10, 1e-10, 1e-10], True),
+        ],
+        ids=["full-rank", "rank-one", "two-term", "above-rank-tol", "below-rank-tol"],
+    )
+    def test_rank_rule_decides_the_shortcut(self, diagonal, shortcut):
+        dims = D33 if len(diagonal) == 9 else D22
+        sigma = DensityOperator(make_hermitian(np.diag(diagonal), dims), Provenance.UNKNOWN)
+        assert spa_sigma_form(build_witness(sigma, 0.2)).rank_deficient_shortcut is shortcut
+
+    def test_rank_comes_from_the_checked_eigensolve(self, monkeypatch):
+        # criterion 4's draws, built first: a density check may use eigvalsh
+        rng = np.random.default_rng(77)
+        dims_cycle = itertools.cycle(DIMS_SMALL)
+        witnesses = [
+            build_witness(rank_deficient_separable(next(dims_cycle), rng), 0.05)
+            for _ in range(100)
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert all(spa_sigma_form(w).rank_deficient_shortcut for w in witnesses)
+
 
 class TestPptCheck:
     def test_singlet_pt_spectrum(self):

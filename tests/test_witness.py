@@ -48,8 +48,11 @@ from spa_witness.states import (
     random_density,
     random_separable_ensemble,
 )
+from spa_witness.spa import hyperplane_classify
 from spa_witness.witness import (
+    DEFAULT_DETECT_TOL,
     SPOT_CHECKS,
+    HyperplaneSide,
     _expectation_raw,
     _expectations,
     build_witness,
@@ -429,6 +432,19 @@ class TestValuesAndDetection:
             rho = random_density(D22, seed)
             if detects(w1, rho):
                 assert detects(w2, rho)
+
+    @pytest.mark.parametrize("value", [-2e-8, -5e-9, -5e-11, 0.0, 5e-9])
+    def test_detects_is_the_negative_hyperplane_side(self, value):
+        # tr(W rho) = 1/4 - c for rho = I/4 and any sigma of trace 1
+        sigma = DensityOperator(
+            make_hermitian(np.diag([0.1, 0.2, 0.3, 0.4]), D22), Provenance.UNKNOWN
+        )
+        w = build_witness(sigma, 0.25 - value)
+        rho = maximally_mixed(D22)
+        assert witness_value(w, rho) == pytest.approx(value, abs=1e-16)
+        side = hyperplane_classify(w.operator(), rho)
+        assert detects(w, rho) is (side is HyperplaneSide.NEGATIVE)
+        assert detects(w, rho) is (value < -DEFAULT_DETECT_TOL)
 
 
 class TestVerifyDecomposition:
