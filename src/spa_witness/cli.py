@@ -30,6 +30,7 @@ from .scan import (
     SCAN_COLUMNS,
     SCAN_SCHEMA,
     build_grid,
+    cell_text,
     json_text,
     parse_grid_axis,
     report_header,
@@ -63,18 +64,15 @@ def _emit(args: argparse.Namespace, report: dict, pairs: list[tuple[str, object]
         pairs.insert(0, ("generated", report["generated"]))
     width = max(len(key) for key, _ in pairs)
     for key, value in pairs:
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        sys.stdout.write(f"{key.ljust(width)}  {value}\n")
+        sys.stdout.write(f"{key.ljust(width)}  {cell_text(value)}\n")
 
 
 def _fmt_side(side: dict) -> str:
     return (
-        f"shift={side['shift']!r}  min_pt_eig_raw={side['min_pt_eigenvalue_raw']!r}  "
-        f"status={side['ppt_status']}  conclusive_separability="
-        f"{'true' if side['conclusive_separability'] else 'false'}"
+        f"shift={cell_text(side['shift'])}  "
+        f"min_pt_eig_raw={cell_text(side['min_pt_eigenvalue_raw'])}  "
+        f"status={side['ppt_status']}  "
+        f"conclusive_separability={cell_text(side['conclusive_separability'])}"
     )
 
 

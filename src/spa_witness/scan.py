@@ -213,25 +213,24 @@ def report_header(kind: str, reproducible: bool, notes: tuple[str, ...]) -> dict
     return head
 
 
-def _csv_cell(value) -> str:
+def cell_text(value) -> str:
+    """Report text of a scalar: true/false, float.__repr__, or else str."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float.__repr__(value)
     return str(value)
 
 
 def _column_text(column: np.ndarray, other) -> list[str]:
     """One column's cells: a column of finite floats by float.__repr__, of
-    bools as true/false, of strings by other once per distinct value, and
-    any other column (an object array, say) by other cell by cell."""
+    bools or of strings by other once per distinct value, and any other
+    column (an object array, say) by other cell by cell."""
     values = column.tolist()
     kinds = set(map(type, values))
     if kinds == {float} and all(map(math.isfinite, values)):
         return list(map(float.__repr__, values))
-    if kinds == {bool}:
-        return ["true" if v else "false" for v in values]
-    if kinds == {str}:
+    if kinds in ({bool}, {str}):
         return list(map({v: other(v) for v in set(values)}.__getitem__, values))
     return list(map(other, values))
 
@@ -273,7 +272,7 @@ def write_rows_csv(
     row = ",".join(["%s"] * len(columns)) + "\r\n"
     arrays = [table[col] for col in columns]
     for start in _row_chunks(arrays):
-        cells = [_column_text(a[start:start + SCAN_CHUNK], _csv_cell) for a in arrays]
+        cells = [_column_text(a[start:start + SCAN_CHUNK], cell_text) for a in arrays]
         if all(map(_csv_plain, cells)):
             stream.write("".join(map(row.__mod__, zip(*cells))))
         else:

@@ -29,11 +29,13 @@ from .errors import (
 )
 from .operators import (
     HermitianOperator,
+    Spectrum,
     check_tol,
+    eig_hermitian,
+    eigh_checked,
     hs_inner,
     hs_norm,
     lapack_eig,
-    min_eigenpair,
     partial_transpose,
     scaled,
     shifted,
@@ -72,11 +74,12 @@ class CmaxEstimate:
 
 @dataclass(frozen=True, eq=False)
 class SigmaFormWitness:
-    """A witness sigma - c*I with its cached spectral data."""
+    """A witness sigma - c*I with sigma's checked spectrum (eig_hermitian),
+    from the one eigensolve of sigma that building the witness makes."""
 
     sigma: DensityOperator
     c: float
-    lambda0_sigma: float
+    spectrum: Spectrum
     cmax_estimate: CmaxEstimate | None = None
 
     def __post_init__(self) -> None:
@@ -94,6 +97,10 @@ class SigmaFormWitness:
             )
 
     @property
+    def lambda0_sigma(self) -> float:
+        return self.spectrum.min_eigenvalue
+
+    @property
     def dims(self):
         return self.sigma.dims
 
@@ -106,15 +113,11 @@ def product_expectation(sigma: DensityOperator, pv: ProductVector) -> float:
     """<mu nu|sigma|mu nu>, real and inside [0, 1] for a density."""
     if sigma.dims != pv.dims:
         raise DimensionMismatch(f"state dims {sigma.dims} vs vector dims {pv.dims}")
-    return _expectation_raw(sigma.op.entries, pv.vector())
-
-
-def _expectation_raw(entries: np.ndarray, joint: np.ndarray) -> float:
-    return float((joint.conj() @ entries @ joint).real)
+    return float(_expectations(sigma.op.entries, pv.vector()[None])[0])
 
 
 def _expectations(entries: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """_expectation_raw for each row of an (n, d) stack, with its bits."""
+    """(v.conj() @ entries @ v).real for each row v of an (n, d) stack, with its bits."""
     return (joint.conj()[:, None, :] @ entries @ joint[:, :, None]).real[:, 0, 0]
 
 
@@ -229,8 +232,7 @@ def build_witness(
     product state would be detected.  Without an estimate the witness is
     accepted but not certified against product states.
     """
-    lam0, _ = min_eigenpair(sigma.op)
-    return SigmaFormWitness(sigma, float(c), lam0, cmax_estimate)
+    return SigmaFormWitness(sigma, float(c), eig_hermitian(sigma.op), cmax_estimate)
 
 
 def check_candidate(lam0: float) -> None:
@@ -250,7 +252,7 @@ def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
     product vectors from default_rng(0): a clearly negative sample proves
     the input is no witness.
     """
-    lam0, _ = min_eigenpair(raw)
+    lam0 = eig_hermitian(raw).min_eigenvalue
     check_candidate(lam0)
     scale = hs_norm(raw)
     neg_tol = 1e-8 * max(1.0, scale)
@@ -269,9 +271,8 @@ def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
     gamma = 1.0 / (raw.trace + dims.dAB * (abs(lam0) + eps))
     c = gamma * (abs(lam0) + eps)
     sigma_op = shifted(scaled(raw, gamma), c)
-    sigma = DensityOperator(sigma_op, Provenance.ASSERTED)
-    lam0_sigma, _ = min_eigenpair(sigma_op)
-    return SigmaFormWitness(sigma, c, lam0_sigma)
+    sigma = DensityOperator(sigma_op, Provenance.UNKNOWN)  # nobody vouched; it may be entangled
+    return SigmaFormWitness(sigma, c, eig_hermitian(sigma_op))
 
 
 def is_weakly_optimal(witness: SigmaFormWitness) -> tuple[bool, ProductVector | None]:
@@ -332,9 +333,8 @@ def verify_decomposition(
     """
     if witness_op.dims != p.dims or witness_op.dims != q.dims:
         raise DimensionMismatch("decomposition pieces must share the witness dims")
-    lam_p, _ = min_eigenpair(p)
-    lam_q, _ = min_eigenpair(q)
-    if lam_p < -tol or lam_q < -tol:
+    w, _ = eigh_checked(np.stack([p.entries, q.entries]))
+    if (w[:, 0] < -tol).any():
         return False
     recomposed = p.entries + partial_transpose(q).entries
     residual = float(np.linalg.norm(witness_op.entries - recomposed))

@@ -67,6 +67,20 @@ def weakly_optimal_witness(dims: Dims, seed: int, restarts: int = 32) -> SigmaFo
     return build_witness(sigma, estimate.value, estimate)
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch) -> list[np.ndarray]:
+    """Copies of the matrices passed to np.linalg.eigh in the test, in call order."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        calls.append(np.array(m))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def hakye_reference():
     from spa_witness.hakye import hakye_witness, reference_violation_params

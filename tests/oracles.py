@@ -285,6 +285,12 @@ def hakye_spectra_one_at_a_time(a: float, b: float, c: float, theta: float) -> t
     )
 
 
+def _expectation_raw(entries: np.ndarray, joint: np.ndarray) -> float:
+    """<v|entries|v>.real for one joint vector v, as one vector-matrix-vector
+    product: the bits the stacked product-expectation kernel gives each row."""
+    return float((joint.conj() @ entries @ joint).real)
+
+
 def gap_rule_one_at_a_time(
     lam0: float, lam0_pt: float, trace: float, dAB: int
 ) -> tuple[float, list[tuple[float, float, float]]]:

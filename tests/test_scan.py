@@ -39,6 +39,7 @@ from spa_witness.scan import (
     GridAxis,
     analyze_point,
     build_grid,
+    cell_text,
     SCAN_CHUNK,
     parse_grid_axis,
     run_scan,
@@ -252,6 +253,12 @@ class TestEmission:
         assert len(lines) == 3 + len(table["a"]) + 1
         assert text.endswith("\r\n")
         assert "generated" not in text
+
+    def test_cell_text_is_the_scalar_rule_of_every_report(self):
+        values = (True, False, 0.1, np.float64(1e-300), -0.0, 3, "PPT")
+        assert [cell_text(v) for v in values] == [
+            "true", "false", "0.1", "1e-300", "-0.0", "3", "PPT"
+        ]
 
     def test_csv_cell_formats(self):
         table = self._table()

@@ -33,6 +33,7 @@ from spa_witness.operators import (
     make_hermitian,
     min_eigenpair,
     partial_transpose,
+    spectra_with_pt,
 )
 from spa_witness.scan import SCAN_CHUNK, build_grid, parse_grid_axis, run_scan
 from spa_witness.spa import (
@@ -259,6 +260,31 @@ class TestPptCheck:
 
 
 class TestSigmaRouteCondition:
+    def test_one_solve_of_sigma_and_one_of_its_partial_transpose(self, eigh_calls):
+        # build, SPA and verdict: sigma's spectrum comes with the witness;
+        # c = 0.2 exceeds min eig sigma <= 1/6 for any 6x6 density
+        sigma = full_rank_separable(Dims(2, 3), np.random.default_rng(5))
+        w = build_witness(sigma, 0.2)
+        spa_sigma_form(w)
+        spa_violation_from_sigma(w)
+        assert [m.shape for m in eigh_calls] == [(6, 6), (6, 6)]
+        assert (eigh_calls[0] == sigma.op.entries).all()
+        assert (eigh_calls[1] == partial_transpose(sigma.op).entries).all()
+
+    def test_spectra_are_the_stacked_solve_bit_for_bit(self):
+        # criterion 4's draws: lambda0 and lambda0^PT of sigma as the one
+        # stacked eigensolve of (sigma, sigma^PT) gives them
+        rng = np.random.default_rng(77)
+        dims_cycle = itertools.cycle(DIMS_SMALL)
+        for _ in range(100):
+            sigma = rank_deficient_separable(next(dims_cycle), rng)
+            w = build_witness(sigma, 0.05)
+            verdict = spa_violation_from_sigma(w)
+            lam0, lam0_pt = spectra_with_pt(sigma.op.entries, sigma.dims)[:, 0].tolist()
+            assert w.lambda0_sigma.hex() == lam0.hex()
+            assert verdict.lambda0.hex() == (lam0 - 0.05).hex()
+            assert verdict.lambda0_pt.hex() == (lam0_pt - 0.05).hex()
+
     def test_reference_family_violates(self, hakye_reference):
         _, op = hakye_reference
         w = sigma_form_from_matrix(op)
@@ -459,7 +485,9 @@ class TestGapVerdict:
         elif witness is None:
             spa_violation_from_gap(op)
         else:
+            # sigma's spectrum came with the witness: only sigma^PT is solved
             spa_violation_from_sigma(witness)
+            expected = [("eigh", (d, d))]
         assert calls == expected
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])

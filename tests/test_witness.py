@@ -16,7 +16,7 @@ from conftest import (
     random_negative_hermitian,
     weakly_optimal_witness,
 )
-from oracles import grid_product_min_two_qubit, mc_product_min
+from oracles import _expectation_raw, grid_product_min_two_qubit, mc_product_min
 from spa_witness.cli import EXIT_NUMERIC, main
 from spa_witness.errors import (
     ConvergenceFailure,
@@ -48,12 +48,11 @@ from spa_witness.states import (
     random_density,
     random_separable_ensemble,
 )
-from spa_witness.spa import hyperplane_classify
+from spa_witness.spa import PptStatus, hyperplane_classify, ppt_check
 from spa_witness.witness import (
     DEFAULT_DETECT_TOL,
     SPOT_CHECKS,
     HyperplaneSide,
-    _expectation_raw,
     _expectations,
     build_witness,
     c_sigma_max,
@@ -181,6 +180,17 @@ class TestSeesaw:
             for r in range(len(joint)):
                 single = np.float64(_expectation_raw(sigma, joint[r]))
                 assert stacked[r].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("dims", SEESAW_DIMS, ids=str)
+    def test_product_expectation_has_the_per_vector_bits(self, dims):
+        # product_expectation is the stacked kernel on a one-row stack
+        rng = np.random.default_rng(dims.dAB + 1)
+        for _ in range(20):
+            sigma = random_density(dims, int(rng.integers(2**31)))
+            for mu, nu in zip(*haar_product_factors(dims, 4, rng)):
+                pv = ProductVector(mu, nu)
+                single = np.float64(_expectation_raw(sigma.op.entries, pv.vector()))
+                assert np.float64(product_expectation(sigma, pv)).tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("raised_call", [1, 2], ids=["A-side", "B-side"])
     def test_rising_objective_names_the_restart(
@@ -320,8 +330,17 @@ class TestSigmaFormFromMatrix:
         factor = float((op[0, 0] / v.entries[0, 0]).real)
         assert factor > 0
         assert_allclose(op, factor * v.entries, atol=1e-12)
-        assert w.sigma.provenance is Provenance.ASSERTED
+        # nobody vouched for the recast sigma, so it carries no separability claim
+        assert w.sigma.provenance is Provenance.UNKNOWN
         assert w.sigma.op.trace == pytest.approx(1.0)
+
+    def test_recast_reference_sigma_is_npt_and_not_claimed_separable(self, hakye_reference):
+        # the theta = pi/12 Ha-Kye reference recasts to an entangled sigma
+        w = sigma_form_from_matrix(hakye_reference[1])
+        verdict = ppt_check(w.sigma)
+        assert verdict.status is PptStatus.NPT_ENTANGLED
+        assert verdict.min_pt_eigenvalue == pytest.approx(-0.0073, abs=5e-5)
+        assert w.sigma.provenance is Provenance.UNKNOWN
 
     def test_sigma_strictly_positive(self):
         w = sigma_form_from_matrix(swap_operator(3))
@@ -448,6 +467,13 @@ class TestValuesAndDetection:
 
 
 class TestVerifyDecomposition:
+    def test_one_stacked_eigensolve_of_both_pieces(self, eigh_calls):
+        p = make_hermitian(np.eye(4), D22)
+        q = make_hermitian(np.diag([1.0, 2.0, 3.0, 4.0]), D22)
+        verify_decomposition(swap_operator(2), p, q)
+        assert len(eigh_calls) == 1
+        assert np.array_equal(eigh_calls[0], np.stack([p.entries, q.entries]))
+
     def test_swap_is_decomposable(self):
         v = swap_operator(2)
         phi = np.zeros(4)
