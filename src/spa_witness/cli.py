@@ -243,10 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     hakye = sub.add_parser(
         "hakye", help="analyze or scan the Ha-Kye witness family"
     )
-    hakye.add_argument("--a", type=float, default=None)
-    hakye.add_argument("--b", type=float, default=None)
-    hakye.add_argument("--c", type=float, default=None)
-    hakye.add_argument("--theta", type=float, default=None)
+    for key in GRID_KEYS:
+        hakye.add_argument(f"--{key}", type=float, default=None)
     hakye.add_argument(
         "--scan",
         action="append",

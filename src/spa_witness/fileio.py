@@ -96,6 +96,11 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{path}: metadata must be an object")
+    for key, value in metadata.items():
+        if not isinstance(value, str):
+            raise ParseError(
+                f"{path}: metadata {key!r} must be a string, not {type(value).__name__}"
+            )
     return make_hermitian(values.view(np.complex128).reshape(n, n), dims), metadata
 
 

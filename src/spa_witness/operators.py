@@ -216,13 +216,7 @@ def partial_transpose(op: HermitianOperator) -> HermitianOperator:
     the first factor instead gives the full transpose of this result, so
     both choices share every spectrum and every PPT verdict.
     """
-    out = partial_transpose_stack(op.entries, op.dims)
-    # an entry permutation commuting with the conjugate transpose keeps op
-    # exactly as Hermitian and finite as it was, so validation is skipped
-    pt = object.__new__(HermitianOperator)
-    object.__setattr__(pt, "dims", op.dims)
-    object.__setattr__(pt, "entries", _read_only(out))
-    return pt
+    return HermitianOperator(op.dims, partial_transpose_stack(op.entries, op.dims))
 
 
 def partial_transpose_stack(m: np.ndarray, dims: Dims) -> np.ndarray:

@@ -13,7 +13,6 @@ byte-deterministic for a fixed command line.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Mapping
@@ -222,30 +221,37 @@ def cell_text(value) -> str:
     return str(value)
 
 
-def _column_text(column: np.ndarray, other) -> list[str]:
-    """One column's cells: a column of finite floats by float.__repr__, of
-    bools or of strings by other once per distinct value, and any other
-    column (an object array, say) by other cell by cell."""
+def _csv_cell(value) -> str:
+    """cell_text(value) as a CSV cell that needs no quoting: text RFC 4180
+    would quote (empty, or holding a comma, quote or line break) or holding
+    a NUL raises ValueError naming it."""
+    text = cell_text(value)
+    if not text or any(ch in text for ch in ',"\r\n\0'):
+        raise ValueError(f"CSV cell {text!r} would need quoting; report cells are plain text")
+    return text
+
+
+def _column_text(column: np.ndarray, rule) -> list[str]:
+    """One column's cells by its dtype: float64 by float.__repr__, bool and
+    str by the format's rule once per distinct value; any other dtype
+    raises TypeError naming it."""
     values = column.tolist()
-    kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
+    if column.dtype == np.float64:
         return list(map(float.__repr__, values))
-    if kinds in ({bool}, {str}):
-        return list(map({v: other(v) for v in set(values)}.__getitem__, values))
-    return list(map(other, values))
+    if column.dtype.kind not in "bU":
+        raise TypeError(f"report columns are float64, bool or str, not {column.dtype}")
+    return list(map({v: rule(v) for v in set(values)}.__getitem__, values))
 
 
-def _row_chunks(columns: list[np.ndarray]) -> range:
-    """The first row of each SCAN_CHUNK rows of a table, as far as its
-    shortest column (where zip stops)."""
-    return range(0, min(map(len, columns), default=0), SCAN_CHUNK)
-
-
-def _csv_plain(cells: list[str]) -> bool:
-    """Whether csv.writer writes every cell as it is: none is empty or holds
-    a delimiter, quote, line break or NUL (which Python 3.10 rejects)."""
-    text = "".join(cells)
-    return all(cells) and not any(ch in text for ch in ',"\r\n\0')
+def _write_rows(stream: IO[str], columns: list[np.ndarray], cell, row: str, sep: str) -> int:
+    """Write row % (one cell per column) for each row of a table's columns,
+    sep between rows, SCAN_CHUNK rows at a time, so it holds one chunk's
+    cells and text at once; returns the number of rows."""
+    n = min(map(len, columns), default=0)
+    for start in range(0, n, SCAN_CHUNK):
+        cells = [_column_text(c[start:start + SCAN_CHUNK], cell) for c in columns]
+        stream.write((sep if start else "") + sep.join(map(row.__mod__, zip(*cells))))
+    return n
 
 
 def write_rows_csv(
@@ -257,26 +263,16 @@ def write_rows_csv(
     notes: tuple[str, ...] = (),
 ) -> None:
     """Versioned-header CSV of the named columns of a column table ('#'
-    preamble lines, then RFC-4180 content).  The body is written SCAN_CHUNK
-    rows at a time, so it holds one chunk's cells and text at once: a join
-    of the chunk's cells when none needs quoting, else csv.writer's rows,
-    which are the same bytes for cells that need none."""
+    preamble lines, then RFC-4180 content whose cells never need quoting).
+    The columns are float64, bool or str: another dtype raises TypeError,
+    and a column name or cell that would need quoting ValueError."""
     head = report_header(schema, reproducible, notes)
-    stream.write(f"# schema={schema}\r\n")
-    for note in notes:
-        stream.write(f"# note={note}\r\n")
-    if "generated" in head:
-        stream.write(f"# generated={head['generated']}\r\n")
-    writer = csv.writer(stream, lineterminator="\r\n")
-    writer.writerow(columns)
+    stamp = [f"generated={head['generated']}"] if "generated" in head else []
+    preamble = [f"schema={schema}", *(f"note={note}" for note in notes), *stamp]
+    names = ",".join(map(_csv_cell, columns))
+    stream.write("".join(f"# {line}\r\n" for line in preamble) + names + "\r\n")
     row = ",".join(["%s"] * len(columns)) + "\r\n"
-    arrays = [table[col] for col in columns]
-    for start in _row_chunks(arrays):
-        cells = [_column_text(a[start:start + SCAN_CHUNK], cell_text) for a in arrays]
-        if all(map(_csv_plain, cells)):
-            stream.write("".join(map(row.__mod__, zip(*cells))))
-        else:
-            writer.writerows(zip(*cells))
+    _write_rows(stream, [table[col] for col in columns], _csv_cell, row, "")
 
 
 def scan_report_json(
@@ -289,21 +285,14 @@ def scan_report_json(
     return doc
 
 
-def _check_json_cells(columns: list[np.ndarray]) -> None:
-    """Raise the encoder's error for the first value, in row order, that
-    json_text rejects.  Float64 columns are checked with np.isfinite, the
-    others cell by cell, SCAN_CHUNK rows at a time."""
-    try:
-        for column in columns:
-            if column.dtype == np.float64:  # raises on its first non-finite value
-                json_text(column[~np.isfinite(column)].tolist())
-            else:
-                for start in _row_chunks([column]):
-                    _column_text(column[start:start + SCAN_CHUNK], json_text)
-    except ValueError:  # name the first non-finite float in row order
-        for start in _row_chunks(columns):
-            json_text(list(zip(*(c[start:start + SCAN_CHUNK].tolist() for c in columns))))
-        raise
+def _check_json_floats(columns: list[np.ndarray]) -> None:
+    """Raise json_text's error for the first non-finite value, in row
+    order, of the float64 columns, from one np.isfinite pass over each."""
+    firsts = sorted(
+        (row, i) for i, column in enumerate(columns) if column.dtype == np.float64
+        for row in np.flatnonzero(~np.isfinite(column))[:1].tolist()
+    )
+    json_text([columns[i][row].item() for row, i in firsts[:1]])
 
 
 def write_scan_json(
@@ -314,18 +303,13 @@ def write_scan_json(
 ) -> None:
     """The bytes of json.dumps(scan_report_json(...), indent=2, allow_nan=False)
     and a newline, each row, keyed in the table's column order, from one
-    format string.  Every cell is checked before the first byte, so a value
-    the encoder rejects raises its error and writes nothing; then the rows
-    are written SCAN_CHUNK at a time, so it holds one chunk's text at once."""
-    text = json_text(scan_report_json({}, reproducible, notes))
-    if not any(map(len, table.values())):
-        stream.write(text + "\n")
-        return
+    format string.  The columns are float64, bool or str (another dtype
+    raises TypeError), and a non-finite float raises the encoder's error
+    before the first byte is written."""
     columns = list(table.values())
-    _check_json_cells(columns)
-    template = "    {\n" + ",\n".join(f"      {json_text(k)}: %s" for k in table) + "\n    }"
-    stream.write(text.removesuffix("[]\n}") + "[\n")
-    for start in _row_chunks(columns):
-        cells = [_column_text(c[start:start + SCAN_CHUNK], json_text) for c in columns]
-        stream.write((",\n" if start else "") + ",\n".join(map(template.__mod__, zip(*cells))))
-    stream.write("\n  ]\n}\n")
+    _check_json_floats(columns)
+    text = json_text(scan_report_json({}, reproducible, notes))
+    template = "\n    {\n" + ",\n".join(f"      {json_text(k)}: %s" for k in table) + "\n    }"
+    stream.write(text.removesuffix("]\n}"))  # the document up to the rows' "["
+    rows = _write_rows(stream, columns, json_text, template, ",")
+    stream.write("\n  ]\n}\n" if rows else "]\n}\n")

@@ -21,11 +21,6 @@ def table_rows(table: dict) -> list[dict]:
     return [dict(zip(table, row)) for row in zip(*(c.tolist() for c in table.values()))]
 
 
-def rows_table(rows: list[dict], columns: tuple[str, ...]) -> dict:
-    """The columns of a list of row dicts, each as an object array of its cells."""
-    return {col: np.array([row[col] for row in rows], dtype=object) for col in columns}
-
-
 def random_hermitian(dims: Dims, rng: np.random.Generator, scale: float = 1.0) -> HermitianOperator:
     d = dims.dAB
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -464,4 +464,9 @@ def load_operator_file_per_cell(path) -> tuple[HermitianOperator, dict]:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{path}: metadata must be an object")
+    for key, value in metadata.items():
+        if not isinstance(value, str):
+            raise ParseError(
+                f"{path}: metadata {key!r} must be a string, not {type(value).__name__}"
+            )
     return make_hermitian(matrix, dims), metadata

@@ -430,6 +430,19 @@ class TestInvalidInput:
         assert "NaN" not in out and "Traceback" not in err
         assert "row 0, column 0" in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "7", '["x"]'], ids=["nan", "number", "list"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_non_string_metadata_rejected(self, capsys, tmp_path, literal, flags):
+        path = tmp_path / "labelled.json"
+        save_operator(hakye_witness(reference_violation_params()), path, {"label": "<value>"})
+        text = path.read_text(encoding="utf-8").replace('"<value>"', literal)
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--reproducible", *flags)
+        assert code == EXIT_INPUT
+        assert out == ""
+        kind = type(json.loads(literal)).__name__
+        assert err == f"error: {path}: metadata 'label' must be a string, not {kind}\n"
+
     @pytest.mark.parametrize(
         "flags", [["--restarts", "0"], ["--max-iter", "-1"]], ids=["restarts", "max-iter"]
     )

@@ -147,6 +147,16 @@ class TestValidation:
         with pytest.raises(ParseError, match="metadata"):
             load_operator_file(write_doc(tmp_path / "bad.json", doc))
 
+    # a non-string value, NaN included (json.load reads it), names the key
+    @pytest.mark.parametrize("literal", ["NaN", "1.5", "null", "true", '["x"]', "{}"])
+    def test_metadata_values_must_be_strings(self, tmp_path, literal):
+        doc = minimal_doc() | {"metadata": {"label": "x", "note": "<value>"}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"<value>"', literal), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{path}: metadata 'note' must be a string"):
+            load_operator_file(path)
+        assert outcome(load_operator_file, path) == outcome(load_operator_file_per_cell, path)
+
     def test_integer_cells_accepted(self, tmp_path):
         doc = minimal_doc()
         doc["entries"] = [

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import importlib
 import io
 import json
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rows_table, table_rows
+from conftest import table_rows
 from oracles import (
     grid_one_at_a_time,
     rows_csv_row_by_row,
@@ -363,19 +362,6 @@ class TestReportBytes:
         write_rows_csv(empty, SCAN_COLUMNS, SCAN_SCHEMA, buf, reproducible=True)
         assert buf.getvalue() == rows_csv_row_by_row([], SCAN_COLUMNS, SCAN_SCHEMA)
 
-    def test_mixed_columns_fall_back_cell_by_cell(self):
-        rows = [
-            {"x": 1.0, "y": True, "z": "a,b", "w": None, "v": "plain"},
-            {"x": 2, "y": None, "z": 'say "hi"', "w": 1.5, "v": "é\n"},
-            {"x": -0.0, "y": False, "z": "", "w": float("inf"), "v": "plain"},
-        ]
-        columns = ("x", "y", "z", "w", "v")
-        buf = io.StringIO()
-        write_rows_csv(rows_table(rows, columns), columns, "s", buf, reproducible=True)
-        assert buf.getvalue() == rows_csv_row_by_row(rows, columns, "s")
-        rows[2]["w"] = -2.5
-        assert self._json(rows_table(rows, columns)) == scan_report_reference(rows, self.NOTES)
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -554,9 +540,15 @@ CELL = st.one_of(
 )
 
 
+def _plain(text: str) -> bool:
+    """Whether csv.writer writes text as it is: not empty, and no delimiter,
+    quote, line break or NUL."""
+    return bool(text) and not set(text) & set(',"\r\n\0')
+
+
 class TestCsvJoin:
-    """The joined CSV body is csv.writer's, byte for byte; a column with any
-    cell that csv.writer would quote goes through csv.writer."""
+    """The CSV body is csv.writer's, byte for byte, when no cell needs
+    quoting; a cell that would need it raises ValueError."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -566,69 +558,86 @@ class TestCsvJoin:
     )
     def test_matches_the_row_by_row_writer(self, n, text, floats):
         table = {"x": np.array(floats[:n]), "flag": np.array([True, False] * 3)[:n]}
-        table.update({f"t{k}": np.array(column[:n], dtype=object) for k, column in enumerate(text)})
+        table.update({f"t{k}": np.array(column[:n], dtype=str) for k, column in enumerate(text)})
         columns = tuple(table)
         buf = io.StringIO()
-        try:
+        cells = [cell for key in columns[2:] for cell in table[key].tolist()]
+        if all(map(_plain, cells)):
             write_rows_csv(table, columns, "s", buf, reproducible=True, notes=("n",))
-        except csv.Error as exc:  # a NUL cell on Python 3.10: the reference fails alike
-            with pytest.raises(csv.Error, match=re.escape(str(exc))):
-                rows_csv_row_by_row(table_rows(table), columns, "s", ("n",))
-            return
-        assert buf.getvalue() == rows_csv_row_by_row(table_rows(table), columns, "s", ("n",))
-
-    @pytest.fixture
-    def writerows_calls(self, monkeypatch):
-        """Counts the csv.writer.writerows calls of the writer under test."""
-        calls = []
-        real_writer = csv.writer
-
-        class Spy:
-            def __init__(self, stream, **kwargs):
-                self._writer = real_writer(stream, **kwargs)
-                self.writerow = self._writer.writerow
-
-            def writerows(self, rows):
-                calls.append(rows)
-                return self._writer.writerows(rows)
-
-        monkeypatch.setattr(scan_module.csv, "writer", Spy)
-        return calls
-
-    # the cell in the first chunk, or alone in a later one: only its chunk is
-    # csv.writer's
-    @pytest.mark.parametrize("row", [1, 2 * SCAN_CHUNK + 3])
-    @pytest.mark.parametrize("cell", ["", ",", '"', "\r", "\n", "x\0"])
-    def test_a_cell_that_needs_quoting_takes_csv_writer(self, cell, row, request):
-        rows = [{"x": 1.5, "s": "plain"}] * row + [{"x": 2.5, "s": cell}]
-        try:
-            expected = rows_csv_row_by_row(rows, ("x", "s"), "s")
-        except csv.Error:  # NUL on Python 3.10
-            expected = None
-        calls = request.getfixturevalue("writerows_calls")
-        buf = io.StringIO()
-        if expected is None:
-            with pytest.raises(csv.Error):
-                write_rows_csv(rows_table(rows, ("x", "s")), ("x", "s"), "s", buf, True)
+            assert buf.getvalue() == rows_csv_row_by_row(table_rows(table), columns, "s", ("n",))
         else:
-            write_rows_csv(rows_table(rows, ("x", "s")), ("x", "s"), "s", buf, True)
-            assert buf.getvalue() == expected
-        assert len(calls) == 1
+            with pytest.raises(ValueError, match="would need quoting"):
+                write_rows_csv(table, columns, "s", buf, reproducible=True, notes=("n",))
 
-    def test_scan_and_geometry_bodies_take_the_join(self, hakye_reference, request):
-        _, op = hakye_reference
-        grid = build_grid([parse_grid_axis(f"theta=0.01:1.5:{SCAN_CHUNK + 1}")], {}, True)
-        reports = [
-            (run_scan(grid), SCAN_COLUMNS, SCAN_SCHEMA),
-            (geometry_rows(op, samples=300, seed=4), GEOMETRY_COLUMNS, GEOMETRY_SCHEMA),
-        ]
-        expected = [rows_csv_row_by_row(table_rows(t), c, s) for t, c, s in reports]
-        calls = request.getfixturevalue("writerows_calls")
-        for (table, columns, schema), text in zip(reports, expected):
-            buf = io.StringIO()
-            write_rows_csv(table, columns, schema, buf, reproducible=True)
-            assert buf.getvalue() == text
-        assert calls == []
+
+QUOTED = ["", ",", '"', "\r", "\n", "x\0"]
+
+
+class TestRefusals:
+    """The writers take float64, bool and str columns whose CSV text needs
+    no quoting, and refuse anything else by name."""
+
+    @pytest.mark.parametrize(
+        "column",
+        [np.array([1.5, "x"], dtype=object), np.array([1, 2]), np.array([1.5, 2.5], np.float32)],
+        ids=["object", "int", "float32"],
+    )
+    def test_another_dtype_raises_type_error(self, column):
+        message = re.escape(str(column.dtype))
+        with pytest.raises(TypeError, match=message):
+            write_rows_csv({"x": column}, ("x",), "s", io.StringIO(), reproducible=True)
+        with pytest.raises(TypeError, match=message):
+            write_scan_json({"x": column}, io.StringIO(), reproducible=True)
+
+    @pytest.mark.parametrize("text", QUOTED)
+    def test_a_column_name_that_needs_quoting_raises(self, text):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            write_rows_csv({text: np.array([1.5])}, (text,), "s", buf, reproducible=True)
+        assert buf.getvalue() == ""
+
+    # numpy's str dtype drops a trailing NUL, so "x\0" is stored with a tail;
+    # the cell sits in the second chunk, after plain ones
+    @pytest.mark.parametrize("text", QUOTED)
+    def test_a_cell_that_needs_quoting_raises(self, text):
+        cell = text + "y" if text.endswith("\0") else text
+        column = np.array(["plain"] * SCAN_CHUNK + [cell])
+        assert column[-1] == cell
+        with pytest.raises(ValueError, match=re.escape(repr(cell))):
+            write_rows_csv({"s": column}, ("s",), "s", io.StringIO(), reproducible=True)
+
+
+class TestReportTables:
+    """The tables the package writes hold only float64, bool and str
+    columns; their str cells need no quoting and their floats are finite,
+    so the writers' refusals never fire on them."""
+
+    @staticmethod
+    def _assert_plain(table):
+        for key, column in table.items():
+            assert column.dtype == np.float64 or column.dtype.kind in "bU", key
+            if column.dtype.kind == "U":
+                assert all(map(_plain, set(column.tolist()))), key
+            if column.dtype == np.float64:
+                assert np.isfinite(column).all(), key
+
+    @pytest.mark.parametrize("grid", sorted(TestReportBytes.GRIDS))
+    def test_scan_grids(self, grid):
+        specs, cos_family, _ = TestReportBytes.GRIDS[grid]
+        self._assert_plain(TestReportBytes._scan(specs, cos_family))
+
+    def test_extreme_scan_point(self):
+        # --a 1.7e308: an oracle mismatch, with every float still finite
+        table = run_scan(build_grid([], {"a": 1.7e308, "b": 1.0, "c": 1.0, "theta": 0.0}))
+        assert table["verdict"].tolist() == ["oracle-mismatch"]
+        self._assert_plain(table)
+
+    def test_geometry(self, hakye_reference):
+        table = geometry_rows(hakye_reference[1], samples=SCAN_CHUNK, seed=7)
+        assert set(table["source"].tolist()) == {
+            "ground-projector", "random-density", "separable-ensemble"
+        }
+        self._assert_plain(table)
 
 
 def _traced_peak(f, *args):
