@@ -3,7 +3,8 @@
 Exit codes: 0 clean, 1 bad input or validation failure (an argparse usage
 error, an InputError, OSError or ValueError, or a MemoryError such as a grid
 too large to allocate), 2 numerical failure (a NumericalError or a numpy
-linear-algebra or floating-point error), 3 a violation of the
+linear-algebra or floating-point error, or a cmax estimate that did not
+converge within --max-iter sweeps), 3 a violation of the
 SPA-separability conjecture was flagged (the eigenvalue-gap condition
 fired), so scripts can branch on the result.
 """
@@ -187,7 +188,13 @@ def _cmd_cmax(args: argparse.Namespace) -> int:
         ("iterations", estimate.iterations),
         ("converged", estimate.converged),
     ])
-    return EXIT_OK if estimate.converged else EXIT_NUMERIC
+    if not estimate.converged:
+        print(
+            f"numerical failure: see-saw did not converge in --max-iter {args.max_iter} sweeps",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 def _cmd_geometry(args: argparse.Namespace) -> int:

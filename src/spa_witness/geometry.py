@@ -59,6 +59,8 @@ def geometry_rows(
     projector row, then `samples` random and `samples` separable rows."""
     if samples < 1:
         raise InvalidParams(f"samples must be >= 1, got {samples!r}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed!r}")
     dims = witness_op.dims
     rng = np.random.default_rng(seed)
     _, ground = min_eigenpair(witness_op)

@@ -149,7 +149,7 @@ def c_sigma_max(
     tol : float
         A run stops once a full sweep lowers the objective by less than this.
     seed : int
-        Base seed for the deterministic restart schedule.
+        Base seed, at least 0, for the deterministic restart schedule.
 
     Returns
     -------
@@ -160,7 +160,7 @@ def c_sigma_max(
     Raises
     ------
     InvalidParams
-        When restarts, max_iter or tol is out of range.
+        When restarts, max_iter, tol or seed is out of range.
     ConvergenceFailure
         When a half step raises some run's objective, naming the restart, or
         an eigensolve fails.
@@ -169,6 +169,8 @@ def c_sigma_max(
         raise InvalidParams(
             f"need restarts >= 1 and max_iter >= 0, got {restarts!r} and {max_iter!r}"
         )
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed!r}")
     check_tol(tol)
     dims = sigma.dims
     entries = sigma.op.entries

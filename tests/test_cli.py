@@ -349,13 +349,14 @@ class TestCmax:
         rho = full_rank_separable(Dims(2, 2), rng)
         path = tmp_path / "rho.json"
         save_operator(rho.op, path)
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys,
             "cmax", str(path), "--json", "--reproducible",
             "--restarts", "2", "--max-iter", "0",
         )
         assert code == EXIT_NUMERIC
         assert json.loads(out)["converged"] is False
+        assert err == "numerical failure: see-saw did not converge in --max-iter 0 sweeps\n"
 
 
 class TestGeometry:
@@ -470,6 +471,15 @@ class TestInvalidInput:
         assert code == EXIT_INPUT
         assert out == ""
         assert "samples" in err
+
+    @pytest.mark.parametrize("command", ["cmax", "geometry"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "tau.json"
+        save_operator(maximally_mixed(Dims(2, 2)).op, path)
+        code, out, err = run_cli(capsys, command, str(path), "--seed", "-1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_hakye_tolerance_validated(self, capsys, tol):
