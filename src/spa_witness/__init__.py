@@ -39,7 +39,6 @@ from .operators import (
     eig_hermitian,
     hs_inner,
     hs_norm,
-    identity,
     make_hermitian,
     min_eigenpair,
     partial_transpose,

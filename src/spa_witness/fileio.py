@@ -13,8 +13,9 @@ Entries are row-major over the joint space with each cell a [real, imag]
 pair.  Floats are emitted as shortest round-trip decimals, so a save/load
 cycle reproduces the matrix bit for bit (finite values only).
 
-Loading checks shape and type in one pass over the cells, then finiteness
-over one float array; the first failure in row-major order is reported.
+Loading makes one pass over the rows and cells in row-major order: each
+row's length, then each cell's [real, imag] pair of JSON numbers and its
+finiteness, so the first failure in that order is the one reported.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .operators import Dims, HermitianOperator, make_hermitian
 
 SCHEMA_VERSION = 1
 _JSON_NUMBERS = (int, float)
+_FLOAT_MAX = sys.float_info.max
 
 
 def save_operator(
@@ -80,19 +82,23 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
             f"{path}: entries have {got} rows, dims demand {dims.dAB}"
         )
     n = dims.dAB
-    r, s, error = _type_gate(rows, n, path)
-    # finiteness of the cells before the first failure, so the first in row-major order wins
-    cells = [cell for row in rows[:r] for cell in row] + (rows[r][:s] if s else [])
-    try:
-        values = np.array(cells, dtype=np.float64).reshape(-1, 2)
-        finite = np.isfinite(values).all(axis=1)
-    except OverflowError:  # an integer literal beyond the float range
-        finite = np.array([all(abs(x) <= sys.float_info.max for x in cell) for cell in cells])
-    if not finite.all():
-        r, s = divmod(int(np.argmin(finite)), n)
-        raise ParseError(f"{path}: entry at row {r}, column {s} is not finite")
-    if error is not None:
-        raise error
+    flat: list = []
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            got = len(row) if isinstance(row, list) else type(row).__name__
+            raise DimensionMismatch(f"{path}: row {r} has {got} columns, dims demand {n}")
+        for s, cell in enumerate(row):
+            # json.load yields exactly int or float for numbers, and bool is neither
+            if not (isinstance(cell, list) and len(cell) == 2) or not (
+                type(cell[0]) in _JSON_NUMBERS and type(cell[1]) in _JSON_NUMBERS
+            ):
+                raise ParseError(
+                    f"{path}: entry at row {r}, column {s} is not a [real, imag] pair of numbers"
+                )
+            # compared exactly: nan, the infinities and integers beyond the float range fail
+            if not (-_FLOAT_MAX <= cell[0] <= _FLOAT_MAX and -_FLOAT_MAX <= cell[1] <= _FLOAT_MAX):
+                raise ParseError(f"{path}: entry at row {r}, column {s} is not finite")
+            flat += cell
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{path}: metadata must be an object")
@@ -101,24 +107,8 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
             raise ParseError(
                 f"{path}: metadata {key!r} must be a string, not {type(value).__name__}"
             )
-    return make_hermitian(values.view(np.complex128).reshape(n, n), dims), metadata
-
-
-def _type_gate(rows: list, n: int, path: str | Path) -> tuple[int, int, Exception | None]:
-    """Row, column and error of the first bad row or cell; (n, 0, None) if none."""
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            got = len(row) if isinstance(row, list) else type(row).__name__
-            return r, 0, DimensionMismatch(f"{path}: row {r} has {got} columns, dims demand {n}")
-        for s, cell in enumerate(row):
-            # json.load yields exactly int or float for numbers, and bool is neither
-            if not (isinstance(cell, list) and len(cell) == 2) or not (
-                type(cell[0]) in _JSON_NUMBERS and type(cell[1]) in _JSON_NUMBERS
-            ):
-                return r, s, ParseError(
-                    f"{path}: entry at row {r}, column {s} is not a [real, imag] pair of numbers"
-                )
-    return n, 0, None
+    values = np.array(flat, dtype=np.float64).view(np.complex128).reshape(n, n)
+    return make_hermitian(values, dims), metadata
 
 
 def load_operator(path: str | Path) -> HermitianOperator:

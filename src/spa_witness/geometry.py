@@ -1,7 +1,9 @@
 """Scatter data relating witness values to entanglement indicators.
 
-For one witness matrix, emit rows for the witness's own ground projector
-(guaranteed to sit on the negative side), then random densities, then
+For one witness matrix, whose minimum eigenvalue lam0 must be negative
+(NotNegative otherwise), emit rows for the witness's own ground projector,
+whose witness value is lam0 (on the negative side, or on the plane when
+-DEFAULT_DETECT_TOL <= lam0 < 0), then random densities, then
 separable-by-construction mixtures.  Each row pairs the witness value with
 the state's partial-transpose minimum, purity, and a hyperplane
 classification, which is enough to scatter-plot how the detection
@@ -25,6 +27,7 @@ from .errors import InvalidParams
 from .operators import (
     HermitianOperator,
     check_hermitian,
+    check_seed,
     eigh_checked,
     hs_inner_stack,
     min_eigenpair,
@@ -39,7 +42,7 @@ from .states import (
     mix_products,
     vector_norms,
 )
-from .witness import hyperplane_side
+from .witness import check_candidate, hyperplane_side
 
 GEOMETRY_SCHEMA = "witness-geometry-v1"
 GEOMETRY_COLUMNS = (
@@ -59,11 +62,11 @@ def geometry_rows(
     projector row, then `samples` random and `samples` separable rows."""
     if samples < 1:
         raise InvalidParams(f"samples must be >= 1, got {samples!r}")
-    if seed < 0:
-        raise InvalidParams(f"seed must be >= 0, got {seed!r}")
+    check_seed(seed)
+    lam0, ground = min_eigenpair(witness_op)
+    check_candidate(lam0)
     dims = witness_op.dims
     rng = np.random.default_rng(seed)
-    _, ground = min_eigenpair(witness_op)
     n_rows = 1 + 2 * samples
     values, pt_mins, norms = [], [], []
     for start in range(0, n_rows, SCAN_CHUNK):

@@ -39,6 +39,12 @@ def check_tol(tol: float) -> None:
         raise InvalidParams(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
+def check_seed(seed: int | np.random.Generator) -> None:
+    """Raise InvalidParams if seed is an int below 0; a Generator passes."""
+    if not isinstance(seed, np.random.Generator) and seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed!r}")
+
+
 def lapack_eig(solver, m: np.ndarray):
     """solver(m) for a numpy.linalg eigensolver; LAPACK failure is ConvergenceFailure."""
     try:
@@ -123,11 +129,6 @@ class Spectrum:
 def make_hermitian(entries: np.ndarray, dims: Dims) -> HermitianOperator:
     """Validate and wrap a square complex matrix as a Hermitian operator."""
     return HermitianOperator(dims, np.asarray(entries, dtype=np.complex128))
-
-
-def identity(dims: Dims) -> HermitianOperator:
-    """The identity operator on the joint space."""
-    return HermitianOperator(dims, np.eye(dims.dAB, dtype=np.complex128))
 
 
 def shifted(op: HermitianOperator, s: float) -> HermitianOperator:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotADensity, WeightSumError
-from .operators import Dims, HermitianOperator, _first_failure, _read_only, lapack_eig
+from .operators import Dims, HermitianOperator, _first_failure, _read_only, check_seed, lapack_eig
 
 UNIT_NORM_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-10
@@ -288,6 +288,7 @@ def maximally_mixed(dims: Dims) -> DensityOperator:
 
 def random_density(dims: Dims, seed: int | np.random.Generator) -> DensityOperator:
     """Hilbert-Schmidt random density: G G^dag normalized, G complex Gaussian."""
+    check_seed(seed)
     m = draw_densities(dims, 1, np.random.default_rng(seed))[0]
     return DensityOperator(HermitianOperator(dims, m), Provenance.UNKNOWN)
 
@@ -296,6 +297,7 @@ def random_separable_ensemble(
     dims: Dims, n_terms: int, seed: int | np.random.Generator
 ) -> SeparableEnsemble:
     """Random mixture of Haar product vectors with Dirichlet weights."""
+    check_seed(seed)
     weights, mu, nu = draw_ensembles(dims, 1, n_terms, np.random.default_rng(seed))
     terms = tuple(
         (float(w), ProductVector(m, n)) for w, m, n in zip(weights[0], mu[0], nu[0])

@@ -30,6 +30,7 @@ from .errors import (
 from .operators import (
     HermitianOperator,
     Spectrum,
+    check_seed,
     check_tol,
     eig_hermitian,
     eigh_checked,
@@ -169,8 +170,7 @@ def c_sigma_max(
         raise InvalidParams(
             f"need restarts >= 1 and max_iter >= 0, got {restarts!r} and {max_iter!r}"
         )
-    if seed < 0:
-        raise InvalidParams(f"seed must be >= 0, got {seed!r}")
+    check_seed(seed)
     check_tol(tol)
     dims = sigma.dims
     entries = sigma.op.entries
@@ -333,6 +333,7 @@ def verify_decomposition(
     A witness admitting such a decomposition is decomposable and can only
     detect states that already fail the partial-transpose test.
     """
+    check_tol(tol)
     if witness_op.dims != p.dims or witness_op.dims != q.dims:
         raise DimensionMismatch("decomposition pieces must share the witness dims")
     w, _ = eigh_checked(np.stack([p.entries, q.entries]))

@@ -14,7 +14,7 @@ check_density's verdicts and messages and draw_ensembles' bits must
 reproduce.  The scalar and row-by-row references at the end are the routes
 that the array forms and the column-wise report writers must reproduce bit
 for bit, and the per-cell operator-file loader and per-entry writer are the
-ones that fileio's array loader and writer must reproduce byte for byte,
+ones that fileio's single-pass loader and writer must reproduce byte for byte,
 errors included.
 """
 

@@ -464,6 +464,15 @@ class TestInvalidInput:
         assert out == ""
         assert "tolerance must be finite and >= 0" in err
 
+    def test_geometry_density_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "tau.json"
+        save_operator(maximally_mixed(Dims(2, 2)).op, path)
+        code, out, err = run_cli(capsys, "geometry", str(path), "--samples", "3")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "minimum eigenvalue 0.25" in err
+        assert "is non-negative: not a witness candidate" in err
+
     def test_geometry_samples_validated(self, capsys, reference_file):
         code, out, err = run_cli(
             capsys, "geometry", str(reference_file), "--samples", "0"

@@ -233,7 +233,7 @@ def doc_dir(tmp_path_factory):
 
 
 class TestLoaderParity:
-    """The array loader against the per-cell reference loader in tests/oracles.py."""
+    """The single-pass loader against the per-cell reference loader in tests/oracles.py."""
 
     @settings(max_examples=300, deadline=None)
     @given(doc=operator_documents())

@@ -28,7 +28,6 @@ from spa_witness.operators import (
     eigh_checked,
     hs_inner,
     hs_norm,
-    identity,
     make_hermitian,
     min_eigenpair,
     partial_transpose,
@@ -40,6 +39,11 @@ from spa_witness.operators import (
 D22 = Dims(2, 2)
 D23 = Dims(2, 3)
 D33 = Dims(3, 3)
+
+
+def identity(dims: Dims) -> HermitianOperator:
+    """The identity operator on the joint space."""
+    return make_hermitian(np.eye(dims.dAB), dims)
 
 
 class TestDims:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import DIMS_SMALL
 from oracles import check_density_eigvalsh_only, draw_ensembles_dirichlet_loop
-from spa_witness.errors import DimensionMismatch, NotADensity, WeightSumError
+from spa_witness.errors import DimensionMismatch, InvalidParams, NotADensity, WeightSumError
 from spa_witness.operators import Dims, make_hermitian, partial_transpose
 from spa_witness.states import (
     DENSITY_MIN_EIG_TOL,
@@ -205,6 +205,12 @@ class TestDensityValidation:
 
 
 class TestRandomSampling:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidParams, match=r"^seed must be >= 0, got -1$"):
+            random_density(D22, -1)
+        with pytest.raises(InvalidParams, match=r"^seed must be >= 0, got -1$"):
+            random_separable_ensemble(D22, 3, -1)
+
     def test_density_deterministic_per_seed(self):
         r1 = random_density(D22, 9)
         r2 = random_density(D22, 9)

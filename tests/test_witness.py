@@ -501,3 +501,10 @@ class TestVerifyDecomposition:
         p = make_hermitian(np.zeros((6, 6)), Dims(2, 3))
         with pytest.raises(DimensionMismatch):
             verify_decomposition(v, p, p)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_tolerance_validated(self, tol):
+        # with tol=inf, -I and -I would certify any witness
+        minus_i = make_hermitian(-np.eye(4), D22)
+        with pytest.raises(InvalidParams, match="tolerance must be finite and >= 0"):
+            verify_decomposition(swap_operator(2), minus_i, minus_i, tol=tol)
