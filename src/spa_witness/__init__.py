@@ -82,7 +82,6 @@ from .witness import (
     SigmaFormWitness,
     build_witness,
     c_sigma_max,
-    detects,
     is_weakly_optimal,
     product_expectation,
     sigma_form_from_matrix,

@@ -127,18 +127,14 @@ def _cmd_hakye(args: argparse.Namespace) -> int:
     fixed = {k: getattr(args, k) for k in GRID_KEYS if getattr(args, k) is not None}
     axes = [parse_grid_axis(spec) for spec in args.scan or []]
     grid = build_grid(axes, fixed, cos_family=args.cos_family)
-    if args.save_operator:
-        if grid.shape[1] != 1:
-            raise InvalidGrid("--save-operator requires a single grid point")
-        p = HaKyeParams(*grid[:, 0].tolist())
-        save_operator(
-            hakye_witness(p),
-            args.save_operator,
-            metadata={
-                "label": f"hakye a={p.a!r} b={p.b!r} c={p.c!r} theta={p.theta!r}"
-            },
-        )
+    if args.save_operator and grid.shape[1] != 1:
+        raise InvalidGrid("--save-operator requires a single grid point")
+    # the operator is saved only once the scan has accepted its inputs
     table = run_scan(grid, args.tol)
+    if args.save_operator:
+        p = HaKyeParams(*grid[:, 0].tolist())
+        label = f"hakye a={p.a!r} b={p.b!r} c={p.c!r} theta={p.theta!r}"
+        save_operator(hakye_witness(p), args.save_operator, metadata={"label": label})
     notes = (ASSERTION_LINE, LABEL_LINE)
     with _report_stream(args.out) as fh:
         if args.format == "json":

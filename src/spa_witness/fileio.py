@@ -37,9 +37,11 @@ _FLOAT_MAX = sys.float_info.max
 def save_operator(
     op: HermitianOperator, path: str | Path, metadata: dict | None = None
 ) -> None:
-    """Write an operator file; raises ValueError on non-finite entries."""
+    """Write an operator file; raises ValueError on non-finite entries and
+    ParseError on metadata its loader refuses, before opening the file."""
     if not np.isfinite(op.entries).all():
         raise ValueError("operator has non-finite entries; cannot serialize")
+    _check_metadata(path, metadata or {})
     cells = op.entries.view(np.float64).reshape(*op.entries.shape, 2).tolist()
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -53,6 +55,17 @@ def save_operator(
         fh.write("\n")
 
 
+def _check_metadata(path: str | Path, metadata: object) -> None:
+    """Raise ParseError unless metadata is an object of string values."""
+    if not isinstance(metadata, dict):
+        raise ParseError(f"{path}: metadata must be an object")
+    for key, value in metadata.items():
+        if not isinstance(value, str):
+            raise ParseError(
+                f"{path}: metadata {key!r} must be a string, not {type(value).__name__}"
+            )
+
+
 def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
     """Load and validate an operator file, returning (operator, metadata)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -62,7 +75,8 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    # bool is an int, and 1.0 == 1: the header integers must be JSON integers
+    if type(doc.get("schema_version")) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise ParseError(
             f"{path}: schema_version {doc.get('schema_version')!r} unsupported, "
             f"expected {SCHEMA_VERSION}"
@@ -70,8 +84,8 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
     dims_doc = doc.get("dims")
     if (
         not isinstance(dims_doc, dict)
-        or not isinstance(dims_doc.get("dA"), int)
-        or not isinstance(dims_doc.get("dB"), int)
+        or type(dims_doc.get("dA")) is not int
+        or type(dims_doc.get("dB")) is not int
     ):
         raise ParseError(f"{path}: dims must be an object with integer dA and dB")
     dims = Dims(dims_doc["dA"], dims_doc["dB"])
@@ -100,13 +114,7 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
                 raise ParseError(f"{path}: entry at row {r}, column {s} is not finite")
             flat += cell
     metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ParseError(f"{path}: metadata must be an object")
-    for key, value in metadata.items():
-        if not isinstance(value, str):
-            raise ParseError(
-                f"{path}: metadata {key!r} must be a string, not {type(value).__name__}"
-            )
+    _check_metadata(path, metadata)
     values = np.array(flat, dtype=np.float64).view(np.complex128).reshape(n, n)
     return make_hermitian(values, dims), metadata
 

@@ -2,7 +2,7 @@
 
 Separability is tracked as provenance, never inferred: a density either was
 built as a convex mixture of product projectors (separable-by-construction),
-or a caller vouched for it (asserted-separable), or nothing is known.
+or nothing is known.
 
 Sampling, mixing and validation work on stacks: ``draw_densities``,
 ``draw_ensembles`` and ``mix_products`` build (n, dAB, dAB) stacks, and
@@ -33,7 +33,6 @@ class Provenance(enum.Enum):
     """How much is known about separability of a density operator."""
 
     SEPARABLE = "separable-by-construction"
-    ASSERTED = "asserted-separable"
     UNKNOWN = "unknown"
 
 
@@ -62,11 +61,6 @@ def joint_vectors(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     )
 
 
-def haar_unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector in C^d (normalized complex Gaussian)."""
-    return unit_rows(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-
-
 def _unit_factors(z: np.ndarray, dims: Dims) -> tuple[np.ndarray, np.ndarray]:
     # rows of raw draws: real and imaginary parts of mu, then those of nu
     dA, dB = dims.dA, dims.dB
@@ -80,8 +74,8 @@ def haar_product_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """n Haar factor pairs as (n, dA) and (n, dB) stacks, from one draw.
 
-    The draw is the stream of alternating haar_unit_vector(dA),
-    haar_unit_vector(dB) calls, pair by pair, and each row has their bits.
+    Pair by pair, the draw holds mu's real then imaginary parts, then nu's,
+    so each row has the bits of normalising one complex Gaussian at a time.
     """
     return _unit_factors(rng.standard_normal((n, 2 * dims.dA + 2 * dims.dB)), dims)
 
@@ -231,11 +225,6 @@ class ProductVector:
     def vector(self) -> np.ndarray:
         """The joint unit vector mu_a (x) nu_b in A-major ordering."""
         return joint_vectors(self.mu_a, self.nu_b)
-
-    def projector(self) -> HermitianOperator:
-        """Rank-one projector onto the joint vector."""
-        v = self.vector()
-        return HermitianOperator(self.dims, np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -273,7 +273,7 @@ def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
     gamma = 1.0 / (raw.trace + dims.dAB * (abs(lam0) + eps))
     c = gamma * (abs(lam0) + eps)
     sigma_op = shifted(scaled(raw, gamma), c)
-    sigma = DensityOperator(sigma_op, Provenance.UNKNOWN)  # nobody vouched; it may be entangled
+    sigma = DensityOperator(sigma_op, Provenance.UNKNOWN)  # a recast sigma may be entangled
     return SigmaFormWitness(sigma, c, eig_hermitian(sigma_op))
 
 
@@ -315,11 +315,6 @@ def hyperplane_side(value: float | np.ndarray) -> HyperplaneSide | np.ndarray:
     side = np.where(value > tol, HyperplaneSide.POSITIVE.value, HyperplaneSide.ON_PLANE.value)
     side = np.where(value < -tol, HyperplaneSide.NEGATIVE.value, side)
     return side if np.ndim(value) else HyperplaneSide(side.item())
-
-
-def detects(witness: SigmaFormWitness, rho: DensityOperator) -> bool:
-    """True when rho is on the hyperplane's negative side, i.e. flagged as entangled."""
-    return hyperplane_side(witness_value(witness, rho)) is HyperplaneSide.NEGATIVE
 
 
 def verify_decomposition(

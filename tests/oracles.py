@@ -175,7 +175,8 @@ def grid_product_min_two_qubit(
     return best_val
 
 
-def _haar_one_at_a_time(d: int, rng: np.random.Generator) -> np.ndarray:
+def haar_one_at_a_time(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar-random unit vector in C^d: a normalised complex Gaussian."""
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return z / np.linalg.norm(z)
 
@@ -207,7 +208,7 @@ def geometry_rows_one_at_a_time(
         weights = weights / weights.sum()
         terms = tuple(
             (float(w), ProductVector(
-                _haar_one_at_a_time(dims.dA, rng), _haar_one_at_a_time(dims.dB, rng)
+                haar_one_at_a_time(dims.dA, rng), haar_one_at_a_time(dims.dB, rng)
             ))
             for w in weights
         )
@@ -421,15 +422,18 @@ def load_operator_file_per_cell(path) -> tuple[HermitianOperator, dict]:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    if doc.get("schema_version") != 1:
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or not isinstance(version, int) or version != 1:
         raise ParseError(
-            f"{path}: schema_version {doc.get('schema_version')!r} unsupported, expected 1"
+            f"{path}: schema_version {version!r} unsupported, expected 1"
         )
     dims_doc = doc.get("dims")
     if (
         not isinstance(dims_doc, dict)
-        or not isinstance(dims_doc.get("dA"), int)
-        or not isinstance(dims_doc.get("dB"), int)
+        or not all(
+            isinstance(dims_doc.get(k), int) and not isinstance(dims_doc.get(k), bool)
+            for k in ("dA", "dB")
+        )
     ):
         raise ParseError(f"{path}: dims must be an object with integer dA and dB")
     dims = Dims(dims_doc["dA"], dims_doc["dB"])

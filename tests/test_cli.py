@@ -234,6 +234,17 @@ class TestHakye:
         assert code == EXIT_INPUT
         assert "single grid point" in err
 
+    def test_save_operator_not_written_when_the_command_fails(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        code, out, err = run_cli(
+            capsys,
+            "hakye", "--cos-family", "--theta", "0.3",
+            "--save-operator", str(path), "--tol", "nan",
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "tolerance must be finite" in err
+        assert not path.exists()
+
     def test_bad_scan_spec(self, capsys):
         code, _, err = run_cli(capsys, "hakye", "--scan", "theta=0:1")
         assert code == EXIT_INPUT

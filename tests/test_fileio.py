@@ -61,6 +61,15 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="non-finite"):
             save_operator(_InfOperator(template), tmp_path / "x.json")
 
+    # each is a document its own loader refuses, so nothing is written
+    @pytest.mark.parametrize("metadata", [{"n": 3}, ["x"]], ids=["int-value", "list"])
+    def test_metadata_the_loader_refuses_is_not_saved(self, tmp_path, metadata):
+        op = make_hermitian(np.eye(4, dtype=complex), Dims(2, 2))
+        path = tmp_path / "x.json"
+        with pytest.raises(ParseError, match=f"{path}: metadata"):
+            save_operator(op, path, metadata=metadata)
+        assert not path.exists()
+
 
 class _InfOperator:
     """Duck-typed stand-in whose entries contain an infinity."""
@@ -110,6 +119,22 @@ class TestValidation:
         doc["dims"] = {"dA": 2.0, "dB": 2}
         with pytest.raises(ParseError, match="integer"):
             load_operator(write_doc(tmp_path / "bad.json", doc))
+
+    # true == 1 and 1.0 == 1, but neither is a JSON integer
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"schema_version": True}, "schema_version True unsupported"),
+            ({"schema_version": 1.0}, "schema_version 1.0 unsupported"),
+            ({"dims": {"dA": True, "dB": 2}}, "dims must be an object with integer dA and dB"),
+        ],
+        ids=["version-true", "version-float", "dims-true"],
+    )
+    def test_header_integers_must_be_json_integers(self, tmp_path, header, message):
+        path = write_doc(tmp_path / "bad.json", minimal_doc() | header)
+        with pytest.raises(ParseError, match=message):
+            load_operator(path)
+        assert outcome(load_operator_file, path) == outcome(load_operator_file_per_cell, path)
 
     def test_row_count_mismatch(self, tmp_path):
         doc = minimal_doc()
@@ -206,7 +231,8 @@ BAD_ROW = st.one_of(
 @st.composite
 def operator_documents(draw):
     """Operator-file documents: a Hermitian matrix of finite JSON numbers, with
-    up to three cells and one row replaced by other values, malformed or not."""
+    up to three cells and one row replaced by other values, malformed or not,
+    and a header whose integers may be booleans, floats or strings."""
     dA, dB = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
     n = dA * dB
     rows = [[None] * n for _ in range(n)]
@@ -221,7 +247,12 @@ def operator_documents(draw):
     bad_row = draw(st.one_of(st.none(), st.none(), st.tuples(st.integers(0, n - 1), BAD_ROW)))
     if bad_row is not None:
         rows[bad_row[0]] = bad_row[1]
-    doc = {"schema_version": 1, "dims": {"dA": dA, "dB": dB}, "entries": rows}
+    # the version is a look-alike in one document in three, a dim in one in six
+    version = draw(st.sampled_from([1] * 8 + [True, 1.0, "1", 2]))
+    header_dims = {"dA": dA, "dB": dB}
+    if draw(st.integers(0, 5)) == 0:
+        header_dims[draw(st.sampled_from(["dA", "dB"]))] = draw(st.sampled_from([True, 2.0]))
+    doc = {"schema_version": version, "dims": header_dims, "entries": rows}
     if draw(st.booleans()):
         doc["metadata"] = {"label": "generated"}
     return doc

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import gap_rule_one_at_a_time
+from oracles import gap_rule_one_at_a_time, haar_one_at_a_time
 from conftest import (
     DIMS_SMALL,
     full_rank_separable,
@@ -56,7 +56,6 @@ from spa_witness.states import (
     Provenance,
     SeparableEnsemble,
     ensemble_density,
-    haar_unit_vector,
     maximally_mixed,
 )
 from spa_witness.witness import build_witness, c_sigma_max, sigma_form_from_matrix
@@ -91,8 +90,8 @@ def pt_symmetric_separable(dims: Dims, seed: int) -> DensityOperator:
     n = 2 * dims.dAB
     terms = []
     for _ in range(n):
-        mu = haar_unit_vector(dims.dA, rng)
-        nu = haar_unit_vector(dims.dB, rng)
+        mu = haar_one_at_a_time(dims.dA, rng)
+        nu = haar_one_at_a_time(dims.dB, rng)
         w = rng.uniform(0.5, 1.5)
         terms.append((w, ProductVector(mu, nu)))
         terms.append((w, ProductVector(mu, nu.conj())))
@@ -630,5 +629,6 @@ class TestHyperplaneClassify:
         sigma = full_rank_separable(D22, rng)
         est = c_sigma_max(sigma, restarts=16)
         w = build_witness(sigma, est.value, est)
-        rho = DensityOperator(est.argmin.projector(), Provenance.SEPARABLE)
+        v = est.argmin.vector()
+        rho = DensityOperator(HermitianOperator(D22, np.outer(v, v.conj())), Provenance.SEPARABLE)
         assert hyperplane_classify(w.operator(), rho) is HyperplaneSide.ON_PLANE

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import DIMS_SMALL
-from oracles import check_density_eigvalsh_only, draw_ensembles_dirichlet_loop
+from oracles import check_density_eigvalsh_only, draw_ensembles_dirichlet_loop, haar_one_at_a_time
 from spa_witness.errors import DimensionMismatch, InvalidParams, NotADensity, WeightSumError
 from spa_witness.operators import Dims, make_hermitian, partial_transpose
 from spa_witness.states import (
@@ -22,7 +22,6 @@ from spa_witness.states import (
     draw_ensembles,
     ensemble_density,
     haar_product_factors,
-    haar_unit_vector,
     maximally_mixed,
     mix_products,
     random_density,
@@ -57,9 +56,10 @@ class TestProductVector:
     def test_projector_is_rank_one(self):
         mu, nu = haar_product_factors(D33, 1, np.random.default_rng(5))
         pv = ProductVector(mu[0], nu[0])
-        proj = pv.projector()
-        assert proj.trace == pytest.approx(1.0)
-        assert_allclose(proj.entries @ proj.entries, proj.entries, atol=1e-12)
+        v = pv.vector()
+        proj = np.outer(v, v.conj())
+        assert np.trace(proj).real == pytest.approx(1.0)
+        assert_allclose(proj @ proj, proj, atol=1e-12)
 
     def test_non_unit_factor_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -236,12 +236,10 @@ class TestRandomSampling:
 
     def test_library_sampler_matches_haar_moment(self):
         n = 20_000
-        rng = np.random.default_rng(77)
-        total = 0.0
-        for _ in range(n):
-            total += float(abs(haar_unit_vector(3, rng)[0]) ** 2)
+        mu, _ = haar_product_factors(Dims(3, 2), n, np.random.default_rng(77))
+        mean = float(np.mean(np.abs(mu[:, 0]) ** 2))
         sigma = float(np.sqrt((2.0 / (9.0 * 4.0)) / n))
-        assert abs(total / n - 1.0 / 3.0) < 3.0 * sigma
+        assert abs(mean - 1.0 / 3.0) < 3.0 * sigma
 
     def test_separable_ensemble_weights_and_dims(self):
         ensemble = random_separable_ensemble(D33, 7, 11)
@@ -262,8 +260,8 @@ class TestStackedSampling:
         mu, nu = haar_product_factors(D23, 6, np.random.default_rng(8))
         rng = np.random.default_rng(8)
         for k in range(6):
-            assert np.array_equal(mu[k], haar_unit_vector(2, rng))
-            assert np.array_equal(nu[k], haar_unit_vector(3, rng))
+            assert np.array_equal(mu[k], haar_one_at_a_time(2, rng))
+            assert np.array_equal(nu[k], haar_one_at_a_time(3, rng))
 
     def test_density_stack_equals_one_density_at_a_time(self):
         stack = draw_densities(D23, 4, np.random.default_rng(6))

@@ -16,7 +16,12 @@ from conftest import (
     random_negative_hermitian,
     weakly_optimal_witness,
 )
-from oracles import _expectation_raw, grid_product_min_two_qubit, mc_product_min
+from oracles import (
+    _expectation_raw,
+    grid_product_min_two_qubit,
+    haar_one_at_a_time,
+    mc_product_min,
+)
 from spa_witness.cli import EXIT_NUMERIC, main
 from spa_witness.errors import (
     ConvergenceFailure,
@@ -42,7 +47,6 @@ from spa_witness.states import (
     SeparableEnsemble,
     ensemble_density,
     haar_product_factors,
-    haar_unit_vector,
     joint_vectors,
     maximally_mixed,
     random_density,
@@ -56,7 +60,7 @@ from spa_witness.witness import (
     _expectations,
     build_witness,
     c_sigma_max,
-    detects,
+    hyperplane_side,
     is_weakly_optimal,
     product_expectation,
     sigma_form_from_matrix,
@@ -151,7 +155,7 @@ class TestSeesaw:
 
     @pytest.mark.parametrize("dims", SEESAW_DIMS, ids=str)
     def test_starts_are_the_per_restart_haar_draws(self, dims, monkeypatch):
-        # restart r starts from haar_unit_vector(dA), then (dB), of seed + r
+        # restart r starts from one Haar draw in C^dA, then one in C^dB, of seed + r
         seed, restarts = 11, 9
         starts = []
 
@@ -164,8 +168,8 @@ class TestSeesaw:
         mu, nu = starts[0]
         for r in range(restarts):
             rng = np.random.default_rng(seed + r)
-            assert mu[r].tobytes() == haar_unit_vector(dims.dA, rng).tobytes()
-            assert nu[r].tobytes() == haar_unit_vector(dims.dB, rng).tobytes()
+            assert mu[r].tobytes() == haar_one_at_a_time(dims.dA, rng).tobytes()
+            assert nu[r].tobytes() == haar_one_at_a_time(dims.dB, rng).tobytes()
 
     @pytest.mark.parametrize("dims", SEESAW_DIMS, ids=str)
     def test_stacked_expectations_equal_the_per_vector_product(self, dims):
@@ -361,7 +365,7 @@ class TestSigmaFormFromMatrix:
         rng = np.random.default_rng(0)
         vals = [
             _expectation_raw(
-                bad.entries, np.kron(haar_unit_vector(2, rng), haar_unit_vector(3, rng))
+                bad.entries, np.kron(haar_one_at_a_time(2, rng), haar_one_at_a_time(3, rng))
             )
             for _ in range(SPOT_CHECKS)
         ]
@@ -397,6 +401,11 @@ class TestWeakOptimality:
         assert certificate is None
 
 
+def detected(w, rho) -> bool:
+    """rho is on the negative side of w's hyperplane, i.e. flagged as entangled."""
+    return hyperplane_side(witness_value(w, rho)) is HyperplaneSide.NEGATIVE
+
+
 class TestValuesAndDetection:
     def test_value_identity(self):
         w = weakly_optimal_witness(D22, seed=2)
@@ -414,7 +423,7 @@ class TestValuesAndDetection:
             make_hermitian(np.outer(psi, psi.conj()), D22), Provenance.UNKNOWN
         )
         assert witness_value(w, singlet) < -1e-3
-        assert detects(w, singlet)
+        assert detected(w, singlet)
 
     @pytest.mark.parametrize("dims", DIMS_SMALL, ids=str)
     def test_separable_states_never_detected(self, dims):
@@ -425,7 +434,7 @@ class TestValuesAndDetection:
                 random_separable_ensemble(dims, dims.dAB + 1, rng)
             )
             assert witness_value(w, rho) >= -1e-10
-            assert not detects(w, rho)
+            assert not detected(w, rho)
 
     def _pair(self):
         # one sigma, two offsets between its minimum eigenvalue and c_max
@@ -449,8 +458,8 @@ class TestValuesAndDetection:
         w1, w2 = self._pair()
         for seed in range(40):
             rho = random_density(D22, seed)
-            if detects(w1, rho):
-                assert detects(w2, rho)
+            if detected(w1, rho):
+                assert detected(w2, rho)
 
     @pytest.mark.parametrize("value", [-2e-8, -5e-9, -5e-11, 0.0, 5e-9])
     def test_detects_is_the_negative_hyperplane_side(self, value):
@@ -462,8 +471,8 @@ class TestValuesAndDetection:
         rho = maximally_mixed(D22)
         assert witness_value(w, rho) == pytest.approx(value, abs=1e-16)
         side = hyperplane_classify(w.operator(), rho)
-        assert detects(w, rho) is (side is HyperplaneSide.NEGATIVE)
-        assert detects(w, rho) is (value < -DEFAULT_DETECT_TOL)
+        assert detected(w, rho) is (side is HyperplaneSide.NEGATIVE)
+        assert detected(w, rho) is (value < -DEFAULT_DETECT_TOL)
 
 
 class TestVerifyDecomposition:
