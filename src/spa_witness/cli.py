@@ -318,6 +318,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
-
-if __name__ == "__main__":
-    sys.exit(main())

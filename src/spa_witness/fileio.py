@@ -56,10 +56,12 @@ def save_operator(
 
 
 def _check_metadata(path: str | Path, metadata: object) -> None:
-    """Raise ParseError unless metadata is an object of string values."""
+    """Raise ParseError unless metadata is an object of string keys and values."""
     if not isinstance(metadata, dict):
         raise ParseError(f"{path}: metadata must be an object")
     for key, value in metadata.items():
+        if not isinstance(key, str):
+            raise ParseError(f"{path}: metadata key {key!r} must be a string")
         if not isinstance(value, str):
             raise ParseError(
                 f"{path}: metadata {key!r} must be a string, not {type(value).__name__}"

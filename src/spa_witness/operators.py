@@ -45,6 +45,12 @@ def check_seed(seed: int | np.random.Generator) -> None:
         raise InvalidParams(f"seed must be >= 0, got {seed!r}")
 
 
+def real_traces(m: np.ndarray) -> np.ndarray:
+    """Real trace of each matrix of a (..., d, d) stack; an overflowing sum is inf, silently."""
+    with np.errstate(over="ignore"):
+        return np.trace(m, axis1=-2, axis2=-1).real
+
+
 def lapack_eig(solver, m: np.ndarray):
     """solver(m) for a numpy.linalg eigensolver; LAPACK failure is ConvergenceFailure."""
     try:
@@ -111,7 +117,7 @@ class HermitianOperator:
     @property
     def trace(self) -> float:
         """Trace, real by Hermiticity (imaginary residue discarded)."""
-        return float(np.trace(self.entries).real)
+        return float(real_traces(self.entries))
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotADensity, WeightSumError
 from .operators import Dims, HermitianOperator, _first_failure, _read_only, check_seed, lapack_eig
+from .operators import real_traces
 
 UNIT_NORM_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-10
@@ -92,7 +93,7 @@ def draw_densities(dims: Dims, n: int, rng: np.random.Generator) -> np.ndarray:
     g = z[:, 0] + 1j * z[:, 1]
     m = g @ g.conj().mT
     m = (m + m.conj().mT) / 2.0
-    m /= np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    m /= real_traces(m)[:, None, None]
     return m
 
 
@@ -105,8 +106,6 @@ def draw_ensembles(
     Drawn one ensemble at a time: Dirichlet(2) weights rescaled to sum 1,
     then the factors' draw of haar_product_factors(dims, n_terms, rng).
     """
-    if n_terms < 1:
-        raise WeightSumError("an ensemble needs at least one term")
     gammas = np.empty((n, n_terms))
     z = np.empty((n, n_terms, 2 * dims.dA + 2 * dims.dB))
     for k in range(n):
@@ -147,6 +146,8 @@ def _check_unit_norm(name: str, vecs: np.ndarray) -> None:
 
 
 def _check_weights(weights: np.ndarray) -> None:
+    if weights.shape[-1] == 0:
+        raise WeightSumError("an ensemble needs at least one term")
     bad = ~(weights > 0.0)
     if bad.any():
         at, _ = _first_failure(bad)
@@ -165,7 +166,7 @@ def _check_weights(weights: np.ndarray) -> None:
 def check_product_terms(weights: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
     """Raise unless every factor of the (..., T, dA) and (..., T, dB) stacks
     has unit norm to UNIT_NORM_TOL (DimensionMismatch), and every row of the
-    (..., T) weights is positive and sums to 1 within WEIGHT_SUM_TOL
+    (..., T >= 1) weights is positive and sums to 1 within WEIGHT_SUM_TOL
     (WeightSumError)."""
     _check_unit_norm("mu_a", mu)
     _check_unit_norm("nu_b", nu)
@@ -185,7 +186,7 @@ def check_density(m: np.ndarray) -> None:
     -DENSITY_MIN_EIG_TOL / 2 - 1e-13.  Any other stack, including one whose
     factor is not finite, is decided by its minimum eigenvalues from eigvalsh.
     """
-    tr = np.trace(m, axis1=-2, axis2=-1).real
+    tr = real_traces(m)
     bad = ~(np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)
     if bad.any():
         at, where = _first_failure(bad)
@@ -235,8 +236,6 @@ class SeparableEnsemble:
     terms: tuple[tuple[float, ProductVector], ...]
 
     def __post_init__(self) -> None:
-        if not self.terms:
-            raise WeightSumError("an ensemble needs at least one term")
         for _, pv in self.terms:
             if pv.dims != self.dims:
                 raise DimensionMismatch(

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -517,3 +518,72 @@ class TestInvalidInput:
         assert code == EXIT_INPUT
         assert out == ""
         assert "tolerance" in err
+
+
+def _save_matrix(path, m, dims):
+    save_operator(make_hermitian(np.asarray(m, dtype=complex), dims), path)
+    return path
+
+
+class TestOverflowingTrace:
+    """A finite file whose diagonal sums past the float range: the trace is
+    inf, the checks after it decide, and numpy's overflow warning never
+    reaches stderr or escapes main."""
+
+    @pytest.fixture()
+    def huge_file(self, tmp_path):
+        diagonal = np.diag([9e307, 9e307, -1.0, 9e307])
+        return _save_matrix(tmp_path / "huge.json", diagonal, Dims(2, 2))
+
+    def run_strict(self, capsys, *argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run_cli(capsys, *argv)
+
+    def test_analyze(self, capsys, huge_file):
+        code, out, err = self.run_strict(capsys, "analyze", str(huge_file), "--reproducible")
+        assert code == EXIT_OK
+        spa_row = "shift=1.0  min_pt_eig_raw=0.0  status=PPT  conclusive_separability=true"
+        assert out == "".join(f"{key.ljust(22)}  {value}\n" for key, value in [
+            ("input", huge_file),
+            ("dims", "2x2"),
+            ("lambda0_W", "-1.0"),
+            ("lambda0_WGamma", "-1.0"),
+            ("gap", "0.0"),
+            ("condition_holds", "false"),
+            ("spa[direct]", spa_row),
+            ("spa[partial-transpose]", spa_row),
+            ("npt_side", "none"),
+            ("conclusion", "CONSISTENT"),
+            ("note", "no optimality assertion supplied; NPT evidence is reported as is, "
+             "a violation verdict additionally needs the witness to be an optimal "
+             "nondecomposable one"),
+        ])
+        assert err == ""
+
+    def test_cmax(self, capsys, huge_file):
+        code, out, err = self.run_strict(capsys, "cmax", str(huge_file), "--reproducible")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err == "error: trace is inf, expected 1\n"
+
+    def test_seeded_sweep_returns_documented_codes(self, tmp_path):
+        """Random finite files, every other one with a same-sign diagonal
+        near the float maximum; each command returns an exit code, and no
+        warning escapes main as an exception."""
+        rng = np.random.default_rng(23)
+        commands = (["analyze"], ["cmax", "--restarts", "2"], ["geometry", "--samples", "3"])
+        for k in range(24):
+            dims = Dims(int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+            z = rng.standard_normal((2, dims.dAB, dims.dAB))
+            g = z[0] + 1j * z[1]
+            m = g + g.conj().T
+            if k % 2:
+                scale = rng.choice([-1.0, 1.0]) * sys.float_info.max
+                np.fill_diagonal(m, scale * rng.uniform(0.5, 1.0, dims.dAB))
+            path = _save_matrix(tmp_path / f"m{k}.json", m, dims)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for argv in commands:
+                    code = main([*argv, str(path), "--reproducible"])
+                    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC, EXIT_VIOLATION), (k, argv)

@@ -70,6 +70,17 @@ class TestRoundTrip:
             save_operator(op, path, metadata=metadata)
         assert not path.exists()
 
+    # JSON keys are strings: an int key would load back as "1", a tuple key
+    # made json.dump fail after part of the file was written
+    @pytest.mark.parametrize("key", [1, (1, 2)], ids=["int", "tuple"])
+    def test_metadata_keys_must_be_strings(self, tmp_path, key):
+        op = make_hermitian(np.eye(4, dtype=complex), Dims(2, 2))
+        path = tmp_path / "x.json"
+        with pytest.raises(ParseError) as refused:
+            save_operator(op, path, metadata={key: "x"})
+        assert str(refused.value) == f"{path}: metadata key {key!r} must be a string"
+        assert not path.exists()
+
 
 class _InfOperator:
     """Duck-typed stand-in whose entries contain an infinity."""

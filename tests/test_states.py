@@ -85,6 +85,17 @@ class TestSeparableEnsemble:
         with pytest.raises(WeightSumError):
             SeparableEnsemble(D22, ())
 
+    def test_every_empty_ensemble_gets_the_weight_check_message(self):
+        empty = (np.empty((3, 0)), np.empty((3, 0, 2)), np.empty((3, 0, 2)))
+        for build in (
+            lambda: SeparableEnsemble(D22, ()),
+            lambda: random_separable_ensemble(D22, 0, 5),
+            lambda: check_product_terms(*empty),
+        ):
+            with pytest.raises(WeightSumError) as refused:
+                build()
+            assert str(refused.value) == "an ensemble needs at least one term"
+
 
 class TestEnsembleDensity:
     def test_single_term_is_projector(self):
