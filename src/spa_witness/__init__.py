@@ -6,10 +6,7 @@ eigenvalue conditions under which an approximation fails the PPT test.
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    EstimateMissing,
-    ExceedsCmax,
     InputError,
-    InvalidGrid,
     InvalidParams,
     NonRealResult,
     NumericalError,

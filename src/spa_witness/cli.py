@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .errors import InputError, InvalidGrid, NumericalError
+from .errors import InputError, InvalidParams, NumericalError
 from .fileio import load_operator_file, save_operator
 from .geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, geometry_rows
 from .hakye import HaKyeParams, hakye_witness
@@ -128,7 +128,7 @@ def _cmd_hakye(args: argparse.Namespace) -> int:
     axes = [parse_grid_axis(spec) for spec in args.scan or []]
     grid = build_grid(axes, fixed, cos_family=args.cos_family)
     if args.save_operator and grid.shape[1] != 1:
-        raise InvalidGrid("--save-operator requires a single grid point")
+        raise InvalidParams("--save-operator requires a single grid point")
     # the operator is saved only once the scan has accepted its inputs
     table = run_scan(grid, args.tol)
     if args.save_operator:

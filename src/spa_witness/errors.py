@@ -1,11 +1,11 @@
 """Exception types raised across the package.
 
 Everything inherits from :class:`SpaWitnessError` so callers can catch the
-whole family with one clause.  Each concrete class sits under exactly one of
-two bases: :class:`InputError` for bad input and broken preconditions, and
-:class:`NumericalError` for failures of the arithmetic itself (eigensolver
-breakdown, lost realness, a trace too small to normalize by).  The command
-line maps the two bases to different exit codes.
+whole family with one clause.  Each concrete class names one rule and sits
+under exactly one of two bases: :class:`InputError` for bad input and broken
+preconditions, and :class:`NumericalError` for failures of the arithmetic
+itself (eigensolver breakdown, lost realness, a trace too small to normalize
+by).  The command line maps the two bases to different exit codes.
 """
 
 
@@ -46,19 +46,11 @@ class NotADensity(InputError):
 
 
 class NotAWitness(InputError):
-    """The requested construction cannot be an entanglement witness."""
-
-
-class ExceedsCmax(InputError):
-    """The offset c exceeds the estimated product-state infimum of sigma."""
+    """The operator is negative on a product state (c exceeds c_max)."""
 
 
 class NotNegative(InputError):
     """The operator has no negative eigenvalue, so it detects nothing."""
-
-
-class EstimateMissing(InputError):
-    """An operation needed a cached c_max estimate that was never computed."""
 
 
 class ZeroTrace(NumericalError):
@@ -66,12 +58,9 @@ class ZeroTrace(NumericalError):
 
 
 class ParseError(InputError):
-    """An operator file is malformed; message points at the first violation."""
+    """An operator file is malformed or cannot be written; message names the first fault."""
 
 
 class InvalidParams(InputError):
-    """Family parameters are outside their allowed range."""
-
-
-class InvalidGrid(InputError):
-    """A scan grid specification could not be interpreted."""
+    """A parameter or grid spec is outside its allowed range, or a call's
+    precondition (a unit vector, an attached estimate) does not hold."""

@@ -37,10 +37,10 @@ _FLOAT_MAX = sys.float_info.max
 def save_operator(
     op: HermitianOperator, path: str | Path, metadata: dict | None = None
 ) -> None:
-    """Write an operator file; raises ValueError on non-finite entries and
-    ParseError on metadata its loader refuses, before opening the file."""
+    """Write an operator file; raises ParseError on non-finite entries or on
+    metadata its loader refuses, before opening the file."""
     if not np.isfinite(op.entries).all():
-        raise ValueError("operator has non-finite entries; cannot serialize")
+        raise ParseError("operator has non-finite entries; cannot serialize")
     _check_metadata(path, metadata or {})
     cells = op.entries.view(np.float64).reshape(*op.entries.shape, 2).tolist()
     doc: dict = {
@@ -73,7 +73,7 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")

@@ -22,7 +22,7 @@ from typing import IO
 
 import numpy as np
 
-from .errors import InvalidGrid
+from .errors import InvalidParams
 from .hakye import HAKYE_DIMS, HaKyeParams, check_params, cos_family_params
 from .hakye import hakye_matrices, hakye_spectra_closed_form
 from .operators import check_hermitian, real_traces, spectra_with_pt
@@ -82,24 +82,24 @@ def parse_grid_axis(text: str) -> GridAxis:
     """Parse "key=start:stop:N" into a GridAxis; malformed input is rejected."""
     key, sep, rest = text.partition("=")
     if not sep or key not in GRID_KEYS:
-        raise InvalidGrid(
+        raise InvalidParams(
             f"grid spec {text!r} must look like key=start:stop:N with key in "
             f"{GRID_KEYS}"
         )
     pieces = rest.split(":")
     if len(pieces) != 3:
-        raise InvalidGrid(f"grid spec {text!r} needs exactly start:stop:N")
+        raise InvalidParams(f"grid spec {text!r} needs exactly start:stop:N")
     try:
         start, stop = float(pieces[0]), float(pieces[1])
         count = int(pieces[2])
     except ValueError as exc:
-        raise InvalidGrid(f"grid spec {text!r}: {exc}") from exc
+        raise InvalidParams(f"grid spec {text!r}: {exc}") from exc
     if count < 1:
-        raise InvalidGrid(f"grid spec {text!r}: N must be >= 1")
+        raise InvalidParams(f"grid spec {text!r}: N must be >= 1")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise InvalidGrid(f"grid spec {text!r}: bounds must be finite")
+        raise InvalidParams(f"grid spec {text!r}: bounds must be finite")
     if not math.isfinite(stop - start):
-        raise InvalidGrid(f"grid spec {text!r}: span stop - start overflows")
+        raise InvalidParams(f"grid spec {text!r}: span stop - start overflows")
     return GridAxis(key, start, stop, count)
 
 
@@ -121,19 +121,19 @@ def build_grid(
     """
     seen = [axis.key for axis in axes]
     if len(set(seen)) != len(seen):
-        raise InvalidGrid(f"duplicate scan keys in {seen}")
+        raise InvalidParams(f"duplicate scan keys in {seen}")
     both = sorted(set(seen) & set(fixed))
     if both:
-        raise InvalidGrid(f"{both} both fixed and scanned; pass one or the other")
+        raise InvalidParams(f"{both} both fixed and scanned; pass one or the other")
     axes = sorted(axes, key=lambda axis: axis.key)
     if cos_family:
         extra = sorted({*seen, *fixed} - {"theta"})
         if extra:
-            raise InvalidGrid(
+            raise InvalidParams(
                 f"--cos-family derives a, b, c from theta; cannot set or scan {extra}"
             )
         if not axes and "theta" not in fixed:
-            raise InvalidGrid("--cos-family needs theta, scanned or fixed")
+            raise InvalidParams("--cos-family needs theta, scanned or fixed")
         theta = axes[0].values() if axes else np.array([fixed["theta"]], dtype=np.float64)
         params = cos_family_params(theta)
     else:
@@ -141,7 +141,7 @@ def build_grid(
             key for key in GRID_KEYS if key not in fixed and key not in seen
         ]
         if missing:
-            raise InvalidGrid(f"no value for --{', --'.join(missing)}; pass flags or scan them")
+            raise InvalidParams(f"no value for --{', --'.join(missing)}; pass flags or scan them")
         grids = np.meshgrid(*[axis.values() for axis in axes], indexing="ij")
         scanned = {axis.key: grid.ravel() for axis, grid in zip(axes, grids)}
         n = math.prod(axis.count for axis in axes)

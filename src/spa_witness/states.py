@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotADensity, WeightSumError
+from .errors import DimensionMismatch, InvalidParams, NotADensity, WeightSumError
 from .operators import Dims, HermitianOperator, _first_failure, _read_only, check_seed, lapack_eig
 from .operators import real_traces
 
@@ -140,7 +140,7 @@ def _check_unit_norm(name: str, vecs: np.ndarray) -> None:
     if bad.any():
         at, _ = _first_failure(bad)
         label = f"{name} {at}" if at else name
-        raise DimensionMismatch(
+        raise InvalidParams(
             f"{label} is not unit norm: ||{name}|| = {float(norms[at])!r}"
         )
 
@@ -165,7 +165,7 @@ def _check_weights(weights: np.ndarray) -> None:
 
 def check_product_terms(weights: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> None:
     """Raise unless every factor of the (..., T, dA) and (..., T, dB) stacks
-    has unit norm to UNIT_NORM_TOL (DimensionMismatch), and every row of the
+    has unit norm to UNIT_NORM_TOL (InvalidParams), and every row of the
     (..., T >= 1) weights is positive and sums to 1 within WEIGHT_SUM_TOL
     (WeightSumError)."""
     _check_unit_norm("mu_a", mu)

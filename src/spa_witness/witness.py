@@ -21,8 +21,6 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    EstimateMissing,
-    ExceedsCmax,
     InvalidParams,
     NotAWitness,
     NotNegative,
@@ -84,15 +82,10 @@ class SigmaFormWitness:
     cmax_estimate: CmaxEstimate | None = None
 
     def __post_init__(self) -> None:
-        if not self.lambda0_sigma < self.c:
-            raise NotAWitness(
-                f"c = {self.c!r} does not exceed the minimum eigenvalue "
-                f"{self.lambda0_sigma!r} of sigma; sigma - c*I is positive "
-                "semidefinite and detects nothing"
-            )
+        check_candidate(self.lambda0_sigma - self.c)
         est = self.cmax_estimate
         if est is not None and self.c > est.value + CMAX_SLACK:
-            raise ExceedsCmax(
+            raise NotAWitness(
                 f"c = {self.c!r} exceeds the c_max estimate {est.value!r}; "
                 "the operator would be negative on the estimate's product state"
             )
@@ -229,8 +222,8 @@ def build_witness(
 ) -> SigmaFormWitness:
     """Construct sigma - c*I, validating that it can be a witness.
 
-    Raises NotAWitness when c does not exceed the smallest eigenvalue of
-    sigma, and ExceedsCmax when a supplied estimate certifies that some
+    Raises NotNegative when c does not exceed the smallest eigenvalue of
+    sigma, and NotAWitness when a supplied estimate certifies that some
     product state would be detected.  Without an estimate the witness is
     accepted but not certified against product states.
     """
@@ -283,12 +276,12 @@ def is_weakly_optimal(witness: SigmaFormWitness) -> tuple[bool, ProductVector | 
 
     The witness hyperplane touches the separable set when c equals the
     product-state infimum; the estimate's argmin is then a product state on
-    which the witness value vanishes.  Raises EstimateMissing when the
+    which the witness value vanishes.  Raises InvalidParams when the
     witness carries no estimate.
     """
     est = witness.cmax_estimate
     if est is None:
-        raise EstimateMissing(
+        raise InvalidParams(
             "no c_max estimate attached; run c_sigma_max and rebuild the witness"
         )
     if abs(witness.c - est.value) <= DEFAULT_WOPT_TOL:

@@ -399,7 +399,7 @@ def rows_csv_row_by_row(
 def save_operator_per_entry(op: HermitianOperator, path, metadata: dict | None = None) -> None:
     """An operator file written with one [real, imag] pair built per entry."""
     if not np.isfinite(op.entries).all():
-        raise ValueError("operator has non-finite entries; cannot serialize")
+        raise ParseError("operator has non-finite entries; cannot serialize")
     cells = [[[z.real, z.imag] for z in row] for row in op.entries.tolist()]
     doc: dict = {
         "schema_version": 1,
@@ -418,7 +418,7 @@ def load_operator_file_per_cell(path) -> tuple[HermitianOperator, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")

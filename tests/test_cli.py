@@ -443,6 +443,19 @@ class TestInvalidInput:
         assert "NaN" not in out and "Traceback" not in err
         assert "row 0, column 0" in err
 
+    @pytest.mark.parametrize(
+        "content", [b"[" * 100000 + b"]" * 100000, b"\xff{}"], ids=["nested", "not-utf-8"]
+    )
+    @pytest.mark.parametrize("command", ["analyze", "cmax", "geometry"])
+    def test_undecodable_file_is_one_parse_error(self, capsys, tmp_path, command, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert err.startswith(f"error: {path}: invalid JSON: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize("literal", ["NaN", "7", '["x"]'], ids=["nan", "number", "list"])
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_non_string_metadata_rejected(self, capsys, tmp_path, literal, flags):

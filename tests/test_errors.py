@@ -31,6 +31,21 @@ def test_numerical_failures():
     assert numerical == {"ConvergenceFailure", "NonRealResult", "ZeroTrace"}
 
 
+def test_input_failures():
+    # one class per rule: the lower and upper bounds on c are NotNegative and NotAWitness
+    inputs = {cls.__name__ for cls in all_subclasses(InputError)}
+    assert inputs == {
+        "DimensionMismatch",
+        "InvalidParams",
+        "NotADensity",
+        "NotAWitness",
+        "NotHermitian",
+        "NotNegative",
+        "ParseError",
+        "WeightSumError",
+    }
+
+
 def test_module_classes_all_in_hierarchy():
     declared = [
         obj

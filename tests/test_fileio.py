@@ -58,7 +58,7 @@ class TestRoundTrip:
     def test_non_finite_refused(self, tmp_path):
         # the constructor gate forbids inf, so feed a duck-typed stand-in
         template = make_hermitian(np.eye(4, dtype=complex), Dims(2, 2))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ParseError, match="non-finite"):
             save_operator(_InfOperator(template), tmp_path / "x.json")
 
     # each is a document its own loader refuses, so nothing is written

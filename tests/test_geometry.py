@@ -12,7 +12,6 @@ from oracles import geometry_rows_one_at_a_time
 from spa_witness.cli import EXIT_NUMERIC, main
 from spa_witness.errors import (
     ConvergenceFailure,
-    DimensionMismatch,
     InvalidParams,
     NotADensity,
     NotHermitian,
@@ -206,5 +205,5 @@ class TestStackedRows:
 
         monkeypatch.setattr(geometry_module, "draw_ensembles", draw)
         witness = random_negative_hermitian(Dims(2, 2), np.random.default_rng(1))
-        with pytest.raises(DimensionMismatch, match=r"^mu_a \(1, 3\) is not unit norm"):
+        with pytest.raises(InvalidParams, match=r"^mu_a \(1, 3\) is not unit norm"):
             geometry_rows(witness, 2)

@@ -24,7 +24,7 @@ from oracles import (
     scan_row_one_at_a_time,
 )
 from spa_witness.cli import EXIT_NUMERIC, main
-from spa_witness.errors import ConvergenceFailure, InvalidGrid, InvalidParams
+from spa_witness.errors import ConvergenceFailure, InvalidParams
 from spa_witness.geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, geometry_rows
 from spa_witness.hakye import HaKyeParams, hakye_witness, reference_violation_params
 from spa_witness.operators import eig_hermitian, partial_transpose
@@ -78,7 +78,7 @@ class TestParseGridAxis:
         ],
     )
     def test_malformed_rejected(self, text):
-        with pytest.raises(InvalidGrid):
+        with pytest.raises(InvalidParams, match=r"^grid spec "):
             parse_grid_axis(text)
 
 
@@ -95,11 +95,11 @@ class TestBuildGrid:
 
     def test_duplicate_keys_rejected(self):
         axes = [parse_grid_axis("a=1:2:2"), parse_grid_axis("a=0:1:2")]
-        with pytest.raises(InvalidGrid, match="duplicate"):
+        with pytest.raises(InvalidParams, match="duplicate"):
             build_grid(axes, {"b": 0.5, "c": 0.0, "theta": 0.0})
 
     def test_missing_parameter_rejected(self):
-        with pytest.raises(InvalidGrid, match="no value for"):
+        with pytest.raises(InvalidParams, match="no value for"):
             build_grid([parse_grid_axis("a=1:2:2")], {"b": 0.5})
 
     def test_fixed_only_single_point(self):
@@ -124,11 +124,11 @@ class TestBuildGrid:
         assert HaKyeParams(*grid[:, 0].tolist()) == reference_violation_params()
 
     def test_cos_family_rejects_other_axes(self):
-        with pytest.raises(InvalidGrid, match="cos-family"):
+        with pytest.raises(InvalidParams, match="cos-family"):
             build_grid([parse_grid_axis("a=1:2:2")], {}, cos_family=True)
 
     def test_cos_family_rejects_fixed_diagonal(self):
-        with pytest.raises(InvalidGrid, match="cos-family"):
+        with pytest.raises(InvalidParams, match="cos-family"):
             build_grid([], {"a": 5.0, "theta": 0.2}, cos_family=True)
 
     @pytest.mark.parametrize(
@@ -139,11 +139,11 @@ class TestBuildGrid:
         ],
     )
     def test_fixed_and_scanned_key_rejected(self, scan, fixed, cos_family):
-        with pytest.raises(InvalidGrid, match="both fixed and scanned"):
+        with pytest.raises(InvalidParams, match="both fixed and scanned"):
             build_grid([parse_grid_axis(t) for t in scan], fixed, cos_family)
 
     def test_cos_family_needs_theta(self):
-        with pytest.raises(InvalidGrid, match="theta"):
+        with pytest.raises(InvalidParams, match="theta"):
             build_grid([], {}, cos_family=True)
 
 

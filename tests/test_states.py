@@ -62,7 +62,7 @@ class TestProductVector:
         assert_allclose(proj @ proj, proj, atol=1e-12)
 
     def test_non_unit_factor_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParams, match="is not unit norm"):
             ProductVector(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
 
 
@@ -302,7 +302,7 @@ class TestStackedSampling:
         check_product_terms(weights, mu, nu)
         bad_mu = mu.copy()
         bad_mu[1, 2] *= 1.5
-        with pytest.raises(DimensionMismatch, match=r"^mu_a \(1, 2\) is not unit norm"):
+        with pytest.raises(InvalidParams, match=r"^mu_a \(1, 2\) is not unit norm"):
             check_product_terms(weights, bad_mu, nu)
         bad_weights = weights.copy()
         bad_weights[2, 0] += 0.25

@@ -26,8 +26,6 @@ from spa_witness.cli import EXIT_NUMERIC, main
 from spa_witness.errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    EstimateMissing,
-    ExceedsCmax,
     InvalidParams,
     NotAWitness,
     NotNegative,
@@ -36,6 +34,7 @@ from spa_witness.fileio import save_operator
 from spa_witness.operators import (
     Dims,
     HermitianOperator,
+    eig_hermitian,
     hs_norm,
     make_hermitian,
     min_eigenpair,
@@ -307,16 +306,24 @@ class TestBuildWitness:
         rng = np.random.default_rng(2)
         sigma = full_rank_separable(D22, rng)
         lam0, _ = min_eigenpair(sigma.op)
-        with pytest.raises(NotAWitness):
+        with pytest.raises(NotNegative, match=r"^minimum eigenvalue 0\.0 is non-negative"):
             build_witness(sigma, lam0)
-        with pytest.raises(NotAWitness):
+        with pytest.raises(NotNegative, match=r"^minimum eigenvalue .* is non-negative"):
             build_witness(sigma, lam0 - 0.1)
+
+    def test_lower_bound_is_strict_at_the_last_float(self):
+        # lambda0(sigma) - c < 0 exactly when lambda0(sigma) < c
+        sigma = full_rank_separable(D22, np.random.default_rng(2))
+        lam0 = eig_hermitian(sigma.op).min_eigenvalue
+        with pytest.raises(NotNegative, match="not a witness candidate"):
+            build_witness(sigma, lam0)
+        assert build_witness(sigma, np.nextafter(lam0, np.inf)).lambda0_sigma == lam0
 
     def test_c_above_estimate_rejected(self):
         rng = np.random.default_rng(2)
         sigma = full_rank_separable(D22, rng)
         est = c_sigma_max(sigma, restarts=8)
-        with pytest.raises(ExceedsCmax):
+        with pytest.raises(NotAWitness, match=r"exceeds the c_max estimate"):
             build_witness(sigma, est.value + 1e-6, est)
 
     def test_no_estimate_skips_cmax_gate(self):
@@ -378,7 +385,7 @@ class TestSigmaFormFromMatrix:
 class TestWeakOptimality:
     def test_missing_estimate_raises(self):
         w = sigma_form_from_matrix(swap_operator(2))
-        with pytest.raises(EstimateMissing):
+        with pytest.raises(InvalidParams, match="no c_max estimate attached"):
             is_weakly_optimal(w)
 
     def test_witness_at_estimate_is_weakly_optimal(self):
