@@ -1,8 +1,8 @@
 """Scan the cosine slice of the witness family over the coupling phase.
 
-Every scanned point is double-checked against the closed-form spectra; a
-row whose eigensolver output drifts from the algebra would carry the
-verdict "oracle-mismatch" instead of a conclusion.
+Every scanned point reports the closed-form spectra, proved against its
+built matrix by a Weyl bound; a row whose bound is too large to back its
+verdict would carry "certificate-failed" instead of a conclusion.
 """
 
 import math

@@ -1,14 +1,16 @@
 """Parameter grids over the Ha-Kye family and deterministic report emission.
 
 A grid is one validated (4, n) array of the parameters a, b, c, theta.
-Every grid point is evaluated twice: once through the dense eigensolver and
-once through the closed-form spectrum oracles.  The grid is solved in chunks
-of SCAN_CHUNK points, one checked, stacked eigensolve per chunk for the
-witnesses and their partial transposes.  A disagreement beyond ORACLE_TOL
-poisons the row's verdict with "oracle-mismatch" instead of a conclusion, so a
-regressed eigensolver cannot silently ship plausible numbers.  The scan is a
-table of column arrays, and the reports are written from the columns,
-byte-deterministic for a fixed command line.
+Every grid point reports the closed-form spectra of its witness and of the
+witness's partial transpose, and no eigensolver runs.  The grid goes in
+chunks of SCAN_CHUNK points: each chunk's dense matrices are built, and
+hakye.certify_spectra proves, by Weyl's inequality, how far each closed-form
+eigenvalue can lie from the true eigenvalue of the built matrix.  A row
+whose bound exceeds the certificate's relative tolerance, or could move its
+gap across the gap tolerance, reads "certificate-failed" instead of a
+conclusion, so a regressed builder or closed form cannot silently ship
+plausible numbers.  The scan is a table of column arrays, and the reports
+are written from the columns, byte-deterministic for a fixed command line.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import numpy as np
 
 from .errors import InvalidParams
 from .hakye import HAKYE_DIMS, HaKyeParams, check_params, cos_family_params
-from .hakye import hakye_matrices, hakye_spectra_closed_form
-from .operators import check_hermitian, real_traces, spectra_with_pt
+from .hakye import certify_spectra, hakye_matrices, hakye_spectra_closed_form
+from .operators import real_traces
 from .spa import Conclusion, gap_rule
 
-SCAN_SCHEMA = "hakye-scan-v1"
+SCAN_SCHEMA = "hakye-scan-v2"
 SCAN_COLUMNS = (
     "a",
     "b",
@@ -41,10 +43,9 @@ SCAN_COLUMNS = (
     "spa_min_pt_eig",
     "verdict",
 )
-ROW_KEYS = SCAN_COLUMNS + ("oracle_discrepancy",)
-ORACLE_TOL = 1e-8
+ROW_KEYS = SCAN_COLUMNS + ("spectral_bound",)
 DEFAULT_CONDITION_TOL = 1e-6
-# Grid points per stacked eigensolve; bounds the scan's working memory.
+# Grid points per certified chunk; bounds the scan's working memory.
 SCAN_CHUNK = 512
 
 GRID_KEYS = ("a", "b", "c", "theta")
@@ -154,8 +155,8 @@ def build_grid(
 
 
 def analyze_point(params: HaKyeParams) -> dict:
-    """One scan row of plain Python values: numeric spectra, oracle
-    tripwire, condition, verdict."""
+    """One scan row of plain Python values: certified closed-form spectra,
+    their bound, condition, verdict."""
     table = run_scan(params.column())
     return {key: column.tolist()[0] for key, column in table.items()}
 
@@ -164,32 +165,32 @@ def run_scan(
     params: np.ndarray, condition_tol: float = DEFAULT_CONDITION_TOL
 ) -> dict[str, np.ndarray]:
     """The scan of a (4, n >= 1) grid from build_grid as one column array
-    per ROW_KEYS entry, in grid order, from one stacked solve and one array
-    pass (oracle tripwire, gap rule, verdicts) per SCAN_CHUNK points.
+    per ROW_KEYS entry, in grid order, from one array pass (closed-form
+    spectra, their certificate, gap rule, verdicts) per SCAN_CHUNK points.
 
-    It holds the output columns (133 bytes a point) and one chunk's
-    working arrays at once: each chunk is written into its slice of the
-    columns, which are allocated up front."""
+    A row gets a verdict only when its spectral_bound is within
+    certify_spectra's tolerance and |gap - condition_tol| exceeds it, so
+    the bound cannot move the gap across the tolerance; any other row
+    reads "certificate-failed".  It holds the output columns (145 bytes a
+    point) and one chunk's working arrays at once: each chunk is written
+    into its slice of the columns, which are allocated up front."""
     check_params(params)
     n = params.shape[1]
-    dtypes = {"condition_holds": bool, "verdict": "<U15"}  # up to "oracle-mismatch"
+    dtypes = {"condition_holds": bool, "verdict": "<U18"}  # up to "certificate-failed"
     table = {key: np.empty(n, dtypes.get(key, np.float64)) for key in ROW_KEYS}
     for start in range(0, n, SCAN_CHUNK):
         chunk = params[:, start:start + SCAN_CHUNK]
         w = hakye_matrices(chunk)
-        check_hermitian(w)
-        spectra, spectra_pt = spectra_with_pt(w, HAKYE_DIMS)
-        closed, closed_pt = hakye_spectra_closed_form(chunk)
-        off = np.abs(spectra - closed).max(axis=1)
-        off_pt = np.abs(spectra_pt - closed_pt).max(axis=1)
-        mismatch = np.where(off_pt > off, off_pt, off)  # max(off, off_pt), nan included
+        spectra, spectra_pt = hakye_spectra_closed_form(chunk)
+        bound, within_tol = certify_spectra(w, spectra, spectra_pt)
         lam0, lam0_pt, trace = spectra[:, 0], spectra_pt[:, 0], real_traces(w)
         gap, condition, _, raw, _ = gap_rule(lam0, lam0_pt, trace, HAKYE_DIMS.dAB, condition_tol)
         # The row verdict rests on the gap alone, with the family's optimality
         # asserted (ASSERTION_LINE): no tie-window downgrade.
         verdict = np.where(condition, Conclusion.VIOLATES.value, Conclusion.CONSISTENT.value)
-        verdict = np.where(mismatch <= ORACLE_TOL, verdict, "oracle-mismatch")
-        parts = (*chunk, lam0, lam0_pt, gap, condition, raw[0], verdict, mismatch)
+        certified = within_tol & (np.abs(gap - condition_tol) > bound)
+        verdict = np.where(certified, verdict, "certificate-failed")
+        parts = (*chunk, lam0, lam0_pt, gap, condition, raw[0], verdict, bound)
         for column, part in zip(table.values(), parts):
             column[start:start + SCAN_CHUNK] = part
     return table

@@ -31,7 +31,7 @@ from numbers import Real
 import numpy as np
 
 from spa_witness.errors import DimensionMismatch, InvalidParams, ParseError
-from spa_witness.hakye import HaKyeParams, hakye_witness
+from spa_witness.hakye import HaKyeParams, certify_spectra, hakye_witness
 from spa_witness.operators import (
     Dims,
     HermitianOperator,
@@ -327,21 +327,23 @@ def grid_one_at_a_time(axes: list, fixed: dict, cos_family: bool = False) -> lis
     return points
 
 
-def scan_row_one_at_a_time(p: HaKyeParams, condition_tol: float, oracle_tol: float) -> dict:
-    """One scan row from a single witness object: its own eigensolves of W
-    and W^PT, the scalar closed forms and the scalar gap arithmetic."""
+def scan_row_one_at_a_time(p: HaKyeParams, condition_tol: float) -> dict:
+    """One scan row from a single witness object: the scalar closed forms,
+    their certificate on that one matrix, the scalar gap arithmetic, and
+    its own eigensolves of W and W^PT.  A row whose solved spectra fall
+    outside the certified bound reads "certificate-failed", as an
+    uncertified row does, so a bound that does not hold fails the parity."""
     w = hakye_witness(p)
+    closed, closed_pt = hakye_spectra_one_at_a_time(p.a, p.b, p.c, p.theta)
+    [bound], [within_tol] = certify_spectra(w.entries[None], closed[None], closed_pt[None])
     spectrum = eig_hermitian(w).eigenvalues
     spectrum_pt = eig_hermitian(partial_transpose(w)).eigenvalues
-    closed, closed_pt = hakye_spectra_one_at_a_time(p.a, p.b, p.c, p.theta)
-    mismatch = max(
-        float(np.abs(spectrum - closed).max()), float(np.abs(spectrum_pt - closed_pt).max())
-    )
-    lam0, lam0_pt = float(spectrum[0]), float(spectrum_pt[0])
+    off = max(float(np.abs(spectrum - closed).max()), float(np.abs(spectrum_pt - closed_pt).max()))
+    lam0, lam0_pt = float(closed[0]), float(closed_pt[0])
     gap, sides = gap_rule_one_at_a_time(lam0, lam0_pt, float(np.trace(w.entries).real), 9)
     condition = gap > condition_tol
-    if not mismatch <= oracle_tol:
-        verdict = "oracle-mismatch"
+    if not (within_tol and off <= bound and abs(gap - condition_tol) > bound):
+        verdict = "certificate-failed"
     elif condition:
         verdict = "VIOLATES"
     else:
@@ -350,7 +352,7 @@ def scan_row_one_at_a_time(p: HaKyeParams, condition_tol: float, oracle_tol: flo
         "a": p.a, "b": p.b, "c": p.c, "theta": p.theta,
         "lambda0_W": lam0, "lambda0_WGamma": lam0_pt, "gap": gap,
         "condition_holds": condition, "spa_min_pt_eig": sides[0][2],
-        "verdict": verdict, "oracle_discrepancy": mismatch,
+        "verdict": verdict, "spectral_bound": float(bound),
     }
 
 
@@ -358,7 +360,7 @@ def scan_report_reference(
     rows: list[dict], notes: tuple[str, ...] = (), generated: str | None = None
 ) -> str:
     """The scan's JSON report as the whole-document encoder writes it."""
-    doc: dict = {"schema_version": 1, "kind": "hakye-scan-v1"}
+    doc: dict = {"schema_version": 1, "kind": "hakye-scan-v2"}
     if notes:
         doc["notes"] = list(notes)
     if generated is not None:

@@ -19,6 +19,7 @@ from spa_witness.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_VIOLATION, m
 from spa_witness.fileio import save_operator
 from spa_witness.hakye import hakye_witness, reference_violation_params
 from spa_witness.operators import Dims, make_hermitian, partial_transpose
+from spa_witness.scan import DEFAULT_CONDITION_TOL
 from spa_witness.states import maximally_mixed
 
 
@@ -140,7 +141,7 @@ class TestHakye:
         )
         assert code == EXIT_VIOLATION
         assert "VIOLATES" in out
-        assert out.startswith("# schema=hakye-scan-v1\r\n")
+        assert out.startswith("# schema=hakye-scan-v2\r\n")
 
     def test_cos_family_equals_explicit_flags(self, capsys):
         params = reference_violation_params()
@@ -184,7 +185,7 @@ class TestHakye:
         assert code == EXIT_VIOLATION
         assert out == ""
         doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert doc["kind"] == "hakye-scan-v1"
+        assert doc["kind"] == "hakye-scan-v2"
         assert len(doc["rows"]) == 4
         assert len(doc["notes"]) == 2
         assert "generated" not in doc
@@ -198,17 +199,34 @@ class TestHakye:
         assert code == EXIT_OK
         assert "CONSISTENT" in out
 
-    def test_huge_weights_exit_alike_in_both_formats(self, capsys):
-        # (b + c) / 2 overflows to inf here; the closed form must not
-        argv = ["hakye", "--a", "1e308", "--b", "1e308", "--c", "1e308", "--theta", "0.1"]
+    @pytest.mark.parametrize("weights", [("1e308",) * 3, ("1.7e308", "1", "1"), ("1e20",) * 3])
+    def test_huge_weights_exit_alike_in_both_formats(self, capsys, weights):
+        # (b + c) / 2 overflows to inf at 1e308; the closed form must not.
+        # At 1e20 the closed-form gap is 0, inside a bound of about 1e6: the
+        # row must not read CONSISTENT
+        argv = ["hakye", *(f"--{k}={v}" for k, v in zip("abc", weights)), "--theta", "0.3"]
         code, out, err = run_cli(capsys, *argv, "--format", "json", "--reproducible")
         assert code == EXIT_NUMERIC
-        assert err == "numerical failure: eigensolver disagrees with closed-form oracles\n"
+        assert err == "numerical failure: closed-form spectra not certified at 1 of 1 points\n"
         [row] = json.loads(out)["rows"]
-        assert row["verdict"] == "oracle-mismatch"
-        assert math.isfinite(row["oracle_discrepancy"])
+        assert row["verdict"] == "certificate-failed"
+        assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
+        assert abs(row["gap"] - DEFAULT_CONDITION_TOL) <= row["spectral_bound"]
         code_csv, _, err_csv = run_cli(capsys, *argv, "--format", "csv", "--reproducible")
         assert (code_csv, err_csv) == (code, err)
+
+    def test_large_weight_is_certified(self, capsys):
+        # an ulp of 1e8 is 1.5e-8; the bound is relative to ||W||_F, so this
+        # correct point keeps its verdict
+        code, out, err = run_cli(
+            capsys, "hakye", "--a", "1e8", "--b", "1", "--c", "0", "--theta", "0.2",
+            "--format", "json", "--reproducible",
+        )
+        assert (code, err) == (EXIT_VIOLATION, "")
+        [row] = json.loads(out)["rows"]
+        assert row["verdict"] == "VIOLATES"
+        assert 0.0 < row["spectral_bound"] < 1e-5
+        assert row["gap"] == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, abs=1e-15)
 
     def test_save_operator_single_point(self, capsys, tmp_path):
         op_path = tmp_path / "witness.json"

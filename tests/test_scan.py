@@ -1,4 +1,4 @@
-"""Grid scans: parsing, ordering, the oracle tripwire, deterministic emission."""
+"""Grid scans: parsing, ordering, the spectral certificate, deterministic emission."""
 
 from __future__ import annotations
 
@@ -24,14 +24,20 @@ from oracles import (
     scan_row_one_at_a_time,
 )
 from spa_witness.cli import EXIT_NUMERIC, main
-from spa_witness.errors import ConvergenceFailure, InvalidParams
+from spa_witness.errors import InvalidParams
 from spa_witness.geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, geometry_rows
-from spa_witness.hakye import HaKyeParams, hakye_witness, reference_violation_params
-from spa_witness.operators import eig_hermitian, partial_transpose
+from spa_witness.hakye import (
+    HAKYE_DIMS,
+    HaKyeParams,
+    certify_spectra,
+    hakye_matrices,
+    hakye_spectra_closed_form,
+    reference_violation_params,
+)
+from spa_witness.operators import partial_transpose_stack
 from spa_witness.scan import (
     DEFAULT_CONDITION_TOL,
     GRID_KEYS,
-    ORACLE_TOL,
     ROW_KEYS,
     SCAN_COLUMNS,
     SCAN_SCHEMA,
@@ -156,7 +162,7 @@ class TestAnalyzePoint:
         assert row["condition_holds"] is True
         assert row["spa_min_pt_eig"] == pytest.approx(-0.0846302540741, abs=1e-10)
         assert row["verdict"] == "VIOLATES"
-        assert row["oracle_discrepancy"] < 1e-10
+        assert row["spectral_bound"] < 1e-13
         assert all(isinstance(row[k], float) for k in ("a", "b", "theta", "gap"))
 
     def test_gap_free_point_is_consistent(self):
@@ -173,15 +179,33 @@ class TestAnalyzePoint:
         assert row["condition_holds"] is False
         assert row["verdict"] == "CONSISTENT"
 
-    def test_oracle_tripwire(self, monkeypatch):
+    def test_certificate_tripwire(self, monkeypatch):
         params = reference_violation_params()
         good, good_pt = scan_module.hakye_spectra_closed_form(params.column())
         monkeypatch.setattr(
             scan_module, "hakye_spectra_closed_form", lambda p: (good + 1e-6, good_pt)
         )
         row = analyze_point(params)
-        assert row["verdict"] == "oracle-mismatch"
-        assert row["oracle_discrepancy"] > 1e-8
+        assert row["verdict"] == "certificate-failed"
+        assert row["spectral_bound"] >= 1e-6
+
+
+def solved_distance(m, closed, closed_pt):
+    """Per matrix of a (n, 9, 9) stack, the largest distance of an eigvalsh
+    eigenvalue of m or of m^PT from the closed-form spectrum."""
+    dense, dense_pt = np.linalg.eigvalsh(np.stack([m, partial_transpose_stack(m, HAKYE_DIMS)]))
+    return np.maximum(np.abs(dense - closed).max(axis=1), np.abs(dense_pt - closed_pt).max(axis=1))
+
+
+def assert_within_bound(grid, table):
+    """Every eigenvalue that eigvalsh gives for each grid point's built
+    matrix and its partial transpose lies within the row's spectral_bound
+    of the closed form, whose bottom entries the row reports."""
+    closed, closed_pt = hakye_spectra_closed_form(grid)
+    assert closed[:, 0].tobytes() == table["lambda0_W"].tobytes()
+    assert closed_pt[:, 0].tobytes() == table["lambda0_WGamma"].tobytes()
+    off = solved_distance(hakye_matrices(grid), closed, closed_pt)
+    assert (off <= table["spectral_bound"]).all()
 
 
 class TestBatchedScan:
@@ -189,47 +213,63 @@ class TestBatchedScan:
         grid = build_grid(
             [parse_grid_axis(f"theta=0.01:1.5:{SCAN_CHUNK + 1}")], {}, cos_family=True
         )
-        rows = table_rows(run_scan(grid))
+        table = run_scan(grid)
+        rows = table_rows(table)
         assert len(rows) == SCAN_CHUNK + 1
         for k in (0, SCAN_CHUNK - 1, SCAN_CHUNK):
-            point = HaKyeParams(*grid[:, k].tolist())
-            assert rows[k] == analyze_point(point)
-            # the stacked solve returns the bits of a one-matrix solve
-            w = hakye_witness(point)
-            assert rows[k]["lambda0_W"] == eig_hermitian(w).min_eigenvalue
-            assert rows[k]["lambda0_WGamma"] == eig_hermitian(partial_transpose(w)).min_eigenvalue
+            assert rows[k] == analyze_point(HaKyeParams(*grid[:, k].tolist()))
+        assert_within_bound(grid, table)
 
-    def test_one_corrupted_solve_in_a_stack_fails(self, monkeypatch, capsys):
-        real_eigh = np.linalg.eigh
+    def test_one_corrupted_matrix_in_a_stack_fails(self, monkeypatch, capsys):
+        # one diagonal entry of the one matrix in the second chunk, moved by
+        # 1e-6: far past the certificate's tolerance
+        spec = f"theta=0.05:0.6:{SCAN_CHUNK + 1}"
+        grid = build_grid([parse_grid_axis(spec)], {}, cos_family=True)
+        build = scan_module.hakye_matrices
 
-        def corrupt_one(a):
-            w, v = real_eigh(a)
-            if w.ndim >= 2 and w.shape[-2] > 3:
-                w = w.copy()
-                w[..., 3, 0] += 1e-3
-            return w, v
+        def corrupt_second_chunk(params):
+            m = build(params)
+            if params[3, 0] == grid[3, SCAN_CHUNK]:
+                m[0, 1, 1] += 1e-6
+            return m
 
-        monkeypatch.setattr(np.linalg, "eigh", corrupt_one)
-        points = build_grid(
-            [parse_grid_axis("theta=0.05:0.6:8")], {}, cos_family=True
-        )
-        with pytest.raises(ConvergenceFailure, match="residual"):
-            run_scan(points)
-        code = main(["hakye", "--cos-family", "--scan", "theta=0.05:0.6:8"])
+        monkeypatch.setattr(scan_module, "hakye_matrices", corrupt_second_chunk)
+        table = run_scan(grid)
+        assert table["verdict"].tolist() == ["VIOLATES"] * SCAN_CHUNK + ["certificate-failed"]
+        assert table["spectral_bound"][SCAN_CHUNK] >= 1e-6
+        code = main(["hakye", "--cos-family", "--scan", spec])
         assert code == EXIT_NUMERIC
-        assert "numerical failure" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numerical failure: closed-form spectra not certified at 1 of "
+            f"{SCAN_CHUNK + 1} points\n"
+        )
+
+    def test_scan_runs_no_eigensolver(self, monkeypatch, capsys):
+        spec = f"theta=0.003:1.5:{SCAN_CHUNK + 1}"
+        argv = ["hakye", "--cos-family", "--scan", spec, "--reproducible"]
+        formats = ("csv", "json")
+        expected = {fmt: (main([*argv, "--format", fmt]), capsys.readouterr()) for fmt in formats}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan ran an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for fmt in formats:
+            assert (main([*argv, "--format", fmt]), capsys.readouterr()) == expected[fmt]
 
     def test_overflowing_trace_warns_nothing(self, capsys):
         # tr W = 3e308 overflows to inf inside numpy, outside the tier-1
-        # filter on spa_witness; the row and the exit code stand as before
+        # filter on spa_witness; the closed-form gap is 0, far inside the
+        # bound, so the row is uncertified and the run exits 2
         argv = ["hakye", "--a", "1e308", "--b", "1e308", "--c", "1e308", "--theta", "0.1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main([*argv, "--reproducible"])
         out, err = capsys.readouterr()
         assert code == EXIT_NUMERIC
-        assert out.splitlines()[-1].endswith(",true,1e+308,oracle-mismatch")
-        assert err == "numerical failure: eigensolver disagrees with closed-form oracles\n"
+        assert out.splitlines()[-1].endswith(",false,1e+308,certificate-failed")
+        assert err == "numerical failure: closed-form spectra not certified at 1 of 1 points\n"
 
 
 class TestEmission:
@@ -366,7 +406,7 @@ class TestReportBytes:
         "bad",
         [
             {1: {"gap": math.nan}},
-            {0: {"oracle_discrepancy": math.nan}, 1: {"a": math.inf}},
+            {0: {"spectral_bound": math.nan}, 1: {"a": math.inf}},
             {2: {"spa_min_pt_eig": -math.inf}},
         ],
     )
@@ -412,6 +452,43 @@ class TestReportBytes:
         assert buf.getvalue() == rows_csv_row_by_row(
             table_rows(table), GEOMETRY_COLUMNS, GEOMETRY_SCHEMA
         )
+
+
+class TestCertificate:
+    """Every dense eigenvalue lies within its row's spectral_bound of the
+    closed form, at any valid point and on the report grids."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(0.0, 1e8), b=st.floats(0.0, 1e8), c=st.floats(0.0, 1e8),
+        theta=st.floats(-math.pi, math.pi),
+    )
+    def test_valid_points(self, a, b, c, theta):
+        assume(a or b or c)
+        grid = HaKyeParams(a, b, c, theta).column()
+        assert_within_bound(grid, run_scan(grid))
+
+    def test_bound_holds_for_any_hermitian_stack(self):
+        # the proof reads the built matrices, not the parameters: perturbed
+        # by a random Hermitian E of norm 1e-12 to 1, dense or on a tenth of
+        # its entries, every solved eigenvalue still lies within the bound
+        rng = np.random.default_rng(11)
+        n = 400
+        grid = rng.uniform([[0.0]] * 3 + [[-math.pi]], [[3.0]] * 3 + [[math.pi]], (4, n))
+        w = hakye_matrices(grid)
+        e = rng.normal(size=(n, 9, 9)) + 1j * rng.normal(size=(n, 9, 9))
+        e = (e + e.conj().mT) * 10.0 ** rng.uniform(-12.0, 0.0, (n, 1, 1))
+        sparse = rng.random((n, 9, 9)) < 0.1
+        closed, closed_pt = hakye_spectra_closed_form(grid)
+        for m in (w + e, w + np.where(sparse | sparse.mT, e, 0.0)):
+            bound, _ = certify_spectra(m, closed, closed_pt)
+            assert (solved_distance(m, closed, closed_pt) <= bound).all()
+
+    @pytest.mark.parametrize("grid", sorted(TestReportBytes.GRIDS))
+    def test_report_grids(self, grid):
+        specs, cos_family, _ = TestReportBytes.GRIDS[grid]
+        points = build_grid([parse_grid_axis(s) for s in specs], {}, cos_family)
+        assert_within_bound(points, run_scan(points))
 
 
 # bounds and fixed values: signed zeros and moderate magnitudes; the
@@ -519,12 +596,12 @@ class TestScanParity:
         assert tuple(table) == ROW_KEYS
         assert len({len(column) for column in table.values()}) == 1
         expected = [
-            scan_row_one_at_a_time(p, tol, ORACLE_TOL)
+            scan_row_one_at_a_time(p, tol)
             for p in grid_one_at_a_time(axes, {}, cos_family)
         ]
         assert table_rows(table) == expected
         # equal as values, and each float with its bits
-        for key in ("lambda0_W", "lambda0_WGamma", "gap", "spa_min_pt_eig", "oracle_discrepancy"):
+        for key in ("lambda0_W", "lambda0_WGamma", "gap", "spa_min_pt_eig", "spectral_bound"):
             assert table[key].tobytes() == np.array([row[key] for row in expected]).tobytes()
 
     def test_invalid_array_is_rejected(self):
@@ -627,9 +704,10 @@ class TestReportTables:
         self._assert_plain(TestReportBytes._scan(specs, cos_family))
 
     def test_extreme_scan_point(self):
-        # --a 1.7e308: an oracle mismatch, with every float still finite
+        # --a 1.7e308: a gap of 1 that a bound relative to ||W||_F cannot
+        # resolve, with every float still finite
         table = run_scan(build_grid([], {"a": 1.7e308, "b": 1.0, "c": 1.0, "theta": 0.0}))
-        assert table["verdict"].tolist() == ["oracle-mismatch"]
+        assert table["verdict"].tolist() == ["certificate-failed"]
         self._assert_plain(table)
 
     def test_geometry(self, hakye_reference):
