@@ -36,7 +36,6 @@ from .operators import (
     eig_hermitian,
     hs_inner,
     hs_norm,
-    make_hermitian,
     min_eigenpair,
     partial_transpose,
     scaled,
@@ -83,7 +82,6 @@ from .witness import (
     product_expectation,
     sigma_form_from_matrix,
     verify_decomposition,
-    witness_value,
 )
 
 __version__ = "0.1.0"

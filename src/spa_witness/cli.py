@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import InputError, InvalidParams, NumericalError
 from .fileio import load_operator_file, save_operator
-from .geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, geometry_rows
+from .geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, GEOMETRY_SEED, geometry_rows
 from .hakye import HaKyeParams, hakye_witness
 from .scan import (
     ASSERTION_LINE,
+    CERTIFICATE_FAILED,
     DEFAULT_CONDITION_TOL,
     GRID_KEYS,
     LABEL_LINE,
@@ -41,7 +42,7 @@ from .scan import (
 )
 from .spa import DEFAULT_COMPARE_TOL, spa_violation_from_gap
 from .states import DensityOperator
-from .witness import c_sigma_max
+from .witness import SEESAW_MAX_ITER, SEESAW_RESTARTS, SEESAW_SEED, SEESAW_TOL, c_sigma_max
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -144,7 +145,7 @@ def _cmd_hakye(args: argparse.Namespace) -> int:
                 table, SCAN_COLUMNS, SCAN_SCHEMA, fh,
                 reproducible=args.reproducible, notes=notes,
             )
-    failed = int((table["verdict"] == "certificate-failed").sum())
+    failed = int((table["verdict"] == CERTIFICATE_FAILED).sum())
     if failed:
         print(
             f"numerical failure: closed-form spectra not certified at {failed} of "
@@ -278,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
         "cmax", help="see-saw estimate of the product-state infimum of a density"
     )
     cmax.add_argument("sigma", help="operator file (JSON) holding the density")
-    cmax.add_argument("--restarts", type=int, default=32)
-    cmax.add_argument("--max-iter", type=int, default=500)
-    cmax.add_argument("--tol", type=float, default=1e-12)
-    cmax.add_argument("--seed", type=int, default=0)
+    cmax.add_argument("--restarts", type=int, default=SEESAW_RESTARTS)
+    cmax.add_argument("--max-iter", type=int, default=SEESAW_MAX_ITER)
+    cmax.add_argument("--tol", type=float, default=SEESAW_TOL)
+    cmax.add_argument("--seed", type=int, default=SEESAW_SEED)
     cmax.add_argument("--json", action="store_true", help="machine-readable report")
     cmax.set_defaults(handler=_cmd_cmax)
 
@@ -290,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     geometry.add_argument("witness", help="operator file (JSON) holding the witness")
     geometry.add_argument("--samples", type=int, default=100)
-    geometry.add_argument("--seed", type=int, default=0)
+    geometry.add_argument("--seed", type=int, default=GEOMETRY_SEED)
     geometry.add_argument("--out", default=None, help="write CSV to this path")
     geometry.set_defaults(handler=_cmd_geometry)
 

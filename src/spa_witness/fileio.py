@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .operators import Dims, HermitianOperator, make_hermitian
+from .operators import Dims, HermitianOperator
 
 SCHEMA_VERSION = 1
 _JSON_NUMBERS = (int, float)
@@ -118,7 +118,7 @@ def load_operator_file(path: str | Path) -> tuple[HermitianOperator, dict]:
     metadata = doc.get("metadata", {})
     _check_metadata(path, metadata)
     values = np.array(flat, dtype=np.float64).view(np.complex128).reshape(n, n)
-    return make_hermitian(values, dims), metadata
+    return HermitianOperator(dims, values), metadata
 
 
 def load_operator(path: str | Path) -> HermitianOperator:

@@ -53,10 +53,11 @@ GEOMETRY_COLUMNS = (
     "classification",
 )
 SOURCES = ("ground-projector", "random-density", "separable-ensemble")
+GEOMETRY_SEED = 0  # geometry_rows' default seed, which the geometry command shares
 
 
 def geometry_rows(
-    witness_op: HermitianOperator, samples: int, seed: int = 0
+    witness_op: HermitianOperator, samples: int, seed: int = GEOMETRY_SEED
 ) -> dict[str, np.ndarray]:
     """The rows as one column array per GEOMETRY_COLUMNS entry: the ground
     projector row, then `samples` random and `samples` separable rows."""

@@ -132,11 +132,6 @@ class Spectrum:
         return float(self.eigenvalues[0])
 
 
-def make_hermitian(entries: np.ndarray, dims: Dims) -> HermitianOperator:
-    """Validate and wrap a square complex matrix as a Hermitian operator."""
-    return HermitianOperator(dims, np.asarray(entries, dtype=np.complex128))
-
-
 def shifted(op: HermitianOperator, s: float) -> HermitianOperator:
     """op + s*I for real s."""
     return HermitianOperator(
@@ -168,33 +163,30 @@ def eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Residuals ||A v_k - w_k v_k|| are checked against
     DEFAULT_EIG_TOL*max(1, ||A||) where ||.|| is the Hilbert-Schmidt norm of
-    each matrix; pairwise eigenvector overlaps are checked to
-    _ORTHONORMALITY_TOL, one (n, d, d) stack of the leading axes at a time,
-    which bounds the checks' memory.  Violations raise ConvergenceFailure.
+    each matrix, and pairwise eigenvector overlaps to _ORTHONORMALITY_TOL,
+    in one pass over the whole stack.  Violations raise ConvergenceFailure.
     """
-    w_all, v_all = lapack_eig(np.linalg.eigh, stack)
-    for at in np.ndindex(stack.shape[:-3]):
-        m, w, v = stack[at], w_all[at], v_all[at]
-        s = 1.0
-        residual2, limit2 = _squared_residuals(m, w, v)
-        if not (limit2 < np.inf).all():
-            # Squares of entries beyond ~1e154 overflow.  Run the same test on
-            # m/s with s = max(1, max |entry|) per matrix, whose eigenpairs are
-            # (w/s, v): where s > 1, ||A||/s >= 1, so both sides scale by 1/s.
-            s = np.abs(m).max(axis=(-2, -1), initial=1.0)
-            residual2, limit2 = _squared_residuals(m / s[..., None, None], w / s[..., None], v)
-        ok = residual2 <= limit2
-        if not ok.all():
-            k = int(np.argmin(ok))
-            scale = np.broadcast_to(s, ok.shape).flat[k]
-            raise ConvergenceFailure(
-                f"eigenpair residual {np.sqrt(residual2.flat[k]) * scale:.3e} exceeds "
-                f"{np.sqrt(limit2.flat[k]) * scale:.3e}"
-            )
-        gram = float(np.abs(v.mT.conj() @ v - np.eye(m.shape[-1])).max())
-        if not gram <= _ORTHONORMALITY_TOL:
-            raise ConvergenceFailure(f"eigenvectors lost orthonormality by {gram:.3e}")
-    return w_all, v_all
+    w, v = lapack_eig(np.linalg.eigh, stack)
+    s = 1.0
+    residual2, limit2 = _squared_residuals(stack, w, v)
+    if not (limit2 < np.inf).all():
+        # Squares of entries beyond ~1e154 overflow.  Run the same test on
+        # A/s with s = max(1, max |entry|) per matrix, whose eigenpairs are
+        # (w/s, v): where s > 1, ||A||/s >= 1, so both sides scale by 1/s.
+        s = np.abs(stack).max(axis=(-2, -1), initial=1.0)
+        residual2, limit2 = _squared_residuals(stack / s[..., None, None], w / s[..., None], v)
+    ok = residual2 <= limit2
+    if not ok.all():
+        k = int(np.argmin(ok))
+        scale = np.broadcast_to(s, ok.shape).flat[k]
+        raise ConvergenceFailure(
+            f"eigenpair residual {np.sqrt(residual2.flat[k]) * scale:.3e} exceeds "
+            f"{np.sqrt(limit2.flat[k]) * scale:.3e}"
+        )
+    gram = float(np.abs(v.mT.conj() @ v - np.eye(stack.shape[-1])).max())
+    if not gram <= _ORTHONORMALITY_TOL:
+        raise ConvergenceFailure(f"eigenvectors lost orthonormality by {gram:.3e}")
+    return w, v
 
 
 def spectra_with_pt(m: np.ndarray, dims: Dims) -> np.ndarray:

@@ -45,6 +45,7 @@ SCAN_COLUMNS = (
 )
 ROW_KEYS = SCAN_COLUMNS + ("spectral_bound",)
 DEFAULT_CONDITION_TOL = 1e-6
+CERTIFICATE_FAILED = "certificate-failed"  # an uncertified row's verdict, the longest
 # Grid points per certified chunk; bounds the scan's working memory.
 SCAN_CHUNK = 512
 
@@ -176,7 +177,7 @@ def run_scan(
     into its slice of the columns, which are allocated up front."""
     check_params(params)
     n = params.shape[1]
-    dtypes = {"condition_holds": bool, "verdict": "<U18"}  # up to "certificate-failed"
+    dtypes = {"condition_holds": bool, "verdict": f"<U{len(CERTIFICATE_FAILED)}"}
     table = {key: np.empty(n, dtypes.get(key, np.float64)) for key in ROW_KEYS}
     for start in range(0, n, SCAN_CHUNK):
         chunk = params[:, start:start + SCAN_CHUNK]
@@ -189,7 +190,7 @@ def run_scan(
         # asserted (ASSERTION_LINE): no tie-window downgrade.
         verdict = np.where(condition, Conclusion.VIOLATES.value, Conclusion.CONSISTENT.value)
         certified = within_tol & (np.abs(gap - condition_tol) > bound)
-        verdict = np.where(certified, verdict, "certificate-failed")
+        verdict = np.where(certified, verdict, CERTIFICATE_FAILED)
         parts = (*chunk, lam0, lam0_pt, gap, condition, raw[0], verdict, bound)
         for column, part in zip(table.values(), parts):
             column[start:start + SCAN_CHUNK] = part

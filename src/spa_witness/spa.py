@@ -155,11 +155,11 @@ def spa_sigma_form(witness: SigmaFormWitness) -> SpaResult:
     When sigma is rank deficient its minimum eigenvalue vanishes, the SPA
     is sigma itself, and the returned state keeps sigma's provenance; the
     approximation of such a witness is then separable whenever sigma is.
-    Sigma's rank counts the eigenvalues of the witness's checked spectrum
-    whose magnitude exceeds DEFAULT_RANK_TOL times the largest magnitude.
+    Sigma's rank counts the eigenvalues of the witness's checked sigma
+    spectrum whose magnitude exceeds DEFAULT_RANK_TOL times the largest.
     """
     sigma = witness.sigma
-    magnitudes = np.abs(witness.spectrum.eigenvalues)
+    magnitudes = np.abs(witness.spectra[0])
     if not (magnitudes > DEFAULT_RANK_TOL * magnitudes.max()).all():
         return SpaResult(
             s=witness.c,
@@ -211,16 +211,16 @@ def spa_violation_from_sigma(
 ) -> ConjectureVerdict:
     """The gap verdict of W = sigma - c*I, on W's side only.
 
-    Sigma's checked spectrum comes with the witness, so the one eigensolve
-    here is of sigma^PT.  :func:`gap_verdict` takes min eig(W) = min
+    The checked spectra of sigma and sigma^PT come with the witness, so
+    nothing is solved here.  :func:`gap_verdict` takes min eig(W) = min
     eig(sigma) - c, min eig(W^PT) = min eig(sigma^PT) - c and tr W = tr
     sigma - dAB*c.  The SPA of W is sigma - (min eig sigma)*I for every c,
     with PT floor min eig(sigma^PT) - min eig(sigma).  A gap on the
     partial-transpose side makes the SPA of W^PT NPT, not the SPA of W, so
     it reads CONSISTENT here.
     """
-    sigma, c, lam0 = witness.sigma.op, witness.c, witness.lambda0_sigma
-    lam0_pt = pt_min_eigenvalue(sigma)
+    sigma, c = witness.sigma.op, witness.c
+    lam0, lam0_pt = witness.spectra[:, 0].tolist()
     dAB = sigma.dims.dAB
     verdict = gap_verdict(lam0 - c, lam0_pt - c, sigma.trace - dAB * c, dAB, tol, asserted_onew)
     if verdict.npt_side != "partial-transpose":

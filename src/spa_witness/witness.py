@@ -7,8 +7,8 @@ operator is positive and detects nothing) and at most at the product-state
 infimum c_max = inf <mu nu|sigma|mu nu> (otherwise some product state is
 "detected", which no witness may do).  This module builds such witnesses,
 estimates c_max by alternating eigenvector descent, and provides the small
-algebra around them: values on states, their side of the witness hyperplane
-(detection is the negative side), and decomposability certificates.
+algebra around them: the side of the witness hyperplane a value tr(W rho)
+falls on (detection is the negative side), and decomposability certificates.
 """
 
 from __future__ import annotations
@@ -27,17 +27,17 @@ from .errors import (
 )
 from .operators import (
     HermitianOperator,
-    Spectrum,
+    _read_only,
     check_seed,
     check_tol,
     eig_hermitian,
     eigh_checked,
-    hs_inner,
     hs_norm,
     lapack_eig,
     partial_transpose,
     scaled,
     shifted,
+    spectra_with_pt,
 )
 from .states import (
     DensityOperator,
@@ -54,6 +54,11 @@ DEFAULT_WOPT_TOL = 1e-8
 SPOT_CHECKS = 64
 SIGMA_MARGIN = 1e-6
 _MONOTONE_SLACK = 1e-12
+# c_sigma_max's defaults, which the cmax command's options share
+SEESAW_RESTARTS = 32
+SEESAW_MAX_ITER = 500
+SEESAW_TOL = 1e-12
+SEESAW_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,12 +78,13 @@ class CmaxEstimate:
 
 @dataclass(frozen=True, eq=False)
 class SigmaFormWitness:
-    """A witness sigma - c*I with sigma's checked spectrum (eig_hermitian),
-    from the one eigensolve of sigma that building the witness makes."""
+    """A witness sigma - c*I with ``spectra``, the read-only (2, dAB)
+    ascending spectra of sigma and of sigma^PT from the one stacked
+    eigensolve (spectra_with_pt) that build_witness makes."""
 
     sigma: DensityOperator
     c: float
-    spectrum: Spectrum
+    spectra: np.ndarray
     cmax_estimate: CmaxEstimate | None = None
 
     def __post_init__(self) -> None:
@@ -92,7 +98,7 @@ class SigmaFormWitness:
 
     @property
     def lambda0_sigma(self) -> float:
-        return self.spectrum.min_eigenvalue
+        return float(self.spectra[0, 0])
 
     @property
     def dims(self):
@@ -117,10 +123,10 @@ def _expectations(entries: np.ndarray, joint: np.ndarray) -> np.ndarray:
 
 def c_sigma_max(
     sigma: DensityOperator,
-    restarts: int = 32,
-    max_iter: int = 500,
-    tol: float = 1e-12,
-    seed: int = 0,
+    restarts: int = SEESAW_RESTARTS,
+    max_iter: int = SEESAW_MAX_ITER,
+    tol: float = SEESAW_TOL,
+    seed: int = SEESAW_SEED,
 ) -> CmaxEstimate:
     """Estimate c_max = inf over unit product vectors of <mu nu|sigma|mu nu>.
 
@@ -220,20 +226,23 @@ def c_sigma_max(
 def build_witness(
     sigma: DensityOperator, c: float, cmax_estimate: CmaxEstimate | None = None
 ) -> SigmaFormWitness:
-    """Construct sigma - c*I, validating that it can be a witness.
+    """Construct sigma - c*I, with the spectra of sigma and sigma^PT from one
+    checked, stacked eigensolve, validating that it can be a witness.
 
     Raises NotNegative when c does not exceed the smallest eigenvalue of
     sigma, and NotAWitness when a supplied estimate certifies that some
     product state would be detected.  Without an estimate the witness is
     accepted but not certified against product states.
     """
-    return SigmaFormWitness(sigma, float(c), eig_hermitian(sigma.op), cmax_estimate)
+    spectra = _read_only(spectra_with_pt(sigma.op.entries, sigma.dims))
+    return SigmaFormWitness(sigma, float(c), spectra, cmax_estimate)
 
 
 def check_candidate(lam0: float) -> None:
     """Raise NotNegative unless lam0, a witness matrix's minimum eigenvalue, is negative."""
     if not lam0 < 0.0:
-        raise NotNegative(f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate")
+        what = f"minimum eigenvalue {lam0!r} of the witness matrix"
+        raise NotNegative(f"{what} is not negative: not a witness candidate")
 
 
 def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
@@ -267,7 +276,7 @@ def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
     c = gamma * (abs(lam0) + eps)
     sigma_op = shifted(scaled(raw, gamma), c)
     sigma = DensityOperator(sigma_op, Provenance.UNKNOWN)  # a recast sigma may be entangled
-    return SigmaFormWitness(sigma, c, eig_hermitian(sigma_op))
+    return build_witness(sigma, c)
 
 
 def is_weakly_optimal(witness: SigmaFormWitness) -> tuple[bool, ProductVector | None]:
@@ -287,11 +296,6 @@ def is_weakly_optimal(witness: SigmaFormWitness) -> tuple[bool, ProductVector | 
     if abs(witness.c - est.value) <= DEFAULT_WOPT_TOL:
         return True, est.argmin
     return False, None
-
-
-def witness_value(witness: SigmaFormWitness, rho: DensityOperator) -> float:
-    """tr(W rho) for W = sigma - c*I."""
-    return hs_inner(rho.op, witness.operator())
 
 
 class HyperplaneSide(enum.Enum):

@@ -38,7 +38,6 @@ from spa_witness.operators import (
     eig_hermitian,
     hs_inner,
     hs_norm,
-    make_hermitian,
     min_eigenpair,
     partial_transpose,
 )
@@ -475,4 +474,4 @@ def load_operator_file_per_cell(path) -> tuple[HermitianOperator, dict]:
             raise ParseError(
                 f"{path}: metadata {key!r} must be a string, not {type(value).__name__}"
             )
-    return make_hermitian(matrix, dims), metadata
+    return HermitianOperator(dims, matrix), metadata

@@ -34,8 +34,9 @@ from spa_witness.hakye import (
 )
 from spa_witness.operators import (
     Dims,
+    HermitianOperator,
+    hs_inner,
     hs_norm,
-    make_hermitian,
     min_eigenpair,
     partial_transpose,
     shifted,
@@ -60,7 +61,6 @@ from spa_witness.witness import (
     build_witness,
     c_sigma_max,
     sigma_form_from_matrix,
-    witness_value,
 )
 
 D22 = Dims(2, 2)
@@ -78,7 +78,7 @@ def _swap_operator():
     for i in range(2):
         for j in range(2):
             v[i * 2 + j, j * 2 + i] = 1.0
-    return make_hermitian(v, D22)
+    return HermitianOperator(D22, v)
 
 
 def test_criterion_01_reference_pair(capsys):
@@ -299,18 +299,18 @@ def test_criterion_09_witness_soundness():
     min_value = np.inf
     ground_ok = True
     for w in suite:
-        dims = w.dims
+        dims, w_op = w.dims, w.operator()
         for _ in range(per_witness):
             rho = ensemble_density(
                 random_separable_ensemble(dims, dims.dAB + 1, rng)
             )
-            min_value = min(min_value, witness_value(w, rho))
+            min_value = min(min_value, hs_inner(rho.op, w_op))
         lam0, ground = min_eigenpair(w.sigma.op)
         rho_ground = DensityOperator(
-            make_hermitian(np.outer(ground, ground.conj()), dims),
+            HermitianOperator(dims, np.outer(ground, ground.conj())),
             Provenance.UNKNOWN,
         )
-        value = witness_value(w, rho_ground)
+        value = hs_inner(rho_ground.op, w_op)
         ground_ok = ground_ok and abs(value - (lam0 - w.c)) <= 1e-10 and value < 0.0
     total = per_witness * len(suite)
     _report(

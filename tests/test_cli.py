@@ -18,7 +18,7 @@ from conftest import full_rank_separable
 from spa_witness.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_VIOLATION, main
 from spa_witness.fileio import save_operator
 from spa_witness.hakye import hakye_witness, reference_violation_params
-from spa_witness.operators import Dims, make_hermitian, partial_transpose
+from spa_witness.operators import Dims, HermitianOperator, partial_transpose
 from spa_witness.scan import DEFAULT_CONDITION_TOL
 from spa_witness.states import maximally_mixed
 
@@ -83,7 +83,7 @@ class TestAnalyze:
 
     def test_positive_matrix_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "pos.json"
-        save_operator(make_hermitian(np.eye(4), Dims(2, 2)), path)
+        save_operator(HermitianOperator(Dims(2, 2), np.eye(4)), path)
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == EXIT_INPUT
         assert "not a witness candidate" in err
@@ -91,7 +91,7 @@ class TestAnalyze:
     def test_huge_swap_keeps_its_verdict(self, capsys, tmp_path):
         # squared entries overflow, so the stacked solve's check must rescale
         path = tmp_path / "swap.json"
-        save_operator(make_hermitian(1e200 * np.eye(4)[[0, 2, 1, 3]], Dims(2, 2)), path)
+        save_operator(HermitianOperator(Dims(2, 2), 1e200 * np.eye(4)[[0, 2, 1, 3]]), path)
         code, out, err = run_cli(
             capsys, "analyze", str(path), "--json", "--reproducible", "--assert-onew"
         )
@@ -105,11 +105,11 @@ class TestAnalyze:
         rng = np.random.default_rng(2)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = (g + g.conj().T) / 2
-        sym = h + partial_transpose(make_hermitian(h, Dims(2, 2))).entries
+        sym = h + partial_transpose(HermitianOperator(Dims(2, 2), h)).entries
         lam = np.linalg.eigvalsh(sym)[0]
         sym -= (lam + 0.5) * np.eye(4)
         path = tmp_path / "sym.json"
-        save_operator(make_hermitian(sym, Dims(2, 2)), path)
+        save_operator(HermitianOperator(Dims(2, 2), sym), path)
         code, out, _ = run_cli(capsys, "analyze", str(path), "--json", "--reproducible")
         assert code == EXIT_OK
         report = json.loads(out)
@@ -357,7 +357,7 @@ class TestCmax:
 
     def test_non_density_rejected(self, capsys, tmp_path):
         path = tmp_path / "eye.json"
-        save_operator(make_hermitian(np.eye(4), Dims(2, 2)), path)
+        save_operator(HermitianOperator(Dims(2, 2), np.eye(4)), path)
         code, _, err = run_cli(capsys, "cmax", str(path))
         assert code == EXIT_INPUT
 
@@ -514,7 +514,7 @@ class TestInvalidInput:
         assert code == EXIT_INPUT
         assert out == ""
         assert "minimum eigenvalue 0.25" in err
-        assert "is non-negative: not a witness candidate" in err
+        assert "of the witness matrix is not negative: not a witness candidate" in err
 
     def test_geometry_samples_validated(self, capsys, reference_file):
         code, out, err = run_cli(
@@ -552,7 +552,7 @@ class TestInvalidInput:
 
 
 def _save_matrix(path, m, dims):
-    save_operator(make_hermitian(np.asarray(m, dtype=complex), dims), path)
+    save_operator(HermitianOperator(dims, np.asarray(m, dtype=complex)), path)
     return path
 
 

@@ -16,7 +16,7 @@ from spa_witness.cli import main
 from spa_witness.errors import DimensionMismatch, NotHermitian, ParseError
 from spa_witness.fileio import load_operator, load_operator_file, save_operator
 from spa_witness.hakye import hakye_witness, reference_violation_params
-from spa_witness.operators import Dims, make_hermitian
+from spa_witness.operators import Dims, HermitianOperator
 
 
 def write_doc(path, doc):
@@ -57,14 +57,14 @@ class TestRoundTrip:
 
     def test_non_finite_refused(self, tmp_path):
         # the constructor gate forbids inf, so feed a duck-typed stand-in
-        template = make_hermitian(np.eye(4, dtype=complex), Dims(2, 2))
+        template = HermitianOperator(Dims(2, 2), np.eye(4, dtype=complex))
         with pytest.raises(ParseError, match="non-finite"):
             save_operator(_InfOperator(template), tmp_path / "x.json")
 
     # each is a document its own loader refuses, so nothing is written
     @pytest.mark.parametrize("metadata", [{"n": 3}, ["x"]], ids=["int-value", "list"])
     def test_metadata_the_loader_refuses_is_not_saved(self, tmp_path, metadata):
-        op = make_hermitian(np.eye(4, dtype=complex), Dims(2, 2))
+        op = HermitianOperator(Dims(2, 2), np.eye(4, dtype=complex))
         path = tmp_path / "x.json"
         with pytest.raises(ParseError, match=f"{path}: metadata"):
             save_operator(op, path, metadata=metadata)
@@ -74,7 +74,7 @@ class TestRoundTrip:
     # made json.dump fail after part of the file was written
     @pytest.mark.parametrize("key", [1, (1, 2)], ids=["int", "tuple"])
     def test_metadata_keys_must_be_strings(self, tmp_path, key):
-        op = make_hermitian(np.eye(4, dtype=complex), Dims(2, 2))
+        op = HermitianOperator(Dims(2, 2), np.eye(4, dtype=complex))
         path = tmp_path / "x.json"
         with pytest.raises(ParseError) as refused:
             save_operator(op, path, metadata={key: "x"})
@@ -334,7 +334,7 @@ class TestWriterParity:
             r, s = rng.integers(0, dims.dAB, size=2)
             m[r, s] = m[s, r] = complex(-0.0, 0.0)
             m[0, 0] = complex(m[0, 0].real, -0.0)
-            op = make_hermitian(m, dims)
+            op = HermitianOperator(dims, m)
             new, old = tmp_path / f"new{trial}.json", tmp_path / f"old{trial}.json"
             save_operator(op, new, metadata={"label": "x"})
             save_operator_per_entry(op, old, metadata={"label": "x"})

@@ -20,7 +20,7 @@ from spa_witness.errors import (
 from spa_witness.fileio import save_operator
 from spa_witness.geometry import GEOMETRY_COLUMNS, geometry_rows
 from spa_witness.hakye import hakye_witness, reference_violation_params
-from spa_witness.operators import Dims, make_hermitian
+from spa_witness.operators import Dims, HermitianOperator
 from spa_witness.scan import SCAN_CHUNK
 from spa_witness.states import draw_densities, draw_ensembles, maximally_mixed
 from spa_witness.witness import DEFAULT_DETECT_TOL, hyperplane_side
@@ -74,12 +74,13 @@ def test_samples_must_be_positive():
 
 
 def test_density_is_no_witness():
-    with pytest.raises(NotNegative, match=r"^minimum eigenvalue .* is non-negative: not a witness"):
+    message = r"^minimum eigenvalue .* of the witness matrix is not negative: not a witness"
+    with pytest.raises(NotNegative, match=message):
         geometry_rows(maximally_mixed(Dims(2, 2)).op, 3)
 
 
 def test_ground_projector_row_is_on_plane_for_a_tiny_negative_eigenvalue():
-    witness = make_hermitian(np.diag([-5e-9, 1.0, 1.0, 1.0]), Dims(2, 2))
+    witness = HermitianOperator(Dims(2, 2), np.diag([-5e-9, 1.0, 1.0, 1.0]))
     assert geometry_rows(witness, 1)["classification"][0] == "on-plane"
 
 

@@ -28,7 +28,6 @@ from spa_witness.operators import (
     eigh_checked,
     hs_inner,
     hs_norm,
-    make_hermitian,
     min_eigenpair,
     partial_transpose,
     partial_transpose_stack,
@@ -43,7 +42,7 @@ D33 = Dims(3, 3)
 
 def identity(dims: Dims) -> HermitianOperator:
     """The identity operator on the joint space."""
-    return make_hermitian(np.eye(dims.dAB), dims)
+    return HermitianOperator(dims, np.eye(dims.dAB))
 
 
 class TestDims:
@@ -56,10 +55,10 @@ class TestDims:
             Dims(*bad)
 
 
-class TestMakeHermitian:
+class TestHermitianOperator:
     def test_valid_matrix_accepted(self):
         m = np.array([[1.0, 1j, 0, 0], [-1j, 2.0, 0, 0], [0, 0, 3.0, 0], [0, 0, 0, 4.0]])
-        op = make_hermitian(m, D22)
+        op = HermitianOperator(D22, m)
         assert_allclose(op.entries, m)
         assert op.trace == pytest.approx(10.0)
 
@@ -68,20 +67,20 @@ class TestMakeHermitian:
         m = np.eye(4, dtype=complex)
         m[2, 1] = m[1, 2] = bad
         with pytest.raises(NotHermitian, match="non-finite entry .* row 1, column 2"):
-            make_hermitian(m, D22)
+            HermitianOperator(D22, m)
 
     def test_asymmetric_rejected_with_location(self):
         m = np.eye(4, dtype=complex)
         m[0, 1] = 1j
         m[1, 0] = 1j
         with pytest.raises(NotHermitian, match="row 0, column 1"):
-            make_hermitian(m, D22)
+            HermitianOperator(D22, m)
         with pytest.raises(NotHermitian, match=r"at matrix \(1,\), row 0, column 1"):
             check_hermitian(np.stack([np.eye(4), m]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            make_hermitian(np.eye(5), D22)
+            HermitianOperator(D22, np.eye(5))
 
     def test_entries_are_read_only(self):
         op = identity(D22)
@@ -91,7 +90,7 @@ class TestMakeHermitian:
 
 class TestEigHermitian:
     def test_nan_eigenpairs_rejected(self, monkeypatch):
-        op = make_hermitian(np.diag([3.0, 1.0, 2.0, 5.0]), D22)
+        op = HermitianOperator(D22, np.diag([3.0, 1.0, 2.0, 5.0]))
         monkeypatch.setattr(
             np.linalg, "eigh", lambda a: (np.full(4, np.nan), np.eye(4))
         )
@@ -102,7 +101,7 @@ class TestEigHermitian:
     def test_residual_check_holds_at_any_scale(self, monkeypatch, scale):
         # at 1e200 the squared norms overflow; the check must still hold
         m = np.diag([1.0, -1.0, 0.3, 1e-200]) * scale
-        spectrum = eig_hermitian(make_hermitian(m, D22))
+        spectrum = eig_hermitian(HermitianOperator(D22, m))
         assert_allclose(spectrum.eigenvalues, np.sort(np.diag(m)))
         real_eigh = np.linalg.eigh
 
@@ -112,13 +111,13 @@ class TestEigHermitian:
 
         monkeypatch.setattr(np.linalg, "eigh", swap_first_two)
         with pytest.raises(ConvergenceFailure, match="residual"):
-            eig_hermitian(make_hermitian(m, D22))
+            eig_hermitian(HermitianOperator(D22, m))
         # one matrix of a stack overflowing leaves the others' check intact
         with pytest.raises(ConvergenceFailure, match="residual"):
             eigh_checked(np.stack([m, np.diag([1e200, 1.0, 1.0, 1.0])]))
 
     def test_diagonal_sorted_ascending(self):
-        op = make_hermitian(np.diag([3.0, 1.0, 2.0, 5.0]), D22)
+        op = HermitianOperator(D22, np.diag([3.0, 1.0, 2.0, 5.0]))
         spectrum = eig_hermitian(op)
         assert_allclose(spectrum.eigenvalues, [1.0, 2.0, 3.0, 5.0])
 
@@ -153,7 +152,7 @@ class TestEigHermitian:
             m = np.zeros((4, 4), dtype=complex)
             m[:2, :2] = block
             m[2, 2], m[3, 3] = 10.0, 11.0
-            spectrum = eig_hermitian(make_hermitian(m, D22))
+            spectrum = eig_hermitian(HermitianOperator(D22, m))
             expected = np.sort(
                 np.concatenate([char_poly_roots_2x2(block), [10.0, 11.0]])
             )
@@ -167,7 +166,7 @@ class TestEigHermitian:
             m = np.zeros((4, 4), dtype=complex)
             m[:3, :3] = block
             m[3, 3] = 20.0
-            spectrum = eig_hermitian(make_hermitian(m, D22))
+            spectrum = eig_hermitian(HermitianOperator(D22, m))
             expected = np.sort(
                 np.concatenate([char_poly_roots_3x3(block), [20.0]])
             )
@@ -181,14 +180,14 @@ class TestMinEigenpair:
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_diagonal_ground_state(self):
-        lam, vec = min_eigenpair(make_hermitian(np.diag([-2.0, 0.0, 1.0, 5.0]), D22))
+        lam, vec = min_eigenpair(HermitianOperator(D22, np.diag([-2.0, 0.0, 1.0, 5.0])))
         assert lam == pytest.approx(-2.0)
         assert abs(vec[0]) == pytest.approx(1.0)
 
 
 class TestPartialTranspose:
     def test_diagonal_fixed_point(self):
-        op = make_hermitian(np.diag([1.0, 2.0, 3.0, 4.0]), D22)
+        op = HermitianOperator(D22, np.diag([1.0, 2.0, 3.0, 4.0]))
         assert_allclose(partial_transpose(op).entries, op.entries)
 
     def test_involution(self):
@@ -249,7 +248,7 @@ class TestHsAlgebra:
         m = np.zeros((4, 4), dtype=complex)
         m[0, 1] = 1e4 + 4.9e-13j
         m[1, 0] = 1e4 + 4.9e-13j
-        a = make_hermitian(m, D22)
+        a = HermitianOperator(D22, m)
         with pytest.raises(NonRealResult):
             hs_inner(a, a)
 

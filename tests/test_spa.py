@@ -30,7 +30,6 @@ from spa_witness.operators import (
     eig_hermitian,
     hs_inner,
     hs_norm,
-    make_hermitian,
     min_eigenpair,
     partial_transpose,
     spectra_with_pt,
@@ -76,7 +75,7 @@ EDGE_ENTRIES = st.one_of(
 
 def singlet_state() -> DensityOperator:
     return DensityOperator(
-        make_hermitian(np.outer(SINGLET, SINGLET.conj()), D22), Provenance.UNKNOWN
+        HermitianOperator(D22, np.outer(SINGLET, SINGLET.conj())), Provenance.UNKNOWN
     )
 
 
@@ -102,7 +101,7 @@ def pt_symmetric_separable(dims: Dims, seed: int) -> DensityOperator:
 
 class TestSpa:
     def test_positive_operator_needs_no_shift(self):
-        op = make_hermitian(np.diag([0.5, 1.0, 2.0, 3.0]), D22)
+        op = HermitianOperator(D22, np.diag([0.5, 1.0, 2.0, 3.0]))
         result = spa(op)
         assert result.s == 0.0
         assert_allclose(result.spa_operator.entries, op.entries)
@@ -123,13 +122,13 @@ class TestSpa:
         result = spa(op)
         under = result.s - 1e-6 * hs_norm(op)
         lam, _ = min_eigenpair(
-            make_hermitian(op.entries + under * np.eye(4), D22)
+            HermitianOperator(D22, op.entries + under * np.eye(4))
         )
         assert lam < 0
 
     def test_trace_zero_shift_rejected(self):
         with pytest.raises(ZeroTrace):
-            spa(make_hermitian(-np.eye(4), D22))
+            spa(HermitianOperator(D22, -np.eye(4)))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -195,7 +194,7 @@ class TestSpaSigmaForm:
     )
     def test_rank_rule_decides_the_shortcut(self, diagonal, shortcut):
         dims = D33 if len(diagonal) == 9 else D22
-        sigma = DensityOperator(make_hermitian(np.diag(diagonal), dims), Provenance.UNKNOWN)
+        sigma = DensityOperator(HermitianOperator(dims, np.diag(diagonal)), Provenance.UNKNOWN)
         assert spa_sigma_form(build_witness(sigma, 0.2)).rank_deficient_shortcut is shortcut
 
     def test_rank_comes_from_the_checked_eigensolve(self, monkeypatch):
@@ -229,7 +228,7 @@ class TestPptCheck:
 
     def test_scale_invariant_verdict(self):
         rho = singlet_state()
-        scaled_op = make_hermitian(250.0 * rho.op.entries, D22)
+        scaled_op = HermitianOperator(D22, 250.0 * rho.op.entries)
         verdict = ppt_check(scaled_op)
         assert verdict.min_pt_eigenvalue == pytest.approx(-0.5, abs=1e-12)
         assert verdict.status is PptStatus.NPT_ENTANGLED
@@ -242,13 +241,13 @@ class TestPptCheck:
 
     def test_marginal_negativity_within_tol_counts_as_ppt(self):
         m = np.diag([0.5, 0.5, 0.0, -5e-9])
-        verdict = ppt_check(make_hermitian(m, D22), tol=1e-8)
+        verdict = ppt_check(HermitianOperator(D22, m), tol=1e-8)
         assert verdict.status is PptStatus.PPT
 
     def test_non_positive_trace_rejected(self):
         # -I is no state; its partial transpose is not tested unnormalized
         with pytest.raises(ZeroTrace):
-            ppt_check(make_hermitian(-np.eye(4), D22))
+            ppt_check(HermitianOperator(D22, -np.eye(4)))
 
     @pytest.mark.parametrize("dims", DIMS_SMALL, ids=str)
     def test_separable_densities_pass(self, dims):
@@ -260,15 +259,28 @@ class TestPptCheck:
 
 class TestSigmaRouteCondition:
     def test_one_solve_of_sigma_and_one_of_its_partial_transpose(self, eigh_calls):
-        # build, SPA and verdict: sigma's spectrum comes with the witness;
-        # c = 0.2 exceeds min eig sigma <= 1/6 for any 6x6 density
+        # build, SPA and verdict: both spectra come with the witness, from one
+        # stacked solve; c = 0.2 exceeds min eig sigma <= 1/6 for any 6x6 density
         sigma = full_rank_separable(Dims(2, 3), np.random.default_rng(5))
         w = build_witness(sigma, 0.2)
         spa_sigma_form(w)
         spa_violation_from_sigma(w)
-        assert [m.shape for m in eigh_calls] == [(6, 6), (6, 6)]
-        assert (eigh_calls[0] == sigma.op.entries).all()
-        assert (eigh_calls[1] == partial_transpose(sigma.op).entries).all()
+        assert [m.shape for m in eigh_calls] == [(2, 6, 6)]
+        stack = np.stack([sigma.op.entries, partial_transpose(sigma.op).entries])
+        assert (eigh_calls[0] == stack).all()
+
+    def test_recast_solves_the_input_then_sigma_and_its_partial_transpose(
+        self, eigh_calls, hakye_reference
+    ):
+        _, op = hakye_reference
+        d = op.dims.dAB
+        w = sigma_form_from_matrix(op)
+        assert [m.shape for m in eigh_calls] == [(d, d), (2, d, d)]
+        spa_violation_from_sigma(w)
+        assert len(eigh_calls) == 2
+        rebuilt = build_witness(w.sigma, w.c).spectra
+        assert rebuilt.tobytes() == w.spectra.tobytes()
+        assert not w.spectra.flags.writeable
 
     def test_spectra_are_the_stacked_solve_bit_for_bit(self):
         # criterion 4's draws: lambda0 and lambda0^PT of sigma as the one
@@ -395,17 +407,20 @@ class TestGapCondition:
         lam = np.linalg.eigvalsh(sym)[0]
         if lam >= -0.1:
             sym = sym - (lam + 0.5) * np.eye(4)
-        op = make_hermitian(sym, D22)
+        op = HermitianOperator(D22, sym)
         verdict = spa_violation_from_gap(op, asserted_onew=True)
         assert not verdict.condition_holds
         assert verdict.conclusion is Conclusion.CONSISTENT
         assert verdict.npt_side is None
 
     def test_positive_input_rejected(self):
-        op = make_hermitian(np.eye(4), D22)
+        op = HermitianOperator(D22, np.eye(4))
         # the message the solve of W alone gives
         lam0 = eig_hermitian(op).min_eigenvalue
-        message = f"minimum eigenvalue {lam0!r} is non-negative: not a witness candidate"
+        message = (
+            f"minimum eigenvalue {lam0!r} of the witness matrix is not negative: "
+            "not a witness candidate"
+        )
         with pytest.raises(NotNegative) as info:
             spa_violation_from_gap(op)
         assert str(info.value) == message
@@ -415,7 +430,7 @@ class TestGapCondition:
         for i in range(2):
             for j in range(2):
                 v[i * 2 + j, j * 2 + i] = 1.0
-        verdict = spa_violation_from_gap(make_hermitian(v, D22))
+        verdict = spa_violation_from_gap(HermitianOperator(D22, v))
         assert verdict.condition_holds
         assert verdict.npt_side == "partial-transpose"
         assert verdict.spa_ppt.status is PptStatus.NPT_ENTANGLED
@@ -427,7 +442,7 @@ class TestGapCondition:
         e1, e2 = 2e-6, 1e-6
         m = np.diag([x - e1, x - e2, x - e2, x - e1]).astype(complex)
         m[0, 3] = m[3, 0] = x
-        op = make_hermitian(m, D22)
+        op = HermitianOperator(D22, m)
         verdict = spa_violation_from_gap(op, asserted_onew=True)
         assert verdict.condition_holds
         assert verdict.gap == pytest.approx(1e-6, rel=1e-3)
@@ -463,7 +478,7 @@ class TestGapVerdict:
 
     @pytest.mark.parametrize("matrix", ["reference", "swap", "sigma", "scan"])
     def test_one_stacked_eigensolve(self, matrix, hakye_reference, monkeypatch):
-        op = make_hermitian(SWAP_22, D22) if matrix == "swap" else hakye_reference[1]
+        op = HermitianOperator(D22, SWAP_22) if matrix == "swap" else hakye_reference[1]
         # the sigma route on the reference sigma, recast before counting
         witness = sigma_form_from_matrix(op) if matrix == "sigma" else None
         calls = []
@@ -484,14 +499,14 @@ class TestGapVerdict:
         elif witness is None:
             spa_violation_from_gap(op)
         else:
-            # sigma's spectrum came with the witness: only sigma^PT is solved
+            # both spectra came with the witness: nothing is solved
             spa_violation_from_sigma(witness)
-            expected = [("eigh", (d, d))]
+            expected = []
         assert calls == expected
 
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_bad_tolerance_rejected(self, tol):
-        w = sigma_form_from_matrix(make_hermitian(SWAP_22, D22))
+        w = sigma_form_from_matrix(HermitianOperator(D22, SWAP_22))
         for check in (
             lambda: gap_verdict(-1.0, -2.0, 4.0, 4, tol=tol),
             lambda: spa_violation_from_sigma(w, tol=tol),
@@ -616,10 +631,10 @@ class TestHyperplaneClassify:
         ground = spectrum_vecs[:, 0]
         top = spectrum_vecs[:, -1]
         rho_neg = DensityOperator(
-            make_hermitian(np.outer(ground, ground.conj()), D33), Provenance.UNKNOWN
+            HermitianOperator(D33, np.outer(ground, ground.conj())), Provenance.UNKNOWN
         )
         rho_pos = DensityOperator(
-            make_hermitian(np.outer(top, top.conj()), D33), Provenance.UNKNOWN
+            HermitianOperator(D33, np.outer(top, top.conj())), Provenance.UNKNOWN
         )
         assert hyperplane_classify(wop, rho_neg) is HyperplaneSide.NEGATIVE
         assert hyperplane_classify(wop, rho_pos) is HyperplaneSide.POSITIVE

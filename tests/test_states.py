@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import DIMS_SMALL
 from oracles import check_density_eigvalsh_only, draw_ensembles_dirichlet_loop, haar_one_at_a_time
 from spa_witness.errors import DimensionMismatch, InvalidParams, NotADensity, WeightSumError
-from spa_witness.operators import Dims, make_hermitian, partial_transpose
+from spa_witness.operators import Dims, HermitianOperator, partial_transpose
 from spa_witness.states import (
     DENSITY_MIN_EIG_TOL,
     DensityOperator,
@@ -151,19 +151,19 @@ class TestMaximallyMixed:
 class TestDensityValidation:
     def test_wrong_trace_rejected(self):
         with pytest.raises(NotADensity):
-            DensityOperator(make_hermitian(np.eye(4), D22))
+            DensityOperator(HermitianOperator(D22, np.eye(4)))
 
     def test_negative_eigenvalue_rejected(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0])
         with pytest.raises(NotADensity):
-            DensityOperator(make_hermitian(m, D22))
+            DensityOperator(HermitianOperator(D22, m))
 
     def test_single_matrix_messages_name_no_matrix(self):
         with pytest.raises(NotADensity, match=r"^trace is 4\.0, expected 1$"):
-            DensityOperator(make_hermitian(np.eye(4), D22))
+            DensityOperator(HermitianOperator(D22, np.eye(4)))
         m = np.diag([1.5, -0.5, 0.0, 0.0])
         with pytest.raises(NotADensity, match=r"^minimum eigenvalue -0\.5\d* is negative$"):
-            DensityOperator(make_hermitian(m, D22))
+            DensityOperator(HermitianOperator(D22, m))
 
     def test_stack_check_names_each_offending_matrix(self):
         stack = draw_densities(D22, 5, np.random.default_rng(1))
@@ -177,7 +177,7 @@ class TestDensityValidation:
             check_density(stack)
 
     def test_nan_spectrum_rejected(self, monkeypatch):
-        op = make_hermitian(np.eye(4) / 4.0, D22)
+        op = HermitianOperator(D22, np.eye(4) / 4.0)
         # a failed factorisation leaves the verdict to the eigenvalues
         monkeypatch.setattr(np.linalg, "cholesky", _failed_cholesky)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(4, np.nan))
@@ -185,7 +185,7 @@ class TestDensityValidation:
             DensityOperator(op)
 
     def test_nan_factor_is_not_accepted(self, monkeypatch):
-        op = make_hermitian(np.diag([1.5, -0.5, 0.0, 0.0]), D22)
+        op = HermitianOperator(D22, np.diag([1.5, -0.5, 0.0, 0.0]))
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan))
         with pytest.raises(NotADensity, match=r"^minimum eigenvalue -0\.5\d* is negative$"):
             DensityOperator(op)

@@ -35,8 +35,8 @@ from spa_witness.operators import (
     Dims,
     HermitianOperator,
     eig_hermitian,
+    hs_inner,
     hs_norm,
-    make_hermitian,
     min_eigenpair,
 )
 from spa_witness.states import (
@@ -64,7 +64,6 @@ from spa_witness.witness import (
     product_expectation,
     sigma_form_from_matrix,
     verify_decomposition,
-    witness_value,
 )
 
 D22 = Dims(2, 2)
@@ -79,7 +78,7 @@ def swap_operator(d: int) -> HermitianOperator:
     for i in range(d):
         for j in range(d):
             v[i * d + j, j * d + i] = 1.0
-    return make_hermitian(v, Dims(d, d))
+    return HermitianOperator(Dims(d, d), v)
 
 
 def basis_pv(dims: Dims, i: int, j: int) -> ProductVector:
@@ -306,10 +305,14 @@ class TestBuildWitness:
         rng = np.random.default_rng(2)
         sigma = full_rank_separable(D22, rng)
         lam0, _ = min_eigenpair(sigma.op)
-        with pytest.raises(NotNegative, match=r"^minimum eigenvalue 0\.0 is non-negative"):
+        not_negative = r"of the witness matrix is not negative: not a witness candidate$"
+        with pytest.raises(NotNegative, match=r"^minimum eigenvalue 0\.0 " + not_negative):
             build_witness(sigma, lam0)
-        with pytest.raises(NotNegative, match=r"^minimum eigenvalue .* is non-negative"):
+        with pytest.raises(NotNegative, match=r"^minimum eigenvalue .* " + not_negative):
             build_witness(sigma, lam0 - 0.1)
+        # lambda0(sigma) - nan is nan: not negative, and not non-negative either
+        with pytest.raises(NotNegative, match=r"^minimum eigenvalue nan " + not_negative):
+            build_witness(maximally_mixed(Dims(2, 2)), float("nan"))
 
     def test_lower_bound_is_strict_at_the_last_float(self):
         # lambda0(sigma) - c < 0 exactly when lambda0(sigma) < c
@@ -359,15 +362,15 @@ class TestSigmaFormFromMatrix:
 
     def test_positive_input_rejected(self):
         with pytest.raises(NotNegative):
-            sigma_form_from_matrix(make_hermitian(np.eye(4), D22))
+            sigma_form_from_matrix(HermitianOperator(D22, np.eye(4)))
 
     def test_product_negative_input_rejected(self):
-        bad = make_hermitian(np.diag([-1.0, 0.2, 0.2, 0.2]), D22)
+        bad = HermitianOperator(D22, np.diag([-1.0, 0.2, 0.2, 0.2]))
         with pytest.raises(NotAWitness):
             sigma_form_from_matrix(bad)
 
     def test_spot_checks_report_the_first_negative_sample(self):
-        bad = make_hermitian(np.diag([-1.0, 0.5, 0.5, 0.5, 0.5, 0.5]), Dims(2, 3))
+        bad = HermitianOperator(Dims(2, 3), np.diag([-1.0, 0.5, 0.5, 0.5, 0.5, 0.5]))
         # reference: one product vector per sample, drawn and checked in turn
         rng = np.random.default_rng(0)
         vals = [
@@ -410,14 +413,14 @@ class TestWeakOptimality:
 
 def detected(w, rho) -> bool:
     """rho is on the negative side of w's hyperplane, i.e. flagged as entangled."""
-    return hyperplane_side(witness_value(w, rho)) is HyperplaneSide.NEGATIVE
+    return hyperplane_side(hs_inner(rho.op, w.operator())) is HyperplaneSide.NEGATIVE
 
 
 class TestValuesAndDetection:
     def test_value_identity(self):
         w = weakly_optimal_witness(D22, seed=2)
         rho = random_density(D22, 17)
-        direct = witness_value(w, rho)
+        direct = hs_inner(rho.op, w.operator())
         manual = float(
             np.trace(rho.op.entries @ w.sigma.op.entries).real
         ) - w.c
@@ -427,9 +430,9 @@ class TestValuesAndDetection:
         w = sigma_form_from_matrix(swap_operator(2))
         psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
         singlet = DensityOperator(
-            make_hermitian(np.outer(psi, psi.conj()), D22), Provenance.UNKNOWN
+            HermitianOperator(D22, np.outer(psi, psi.conj())), Provenance.UNKNOWN
         )
-        assert witness_value(w, singlet) < -1e-3
+        assert hs_inner(singlet.op, w.operator()) < -1e-3
         assert detected(w, singlet)
 
     @pytest.mark.parametrize("dims", DIMS_SMALL, ids=str)
@@ -440,7 +443,7 @@ class TestValuesAndDetection:
             rho = ensemble_density(
                 random_separable_ensemble(dims, dims.dAB + 1, rng)
             )
-            assert witness_value(w, rho) >= -1e-10
+            assert hs_inner(rho.op, w.operator()) >= -1e-10
             assert not detected(w, rho)
 
     def _pair(self):
@@ -456,8 +459,8 @@ class TestValuesAndDetection:
     def test_pointwise_value_shift(self):
         w1, w2 = self._pair()
         rho = random_density(D22, 5)
-        assert witness_value(w2, rho) == pytest.approx(
-            witness_value(w1, rho) - (w2.c - w1.c), abs=1e-12
+        assert hs_inner(rho.op, w2.operator()) == pytest.approx(
+            hs_inner(rho.op, w1.operator()) - (w2.c - w1.c), abs=1e-12
         )
 
     def test_detection_containment(self):
@@ -472,11 +475,11 @@ class TestValuesAndDetection:
     def test_detects_is_the_negative_hyperplane_side(self, value):
         # tr(W rho) = 1/4 - c for rho = I/4 and any sigma of trace 1
         sigma = DensityOperator(
-            make_hermitian(np.diag([0.1, 0.2, 0.3, 0.4]), D22), Provenance.UNKNOWN
+            HermitianOperator(D22, np.diag([0.1, 0.2, 0.3, 0.4])), Provenance.UNKNOWN
         )
         w = build_witness(sigma, 0.25 - value)
         rho = maximally_mixed(D22)
-        assert witness_value(w, rho) == pytest.approx(value, abs=1e-16)
+        assert hs_inner(rho.op, w.operator()) == pytest.approx(value, abs=1e-16)
         side = hyperplane_classify(w.operator(), rho)
         assert detected(w, rho) is (side is HyperplaneSide.NEGATIVE)
         assert detected(w, rho) is (value < -DEFAULT_DETECT_TOL)
@@ -484,8 +487,8 @@ class TestValuesAndDetection:
 
 class TestVerifyDecomposition:
     def test_one_stacked_eigensolve_of_both_pieces(self, eigh_calls):
-        p = make_hermitian(np.eye(4), D22)
-        q = make_hermitian(np.diag([1.0, 2.0, 3.0, 4.0]), D22)
+        p = HermitianOperator(D22, np.eye(4))
+        q = HermitianOperator(D22, np.diag([1.0, 2.0, 3.0, 4.0]))
         verify_decomposition(swap_operator(2), p, q)
         assert len(eigh_calls) == 1
         assert np.array_equal(eigh_calls[0], np.stack([p.entries, q.entries]))
@@ -494,33 +497,33 @@ class TestVerifyDecomposition:
         v = swap_operator(2)
         phi = np.zeros(4)
         phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
-        q = make_hermitian(2.0 * np.outer(phi, phi), D22)
-        p = make_hermitian(np.zeros((4, 4)), D22)
+        q = HermitianOperator(D22, 2.0 * np.outer(phi, phi))
+        p = HermitianOperator(D22, np.zeros((4, 4)))
         assert verify_decomposition(v, p, q)
 
     def test_negative_piece_fails(self):
         v = swap_operator(2)
         phi = np.zeros(4)
         phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
-        p = make_hermitian(-0.1 * np.eye(4), D22)
-        q = make_hermitian(2.0 * np.outer(phi, phi) + 0.1 * np.eye(4), D22)
+        p = HermitianOperator(D22, -0.1 * np.eye(4))
+        q = HermitianOperator(D22, 2.0 * np.outer(phi, phi) + 0.1 * np.eye(4))
         assert not verify_decomposition(v, p, q)
 
     def test_wrong_sum_fails(self):
         v = swap_operator(2)
-        p = make_hermitian(np.eye(4), D22)
-        q = make_hermitian(np.eye(4), D22)
+        p = HermitianOperator(D22, np.eye(4))
+        q = HermitianOperator(D22, np.eye(4))
         assert not verify_decomposition(v, p, q)
 
     def test_dims_mismatch(self):
         v = swap_operator(2)
-        p = make_hermitian(np.zeros((6, 6)), Dims(2, 3))
+        p = HermitianOperator(Dims(2, 3), np.zeros((6, 6)))
         with pytest.raises(DimensionMismatch):
             verify_decomposition(v, p, p)
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     def test_tolerance_validated(self, tol):
         # with tol=inf, -I and -I would certify any witness
-        minus_i = make_hermitian(-np.eye(4), D22)
+        minus_i = HermitianOperator(D22, -np.eye(4))
         with pytest.raises(InvalidParams, match="tolerance must be finite and >= 0"):
             verify_decomposition(swap_operator(2), minus_i, minus_i, tol=tol)
