@@ -32,7 +32,6 @@ from .hakye import (
 from .operators import (
     Dims,
     HermitianOperator,
-    Spectrum,
     eig_hermitian,
     hs_inner,
     hs_norm,

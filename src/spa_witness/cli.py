@@ -2,11 +2,10 @@
 
 Exit codes: 0 clean, 1 bad input or validation failure (an argparse usage
 error, an InputError, OSError or ValueError, or a MemoryError such as a grid
-too large to allocate), 2 numerical failure (a NumericalError or a numpy
-linear-algebra or floating-point error, or a cmax estimate that did not
-converge within --max-iter sweeps), 3 a violation of the
-SPA-separability conjecture was flagged (the eigenvalue-gap condition
-fired), so scripts can branch on the result.
+too large to allocate), 2 numerical failure (a NumericalError, or a cmax
+estimate that did not converge within --max-iter sweeps), 3 a violation
+of the SPA-separability conjecture was flagged (the eigenvalue-gap
+condition fired), so scripts can branch on the result.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import contextlib
 import functools
 import json
 import sys
-
-import numpy as np
 
 from .errors import InputError, InvalidParams, NumericalError
 from .fileio import load_operator_file, save_operator
@@ -311,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return args.handler(args)
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (InputError, OSError, ValueError) as exc:

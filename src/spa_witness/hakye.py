@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParams
-from .operators import DEFAULT_EIG_TOL, Dims, HermitianOperator
+from .operators import DEFAULT_EIG_TOL, Dims, HermitianOperator, entry_scale
 
 HAKYE_DIMS = Dims(3, 3)
 
@@ -171,16 +171,16 @@ def certify_spectra(
     relative size u in the norms and the comparisons are below
     u * DEFAULT_EIG_TOL of the scale wherever the tolerance holds.
 
-    Overflow.  Each matrix is divided by s = max(1, largest |real part| or
-    |imaginary part| of an entry), as eigh_checked divides by its largest
-    entry, so no square overflows; e is worked out for m/s and multiplied
-    back by s, and stays finite for finite input.  Only +, -, *, / and sqrt
-    run elementwise, and the sums run along each matrix's own row, so a
-    matrix's bound has the same bits in a stack of any size.
+    Overflow.  Each matrix is divided by s = entry_scale(m), the scale
+    eigh_checked divides by, so no square overflows; e is worked out for
+    m/s and multiplied back by s, and stays finite for finite input.  Only
+    +, -, *, / and sqrt run elementwise, and the sums run along each
+    matrix's own row, so a matrix's bound has the same bits in a stack of
+    any size.
     """
     n = len(m)
     parts = np.ascontiguousarray(m).view(np.float64).reshape(n, 162)
-    s = np.maximum(parts.max(axis=1, initial=1.0), -parts.min(axis=1))
+    s = entry_scale(m)
     sc = s[:, None]
     scaled = parts / sc
     x = scaled.view(np.complex128).reshape(n, 9, 9)  # m / s

@@ -120,18 +120,6 @@ class HermitianOperator:
         return float(real_traces(self.entries))
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Full eigensystem: ascending eigenvalues, orthonormal column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
-
-
 def shifted(op: HermitianOperator, s: float) -> HermitianOperator:
     """op + s*I for real s."""
     return HermitianOperator(
@@ -144,18 +132,11 @@ def scaled(op: HermitianOperator, factor: float) -> HermitianOperator:
     return HermitianOperator(op.dims, float(factor) * op.entries)
 
 
-def _squared_residuals(
-    m: np.ndarray, w: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Largest squared residual ||A v_k - w_k v_k||^2 of each matrix of the
-    stack, and its squared limit DEFAULT_EIG_TOL^2 * max(1, ||A||^2)."""
-    # both sides squared, to spare the square roots; squares that overflow
-    # make limit2 non-finite, and eigh_checked then rescales
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = m @ v - v * w[..., None, :]
-        residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
-        limit2 = DEFAULT_EIG_TOL**2 * np.maximum(1.0, np.vecdot(m, m).real.sum(axis=-1))
-    return residual2, limit2
+def entry_scale(m: np.ndarray) -> np.ndarray:
+    """s = max(1, largest |real part| or |imaginary part| of an entry) for
+    each matrix of a (..., d, d) stack, real or complex: no square of a
+    part of m/s exceeds 1, so no square or sum of squares of m/s overflows."""
+    return np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), initial=1.0)
 
 
 def eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,28 +145,33 @@ def eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Residuals ||A v_k - w_k v_k|| are checked against
     DEFAULT_EIG_TOL*max(1, ||A||) where ||.|| is the Hilbert-Schmidt norm of
     each matrix, and pairwise eigenvector overlaps to _ORTHONORMALITY_TOL,
-    in one pass over the whole stack.  Violations raise ConvergenceFailure.
+    in one pass over the whole stack.  The residual test runs on A/s, whose
+    eigenpairs are (w/s, v), with s = entry_scale(A): where s > 1, s <= ||A||,
+    so both sides scale by 1/s, and no square overflows.  Violations raise
+    ConvergenceFailure naming the matrix; LAPACK's (w, v) are returned
+    untouched.
     """
     w, v = lapack_eig(np.linalg.eigh, stack)
-    s = 1.0
-    residual2, limit2 = _squared_residuals(stack, w, v)
-    if not (limit2 < np.inf).all():
-        # Squares of entries beyond ~1e154 overflow.  Run the same test on
-        # A/s with s = max(1, max |entry|) per matrix, whose eigenpairs are
-        # (w/s, v): where s > 1, ||A||/s >= 1, so both sides scale by 1/s.
-        s = np.abs(stack).max(axis=(-2, -1), initial=1.0)
-        residual2, limit2 = _squared_residuals(stack / s[..., None, None], w / s[..., None], v)
+    s = entry_scale(stack)
+    # both sides squared, to spare the square roots; an eigenvalue that
+    # overflowed makes its residual nan, which fails the test silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = stack / s[..., None, None]
+        r = a @ v - v * (w / s[..., None])[..., None, :]
+        residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
+        limit2 = DEFAULT_EIG_TOL**2 * np.maximum(1.0, np.vecdot(a, a).real.sum(axis=-1))
     ok = residual2 <= limit2
     if not ok.all():
-        k = int(np.argmin(ok))
-        scale = np.broadcast_to(s, ok.shape).flat[k]
+        at, where = _first_failure(~ok)
         raise ConvergenceFailure(
-            f"eigenpair residual {np.sqrt(residual2.flat[k]) * scale:.3e} exceeds "
-            f"{np.sqrt(limit2.flat[k]) * scale:.3e}"
+            f"{where}eigenpair residual {np.sqrt(residual2[at]) * s[at]:.3e} exceeds "
+            f"{np.sqrt(limit2[at]) * s[at]:.3e}"
         )
-    gram = float(np.abs(v.mT.conj() @ v - np.eye(stack.shape[-1])).max())
-    if not gram <= _ORTHONORMALITY_TOL:
-        raise ConvergenceFailure(f"eigenvectors lost orthonormality by {gram:.3e}")
+    gram = np.abs(v.mT.conj() @ v - np.eye(stack.shape[-1])).max(axis=(-2, -1))
+    ok = gram <= _ORTHONORMALITY_TOL
+    if not ok.all():
+        at, where = _first_failure(~ok)
+        raise ConvergenceFailure(f"{where}eigenvectors lost orthonormality by {gram[at]:.3e}")
     return w, v
 
 
@@ -196,16 +182,17 @@ def spectra_with_pt(m: np.ndarray, dims: Dims) -> np.ndarray:
     return w
 
 
-def eig_hermitian(op: HermitianOperator) -> Spectrum:
-    """Eigendecomposition of op, verified by eigh_checked."""
+def eig_hermitian(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (ascending eigenvalues, orthonormal column eigenvectors) of
+    op, verified by eigh_checked."""
     w, v = eigh_checked(op.entries)
-    return Spectrum(_read_only(w), _read_only(v))
+    return _read_only(w), _read_only(v)
 
 
 def min_eigenpair(op: HermitianOperator) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and a unit eigenvector for it."""
-    spectrum = eig_hermitian(op)
-    return spectrum.min_eigenvalue, spectrum.eigenvectors[:, 0].copy()
+    w, v = eig_hermitian(op)
+    return float(w[0]), v[:, 0].copy()
 
 
 def partial_transpose(op: HermitianOperator) -> HermitianOperator:

@@ -136,7 +136,10 @@ def c_sigma_max(
     run descends monotonically; the best run over all restarts wins.  The
     restarts run as one stacked descent: each sweep makes one stacked
     eigensolve per side over the restarts still running, and each restart
-    stops at its own sweep, so every run ends where it would alone.
+    stops at its own sweep, so every run ends where it would alone.  Those
+    eigensolves go through lapack_eig without eigh_checked's residual test;
+    the monotonicity test, which fails any half step that raises a run's
+    objective, is their guard.
 
     Parameters
     ----------
@@ -256,7 +259,8 @@ def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
     product vectors from default_rng(0): a clearly negative sample proves
     the input is no witness.
     """
-    lam0 = eig_hermitian(raw).min_eigenvalue
+    spectrum, _ = eig_hermitian(raw)
+    lam0 = float(spectrum[0])
     check_candidate(lam0)
     scale = hs_norm(raw)
     neg_tol = 1e-8 * max(1.0, scale)

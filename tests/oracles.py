@@ -335,8 +335,8 @@ def scan_row_one_at_a_time(p: HaKyeParams, condition_tol: float) -> dict:
     w = hakye_witness(p)
     closed, closed_pt = hakye_spectra_one_at_a_time(p.a, p.b, p.c, p.theta)
     [bound], [within_tol] = certify_spectra(w.entries[None], closed[None], closed_pt[None])
-    spectrum = eig_hermitian(w).eigenvalues
-    spectrum_pt = eig_hermitian(partial_transpose(w)).eigenvalues
+    spectrum, _ = eig_hermitian(w)
+    spectrum_pt, _ = eig_hermitian(partial_transpose(w))
     off = max(float(np.abs(spectrum - closed).max()), float(np.abs(spectrum_pt - closed_pt).max()))
     lam0, lam0_pt = float(closed[0]), float(closed_pt[0])
     gap, sides = gap_rule_one_at_a_time(lam0, lam0_pt, float(np.trace(w.entries).real), 9)

@@ -89,7 +89,7 @@ class TestAnalyze:
         assert "not a witness candidate" in err
 
     def test_huge_swap_keeps_its_verdict(self, capsys, tmp_path):
-        # squared entries overflow, so the stacked solve's check must rescale
+        # squared entries overflow, so the stacked solve's check must scale
         path = tmp_path / "swap.json"
         save_operator(HermitianOperator(Dims(2, 2), 1e200 * np.eye(4)[[0, 2, 1, 3]]), path)
         code, out, err = run_cli(
@@ -100,6 +100,18 @@ class TestAnalyze:
         assert (report["lambda0_W"], report["lambda0_WGamma"]) == (-1e200, 0.0)
         assert report["npt_side"] == "partial-transpose"
         assert report["conclusion"] == "VIOLATES"
+
+    def test_overflowing_eigenvalue_names_its_matrix(self, capsys, tmp_path):
+        # W^Gamma = 2|Phi+><Phi+| * 1.7e308 has the eigenvalue 3.4e308, which
+        # overflows: its residual is nan and fails, without a numpy warning
+        path = tmp_path / "swap.json"
+        save_operator(HermitianOperator(Dims(2, 2), 1.7e308 * np.eye(4)[[0, 2, 1, 3]]), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == "numerical failure: matrix (1,): eigenpair residual nan exceeds 3.400e+298\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_pt_invariant_witness_exits_clean(self, capsys, tmp_path):
         rng = np.random.default_rng(2)

@@ -20,12 +20,14 @@ from spa_witness.errors import (
     NonRealResult,
     NotHermitian,
 )
+from spa_witness.hakye import hakye_matrices
 from spa_witness.operators import (
     Dims,
     HermitianOperator,
     check_hermitian,
     eig_hermitian,
     eigh_checked,
+    entry_scale,
     hs_inner,
     hs_norm,
     min_eigenpair,
@@ -101,8 +103,14 @@ class TestEigHermitian:
     def test_residual_check_holds_at_any_scale(self, monkeypatch, scale):
         # at 1e200 the squared norms overflow; the check must still hold
         m = np.diag([1.0, -1.0, 0.3, 1e-200]) * scale
-        spectrum = eig_hermitian(HermitianOperator(D22, m))
-        assert_allclose(spectrum.eigenvalues, np.sort(np.diag(m)))
+        mixed = np.stack([m, np.diag([1e200, 1.0, 1.0, 1.0])])
+        w, _ = eig_hermitian(HermitianOperator(D22, m))
+        assert_allclose(w, np.sort(np.diag(m)))
+        # the check returns LAPACK's own arrays, bit for bit
+        for a in (m, mixed):
+            for got, want in zip(eigh_checked(a), np.linalg.eigh(a)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
         real_eigh = np.linalg.eigh
 
         def swap_first_two(a):
@@ -112,36 +120,46 @@ class TestEigHermitian:
         monkeypatch.setattr(np.linalg, "eigh", swap_first_two)
         with pytest.raises(ConvergenceFailure, match="residual"):
             eig_hermitian(HermitianOperator(D22, m))
-        # one matrix of a stack overflowing leaves the others' check intact
-        with pytest.raises(ConvergenceFailure, match="residual"):
-            eigh_checked(np.stack([m, np.diag([1e200, 1.0, 1.0, 1.0])]))
+        # one matrix of a stack overflowing leaves the others' check intact,
+        # and the error names the matrix that fails
+        with pytest.raises(ConvergenceFailure, match=r"^matrix \(0,\): eigenpair residual"):
+            eigh_checked(mixed)
+
+    def test_orthonormality_failure_names_the_matrix(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def stretch_second(a):
+            # doubled eigenvectors keep every residual zero but lose unit norm
+            w, v = real_eigh(a)
+            return w, v * np.array([1.0, 2.0])[:, None, None]
+
+        monkeypatch.setattr(np.linalg, "eigh", stretch_second)
+        stack = np.stack([np.diag([3.0, 1.0, 2.0, 5.0])] * 2)
+        with pytest.raises(ConvergenceFailure, match=r"^matrix \(1,\): eigenvectors lost"):
+            eigh_checked(stack)
 
     def test_diagonal_sorted_ascending(self):
         op = HermitianOperator(D22, np.diag([3.0, 1.0, 2.0, 5.0]))
-        spectrum = eig_hermitian(op)
-        assert_allclose(spectrum.eigenvalues, [1.0, 2.0, 3.0, 5.0])
+        w, _ = eig_hermitian(op)
+        assert_allclose(w, [1.0, 2.0, 3.0, 5.0])
 
     def test_eigenvector_residuals(self):
         rng = np.random.default_rng(7)
         for dims in DIMS_SMALL:
             op = random_hermitian(dims, rng)
-            spectrum = eig_hermitian(op)
+            w, vecs = eig_hermitian(op)
             for k in range(dims.dAB):
-                v = spectrum.eigenvectors[:, k]
-                resid = op.entries @ v - spectrum.eigenvalues[k] * v
+                v = vecs[:, k]
+                resid = op.entries @ v - w[k] * v
                 assert np.linalg.norm(resid) < 1e-10 * max(1.0, hs_norm(op))
 
     def test_shift_moves_eigenvalues_only(self):
         rng = np.random.default_rng(11)
         op = random_hermitian(D23, rng)
-        spectrum = eig_hermitian(op)
-        spectrum_shifted = eig_hermitian(shifted(op, 2.5))
-        assert_allclose(
-            spectrum_shifted.eigenvalues, spectrum.eigenvalues + 2.5, atol=1e-12
-        )
-        overlaps = np.abs(
-            np.sum(spectrum.eigenvectors.conj() * spectrum_shifted.eigenvectors, axis=0)
-        )
+        w, v = eig_hermitian(op)
+        w_shifted, v_shifted = eig_hermitian(shifted(op, 2.5))
+        assert_allclose(w_shifted, w + 2.5, atol=1e-12)
+        overlaps = np.abs(np.sum(v.conj() * v_shifted, axis=0))
         assert_allclose(overlaps, 1.0, atol=1e-8)
 
     def test_agrees_with_char_poly_roots_2x2_block(self):
@@ -152,11 +170,11 @@ class TestEigHermitian:
             m = np.zeros((4, 4), dtype=complex)
             m[:2, :2] = block
             m[2, 2], m[3, 3] = 10.0, 11.0
-            spectrum = eig_hermitian(HermitianOperator(D22, m))
+            w, _ = eig_hermitian(HermitianOperator(D22, m))
             expected = np.sort(
                 np.concatenate([char_poly_roots_2x2(block), [10.0, 11.0]])
             )
-            assert_allclose(spectrum.eigenvalues, expected, atol=1e-8)
+            assert_allclose(w, expected, atol=1e-8)
 
     def test_agrees_with_char_poly_roots_3x3_block(self):
         rng = np.random.default_rng(4)
@@ -166,11 +184,31 @@ class TestEigHermitian:
             m = np.zeros((4, 4), dtype=complex)
             m[:3, :3] = block
             m[3, 3] = 20.0
-            spectrum = eig_hermitian(HermitianOperator(D22, m))
+            w, _ = eig_hermitian(HermitianOperator(D22, m))
             expected = np.sort(
                 np.concatenate([char_poly_roots_3x3(block), [20.0]])
             )
-            assert_allclose(spectrum.eigenvalues, expected, atol=1e-8)
+            assert_allclose(w, expected, atol=1e-8)
+
+
+class TestEntryScale:
+    def test_matches_certify_spectra_scale_bit_for_bit(self):
+        # the scale certify_spectra computed inline over the float64 parts
+        rng = np.random.default_rng(5)
+        n = 64
+        grid = np.vstack([
+            rng.choice([-1.0, 1.0], (3, n)) * 10.0 ** rng.uniform(-3.0, 300.0, (3, n)),
+            rng.uniform(-np.pi, np.pi, (1, n)),
+        ])
+        m = hakye_matrices(grid)
+        parts = m.view(np.float64).reshape(n, 162)
+        expected = np.maximum(parts.max(axis=1, initial=1.0), -parts.min(axis=1))
+        assert entry_scale(m).tobytes() == expected.tobytes()
+
+    def test_real_and_complex_input(self):
+        stack = np.stack([np.diag([0.5, -0.25]), np.diag([-3.0, 2.0])])
+        assert entry_scale(stack).tolist() == [1.0, 3.0]
+        assert entry_scale(np.array([[1.0, -4.0j], [4.0j, 2.0]])) == 4.0
 
 
 class TestMinEigenpair:
@@ -219,7 +257,7 @@ class TestPartialTranspose:
         op = random_hermitian(D23, rng)
         a_side = brute_force_partial_transpose(op.entries, D23.dA, D23.dB, "A")
         assert np.array_equal(a_side, partial_transpose(op).entries.T)
-        b_side = eig_hermitian(partial_transpose(op)).eigenvalues
+        b_side, _ = eig_hermitian(partial_transpose(op))
         assert_allclose(np.linalg.eigvalsh(a_side), b_side, atol=1e-10)
 
 
@@ -235,7 +273,7 @@ class TestHsAlgebra:
     def test_norm_is_root_sum_of_squared_eigenvalues(self):
         rng = np.random.default_rng(12)
         op = random_hermitian(D22, rng)
-        lam = eig_hermitian(op).eigenvalues
+        lam, _ = eig_hermitian(op)
         assert hs_norm(op) == pytest.approx(float(np.sqrt(np.sum(lam**2))))
 
     def test_dims_mismatch_rejected(self):

@@ -416,7 +416,7 @@ class TestGapCondition:
     def test_positive_input_rejected(self):
         op = HermitianOperator(D22, np.eye(4))
         # the message the solve of W alone gives
-        lam0 = eig_hermitian(op).min_eigenvalue
+        lam0 = float(eig_hermitian(op)[0][0])
         message = (
             f"minimum eigenvalue {lam0!r} of the witness matrix is not negative: "
             "not a witness candidate"

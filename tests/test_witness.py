@@ -317,7 +317,7 @@ class TestBuildWitness:
     def test_lower_bound_is_strict_at_the_last_float(self):
         # lambda0(sigma) - c < 0 exactly when lambda0(sigma) < c
         sigma = full_rank_separable(D22, np.random.default_rng(2))
-        lam0 = eig_hermitian(sigma.op).min_eigenvalue
+        lam0 = float(eig_hermitian(sigma.op)[0][0])
         with pytest.raises(NotNegative, match="not a witness candidate"):
             build_witness(sigma, lam0)
         assert build_witness(sigma, np.nextafter(lam0, np.inf)).lambda0_sigma == lam0
