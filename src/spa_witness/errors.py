@@ -4,8 +4,8 @@ Everything inherits from :class:`SpaWitnessError` so callers can catch the
 whole family with one clause.  Each concrete class names one rule and sits
 under exactly one of two bases: :class:`InputError` for bad input and broken
 preconditions, and :class:`NumericalError` for failures of the arithmetic
-itself (eigensolver breakdown, lost realness, a trace too small to normalize
-by).  The command line maps the two bases to different exit codes.
+itself (eigensolver breakdown, lost realness, a trace that cannot be
+normalized by).  The command line maps the two bases to different exit codes.
 """
 
 
@@ -54,7 +54,8 @@ class NotNegative(InputError):
 
 
 class ZeroTrace(NumericalError):
-    """Normalization by trace is impossible (trace vanishes)."""
+    """A trace cannot be normalized by: at most 1e-12, nan, or beyond the
+    float range (operators.check_trace)."""
 
 
 class ParseError(InputError):

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, InvalidParams, NonRealResult
-from .errors import NotHermitian
+from .errors import NotHermitian, ZeroTrace
 
 HERMITICITY_TOL = 1e-12
 DEFAULT_EIG_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-8
 _IMAG_TRACE_TOL = 1e-10
+_MIN_TRACE = 1e-12
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -49,6 +50,14 @@ def real_traces(m: np.ndarray) -> np.ndarray:
     """Real trace of each matrix of a (..., d, d) stack; an overflowing sum is inf, silently."""
     with np.errstate(over="ignore"):
         return np.trace(m, axis1=-2, axis2=-1).real
+
+
+def check_trace(tr: float, what: str) -> float:
+    """tr, when an operator may be normalized by it; ZeroTrace unless
+    _MIN_TRACE < tr < inf, so a nan or an overflowed trace fails too."""
+    if not _MIN_TRACE < tr < np.inf:
+        raise ZeroTrace(f"{what} has trace {tr!r}; cannot normalize")
+    return tr
 
 
 def lapack_eig(solver, m: np.ndarray):
@@ -233,6 +242,9 @@ def hs_inner_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hs_norm(op: HermitianOperator) -> float:
-    """Hilbert-Schmidt norm sqrt(tr op^2)."""
-    return float(np.linalg.norm(op.entries))
+    """Hilbert-Schmidt norm sqrt(tr op^2), as p*||op/p|| for p the power of
+    two at or below entry_scale: scaling by p is exact and no square of an
+    entry of op/p overflows, so only a norm past the float range is inf."""
+    p = float(np.ldexp(1.0, np.frexp(entry_scale(op.entries))[1] - 1))
+    return p * float(np.linalg.norm(op.entries / p))
 

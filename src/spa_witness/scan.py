@@ -25,9 +25,8 @@ from typing import IO
 import numpy as np
 
 from .errors import InvalidParams
-from .hakye import HAKYE_DIMS, HaKyeParams, check_params, cos_family_params
+from .hakye import HaKyeParams, check_params, cos_family_params
 from .hakye import certify_spectra, hakye_matrices, hakye_spectra_closed_form
-from .operators import real_traces
 from .spa import Conclusion, gap_rule
 
 SCAN_SCHEMA = "hakye-scan-v2"
@@ -168,6 +167,7 @@ def run_scan(
     """The scan of a (4, n >= 1) grid from build_grid as one column array
     per ROW_KEYS entry, in grid order, from one array pass (closed-form
     spectra, their certificate, gap rule, verdicts) per SCAN_CHUNK points.
+    No row reports a normalized floor, so no trace is computed.
 
     A row gets a verdict only when its spectral_bound is within
     certify_spectra's tolerance and |gap - condition_tol| exceeds it, so
@@ -184,8 +184,8 @@ def run_scan(
         w = hakye_matrices(chunk)
         spectra, spectra_pt = hakye_spectra_closed_form(chunk)
         bound, within_tol = certify_spectra(w, spectra, spectra_pt)
-        lam0, lam0_pt, trace = spectra[:, 0], spectra_pt[:, 0], real_traces(w)
-        gap, condition, _, raw, _ = gap_rule(lam0, lam0_pt, trace, HAKYE_DIMS.dAB, condition_tol)
+        lam0, lam0_pt = spectra[:, 0], spectra_pt[:, 0]
+        gap, condition, _, raw = gap_rule(lam0, lam0_pt, condition_tol)
         # The row verdict rests on the gap alone, with the family's optimality
         # asserted (ASSERTION_LINE): no tie-window downgrade.
         verdict = np.where(condition, Conclusion.VIOLATES.value, Conclusion.CONSISTENT.value)

@@ -29,10 +29,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ZeroTrace
 from .operators import (
     HermitianOperator,
     check_tol,
+    check_trace,
     hs_inner,
     min_eigenpair,
     partial_transpose,
@@ -45,7 +45,6 @@ from .witness import HyperplaneSide, SigmaFormWitness, check_candidate, hyperpla
 
 DEFAULT_COMPARE_TOL = 1e-8
 DEFAULT_RANK_TOL = 1e-9
-_MIN_TRACE = 1e-12
 
 
 class PptStatus(enum.Enum):
@@ -120,11 +119,8 @@ class ConjectureVerdict:
 
 
 def _normalized(op: HermitianOperator) -> HermitianOperator:
-    """op over its trace; ZeroTrace unless that trace is above _MIN_TRACE."""
-    tr = op.trace
-    if not tr > _MIN_TRACE:
-        raise ZeroTrace(f"operator has trace {tr!r}; cannot normalize")
-    return scaled(op, 1.0 / tr)
+    """op over its trace, which check_trace vets."""
+    return scaled(op, 1.0 / check_trace(op.trace, "operator"))
 
 
 def _ppt_fields(x: float, tol: float, dAB: int) -> dict:
@@ -140,8 +136,8 @@ def _ppt_fields(x: float, tol: float, dAB: int) -> dict:
 
 def spa(witness_op: HermitianOperator) -> SpaResult:
     """Smallest identity admixture s = max(0, -min eig) that renders the
-    operator positive, and the trace-normalized result; ZeroTrace when that
-    trace is not above _MIN_TRACE."""
+    operator positive, and the trace-normalized result; ZeroTrace when
+    check_trace rejects that trace."""
     lam0, _ = min_eigenpair(witness_op)
     s = max(0.0, -lam0)
     op = shifted(witness_op, s) if s > 0.0 else witness_op
@@ -179,15 +175,13 @@ def pt_min_eigenvalue(op: HermitianOperator) -> float:
     return lam
 
 
-def ppt_check(
-    candidate: HermitianOperator | DensityOperator, tol: float = DEFAULT_COMPARE_TOL
-) -> PptVerdict:
-    """Partial-transpose test on the trace-normalized input; NPT implies
-    entanglement for a valid state.  InvalidParams for a tolerance that is
-    not finite and >= 0, ZeroTrace for a trace not above _MIN_TRACE."""
-    check_tol(tol)
+def ppt_check(candidate: HermitianOperator | DensityOperator) -> PptVerdict:
+    """Partial-transpose test on the trace-normalized input, NPT below
+    -DEFAULT_COMPARE_TOL; NPT implies entanglement for a valid state.
+    ZeroTrace when check_trace rejects the input's trace."""
     op = candidate.op if isinstance(candidate, DensityOperator) else candidate
-    return PptVerdict(**_ppt_fields(pt_min_eigenvalue(_normalized(op)), tol, op.dims.dAB))
+    x = pt_min_eigenvalue(_normalized(op))
+    return PptVerdict(**_ppt_fields(x, DEFAULT_COMPARE_TOL, op.dims.dAB))
 
 
 def _assertion_note(asserted_onew: bool) -> str:
@@ -230,29 +224,18 @@ def spa_violation_from_sigma(
     )
 
 
-def gap_rule(
-    lam0: np.ndarray, lam0_pt: np.ndarray, trace: np.ndarray, dAB: int, tol: float
-) -> tuple[np.ndarray, ...]:
+def gap_rule(lam0: np.ndarray, lam0_pt: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
     """The gap |lam0 - lam0_pt|, the condition gap > tol and, for the SPA of
-    W and of W^PT stacked in that order, its shift s = max(0, -min eig), PT
-    floor min eig(other) + s and that floor over its trace tr W + dAB*s,
-    elementwise; ZeroTrace names the first point, W's side first, whose SPA
-    trace is not above _MIN_TRACE.
-    """
+    W and of W^PT stacked in that order, its shift s = max(0, -min eig) and
+    unnormalized PT floor min eig(other) + s, elementwise."""
     check_tol(tol)
     lams = np.array([lam0, lam0_pt], dtype=np.float64)
     # +0.0 wherever max(0.0, -lam) gives it: for -lam <= 0 and for nan
     s = np.where(-lams > 0.0, -lams, 0.0)
     # overflow and inf - inf give inf and nan silently, as float arithmetic does
     with np.errstate(over="ignore", invalid="ignore"):
-        tr = trace + dAB * s
-        ok = tr > _MIN_TRACE
-        if not ok.all():
-            first = float(tr.T.flat[np.argmin(ok.T)])  # point by point, W's side first
-            raise ZeroTrace(f"shifted operator has trace {first!r}; cannot normalize")
-        raw = lams[::-1] + s
         gap = np.abs(lams[0] - lams[1])
-        return gap, gap > tol, s, raw, raw / tr
+        return gap, gap > tol, s, lams[::-1] + s
 
 
 def gap_verdict(
@@ -268,13 +251,15 @@ def gap_verdict(
     When the bottom eigenvalues differ by more than tol, the side with the
     larger one gets a shift too small to lift the other's negativity, so its
     SPA is NPT; npt_side names it.  A gap whose normalized SPA stays above
-    -tol (the tie window) is INCONCLUSIVE whatever the assertion.
+    -tol (the tie window) is INCONCLUSIVE whatever the assertion.  Each
+    side's floor is divided by its SPA trace tr W + dAB*s, which
+    check_trace vets, W's side first.
     """
-    _, holds, shift, raw, lam = gap_rule(lam0, lam0_pt, trace, dAB, tol)
-    sides = tuple(
-        SpaPptVerdict(**_ppt_fields(x, tol, dAB), shift=s, min_pt_eigenvalue_raw=r)
-        for s, r, x in zip(shift.tolist(), raw.tolist(), lam.tolist())
-    )
+    _, holds, shift, raw = gap_rule(lam0, lam0_pt, tol)
+    sides = []
+    for s, r in zip(shift.tolist(), raw.tolist()):
+        x = r / check_trace(trace + dAB * s, "shifted operator")
+        sides.append(SpaPptVerdict(**_ppt_fields(x, tol, dAB), shift=s, min_pt_eigenvalue_raw=r))
     condition = bool(holds)
     npt_side = ("direct" if lam0 > lam0_pt else "partial-transpose") if condition else None
     if not condition:
@@ -287,7 +272,7 @@ def gap_verdict(
         condition_holds=condition,
         lambda0=lam0,
         lambda0_pt=lam0_pt,
-        spa_sides=sides,
+        spa_sides=tuple(sides),
         conclusion=conclusion,
         assertion_note=_assertion_note(asserted_onew),
         npt_side=npt_side,

@@ -30,6 +30,7 @@ from .operators import (
     _read_only,
     check_seed,
     check_tol,
+    check_trace,
     eig_hermitian,
     eigh_checked,
     hs_norm,
@@ -254,7 +255,8 @@ def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
     With lam = min eigenvalue of the input (required negative) and the
     margin eps = SIGMA_MARGIN*||W||, gamma = 1 / (tr(W) + dAB*(|lam| + eps))
     rescales the matrix so that sigma = gamma*W + c*I is a strictly positive
-    unit-trace density and the witness operator round-trips to gamma*W.
+    unit-trace density and the witness operator round-trips to gamma*W; a
+    divisor that check_trace rejects (one past the float range) is ZeroTrace.
     Product expectations of the input are spot-checked on SPOT_CHECKS random
     product vectors from default_rng(0): a clearly negative sample proves
     the input is no witness.
@@ -276,7 +278,7 @@ def sigma_form_from_matrix(raw: HermitianOperator) -> SigmaFormWitness:
             "it cannot be an entanglement witness"
         )
     eps = SIGMA_MARGIN * scale
-    gamma = 1.0 / (raw.trace + dims.dAB * (abs(lam0) + eps))
+    gamma = 1.0 / check_trace(raw.trace + dims.dAB * (abs(lam0) + eps), "shifted operator")
     c = gamma * (abs(lam0) + eps)
     sigma_op = shifted(scaled(raw, gamma), c)
     sigma = DensityOperator(sigma_op, Provenance.UNKNOWN)  # a recast sigma may be entangled

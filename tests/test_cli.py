@@ -569,40 +569,51 @@ def _save_matrix(path, m, dims):
 
 
 class TestOverflowingTrace:
-    """A finite file whose diagonal sums past the float range: the trace is
-    inf, the checks after it decide, and numpy's overflow warning never
-    reaches stderr or escapes main."""
+    """A finite file whose trace, or its SPA's trace, sums past the float
+    range: no normalized SPA floor can be formed from it, so analyze fails
+    numerically instead of ruling on a floor divided by inf, and numpy's
+    overflow warning never reaches stderr or escapes main."""
+
+    OVERFLOW = "numerical failure: shifted operator has trace inf; cannot normalize\n"
 
     @pytest.fixture()
     def huge_file(self, tmp_path):
         diagonal = np.diag([9e307, 9e307, -1.0, 9e307])
         return _save_matrix(tmp_path / "huge.json", diagonal, Dims(2, 2))
 
+    @staticmethod
+    def swap_file(tmp_path, diagonal):
+        """1e306 times the 2x2 swap plus diag(diagonal, 0, 0, diagonal)."""
+        m = 1e306 * np.eye(4)[[0, 2, 1, 3]] + np.diag([diagonal, 0.0, 0.0, diagonal])
+        return _save_matrix(tmp_path / f"swap-{diagonal!r}.json", m, Dims(2, 2))
+
     def run_strict(self, capsys, *argv):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             return run_cli(capsys, *argv)
 
     def test_analyze(self, capsys, huge_file):
         code, out, err = self.run_strict(capsys, "analyze", str(huge_file), "--reproducible")
-        assert code == EXIT_OK
-        spa_row = "shift=1.0  min_pt_eig_raw=0.0  status=PPT  conclusive_separability=true"
-        assert out == "".join(f"{key.ljust(22)}  {value}\n" for key, value in [
-            ("input", huge_file),
-            ("dims", "2x2"),
-            ("lambda0_W", "-1.0"),
-            ("lambda0_WGamma", "-1.0"),
-            ("gap", "0.0"),
-            ("condition_holds", "false"),
-            ("spa[direct]", spa_row),
-            ("spa[partial-transpose]", spa_row),
-            ("npt_side", "none"),
-            ("conclusion", "CONSISTENT"),
-            ("note", "no optimality assertion supplied; NPT evidence is reported as is, "
-             "a violation verdict additionally needs the witness to be an optimal "
-             "nondecomposable one"),
-        ])
-        assert err == ""
+        assert (code, out, err) == (EXIT_NUMERIC, "", self.OVERFLOW)
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_analyze_overflowing_spa_trace(self, capsys, tmp_path, fmt):
+        # tr W = 2e306 + 2e308 overflows; at half that diagonal it does not
+        path = self.swap_file(tmp_path, 1e308)
+        code, out, err = self.run_strict(
+            capsys, "analyze", str(path), "--assert-onew", "--reproducible", *fmt
+        )
+        assert (code, out, err) == (EXIT_NUMERIC, "", self.OVERFLOW)
+
+    def test_analyze_finite_spa_trace_control(self, capsys, tmp_path):
+        path = self.swap_file(tmp_path, 5e307)
+        code, out, err = self.run_strict(
+            capsys, "analyze", str(path), "--assert-onew", "--reproducible", "--json"
+        )
+        assert (code, err) == (EXIT_VIOLATION, "")
+        report = json.loads(out)
+        assert report["spa"]["partial_transpose"]["ppt_status"] == "NPT-entangled"
+        assert (report["npt_side"], report["conclusion"]) == ("partial-transpose", "VIOLATES")
 
     def test_cmax(self, capsys, huge_file):
         code, out, err = self.run_strict(capsys, "cmax", str(huge_file), "--reproducible")

@@ -276,6 +276,14 @@ class TestHsAlgebra:
         lam, _ = eig_hermitian(op)
         assert hs_norm(op) == pytest.approx(float(np.sqrt(np.sum(lam**2))))
 
+    def test_norm_keeps_numpy_bits_in_range(self):
+        # scaling by a power of two changes no bit where numpy's norm is finite
+        rng = np.random.default_rng(13)
+        for scale in 10.0 ** np.arange(-5, 101, 5):
+            for dims in DIMS_SMALL:
+                op = random_hermitian(dims, rng, float(scale))
+                assert repr(hs_norm(op)) == repr(float(np.linalg.norm(op.entries)))
+
     def test_dims_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             hs_inner(identity(D22), identity(D23))

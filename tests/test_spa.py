@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
 from spa_witness.errors import (
     InvalidParams,
     NotNegative,
+    NumericalError,
     SpaWitnessError,
     ZeroTrace,
 )
@@ -241,7 +243,7 @@ class TestPptCheck:
 
     def test_marginal_negativity_within_tol_counts_as_ppt(self):
         m = np.diag([0.5, 0.5, 0.0, -5e-9])
-        verdict = ppt_check(HermitianOperator(D22, m), tol=1e-8)
+        verdict = ppt_check(HermitianOperator(D22, m))
         assert verdict.status is PptStatus.PPT
 
     def test_non_positive_trace_rejected(self):
@@ -510,7 +512,6 @@ class TestGapVerdict:
         for check in (
             lambda: gap_verdict(-1.0, -2.0, 4.0, 4, tol=tol),
             lambda: spa_violation_from_sigma(w, tol=tol),
-            lambda: ppt_check(singlet_state(), tol=tol),
         ):
             with pytest.raises(InvalidParams):
                 check()
@@ -543,7 +544,8 @@ class TestGapVerdict:
 
 
 class TestGapRuleArrays:
-    """gap_rule over arrays against the scalar arithmetic, bit for bit."""
+    """gap_rule over arrays against the scalar arithmetic, bit for bit, and
+    gap_verdict's normalized floors and ZeroTrace against the same oracle."""
 
     POINTS = st.lists(
         st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-50.0, 1e7)),
@@ -554,25 +556,26 @@ class TestGapRuleArrays:
     @settings(max_examples=200, deadline=None)
     @given(points=POINTS, dAB=st.sampled_from([4, 6, 9]), tol=st.floats(0.0, 1.0))
     def test_matches_scalar_arithmetic(self, points, dAB, tol):
-        lam0, lam0_pt, trace = (np.array(column) for column in zip(*points))
-        refs = [gap_rule_one_at_a_time(*point, dAB) for point in points]
-        bad = [tr for _, sides in refs for _, tr, _ in sides if not tr > 1e-12]
-        if bad:
-            with pytest.raises(ZeroTrace, match=re.escape(f"trace {bad[0]!r};")):
-                gap_rule(lam0, lam0_pt, trace, dAB, tol)
-            return
-        gap, holds, shift, raw, lam = gap_rule(lam0, lam0_pt, trace, dAB, tol)
-        for k, (ref_gap, sides) in enumerate(refs):
-            expect = [(s, r, r / tr) for s, tr, r in sides]
-            got = [(shift[i, k], raw[i, k], lam[i, k]) for i in range(2)]
-            assert repr([tuple(map(float, side)) for side in got]) == repr(expect)
+        lam0, lam0_pt, _ = (np.array(column) for column in zip(*points))
+        gap, holds, shift, raw = gap_rule(lam0, lam0_pt, tol)
+        for k, point in enumerate(points):
+            ref_gap, sides = gap_rule_one_at_a_time(*point, dAB)
+            got = [(shift[i, k], raw[i, k]) for i in range(2)]
+            assert repr([tuple(map(float, side)) for side in got]) == repr(
+                [(s, r) for s, _, r in sides]
+            )
             assert repr(float(gap[k])) == repr(ref_gap)
             assert bool(holds[k]) is (ref_gap > tol)
-            verdict = gap_verdict(*points[k], dAB, tol)
+            bad = [tr for _, tr, _ in sides if not 1e-12 < tr < np.inf]
+            if bad:
+                with pytest.raises(ZeroTrace, match=re.escape(f"trace {bad[0]!r};")):
+                    gap_verdict(*point, dAB, tol)
+                continue
+            verdict = gap_verdict(*point, dAB, tol)
             scalar = [
                 (v.shift, v.min_pt_eigenvalue_raw, v.min_pt_eigenvalue) for v in verdict.spa_sides
             ]
-            assert repr(scalar) == repr(expect)
+            assert repr(scalar) == repr([(s, r, r / tr) for s, tr, r in sides])
             assert verdict.condition_holds is (ref_gap > tol)
 
     @pytest.mark.parametrize("lam0", [0.0, -0.0])
@@ -580,23 +583,73 @@ class TestGapRuleArrays:
     def test_signed_zero_shift(self, lam0, lam0_pt):
         # max(0.0, -lam0) is +0.0 for lam0 = +-0.0, so the PT floor
         # -0.0 + s stays +0.0; a shift of -0.0 would make it -0.0
-        _, _, shift, raw, _ = gap_rule(
-            np.array([lam0]), np.array([lam0_pt]), np.array([3.0]), 9, 0.0
-        )
+        _, _, shift, raw = gap_rule(np.array([lam0]), np.array([lam0_pt]), 0.0)
         assert repr(shift[0].tolist()) == repr([max(0.0, -lam0)]) == "[0.0]"
         assert repr(raw[0].tolist()) == repr([lam0_pt + max(0.0, -lam0)])
         direct, _ = gap_verdict(lam0, lam0_pt, 3.0, 9, 0.0).spa_sides
         assert repr(direct.min_pt_eigenvalue_raw) == repr(lam0_pt + max(0.0, -lam0))
 
-    def test_zero_trace_names_the_first_point(self):
-        # the second point's W side fails first: tr = -4 + 4*1 = 0.0; the
-        # third point's, -9.0 + 4*2 = -1.0, comes later
-        with pytest.raises(ZeroTrace, match=r"trace 0\.0;"):
-            gap_rule(
-                np.array([-1.0, -1.0, -2.0]), np.array([-1.0, -1.0, -2.0]),
-                np.array([10.0, -4.0, -9.0]), 4, 1e-8,
-            )
+    @pytest.mark.parametrize(
+        "point",
+        [(-1.0, -1.0, -4.0), (-2.0, -1.0, -9.0), (-1.0, -2.0, -9.0), (-2.0, -1.0, -5.0)],
+    )
+    def test_zero_trace_names_the_first_side(self, point):
+        # W's side is checked first: with both SPA traces failing, gap_verdict
+        # names W's (-1.0, then -5.0); the last point fails on W^PT's alone
+        _, sides = gap_rule_one_at_a_time(*point, 4)
+        first = next(tr for _, tr, _ in sides if not tr > 1e-12)
+        with pytest.raises(ZeroTrace, match=re.escape(f"shifted operator has trace {first!r};")):
+            gap_verdict(*point, 4)
 
+
+class TestOverflowingTraces:
+    """A trace or an SPA trace past the float range cannot be normalized by."""
+
+    # tr(5e307 F) = 1e308 is finite, its SPA's 1e308 + 4 * 5e307 is not
+    SWAP = HermitianOperator(D22, 5e307 * SWAP_22)
+    # the trace itself overflows
+    HUGE = HermitianOperator(D22, np.diag([1e308, 1e308, -1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "check, op",
+        [(spa, SWAP), (spa, HUGE), (ppt_check, HUGE), (spa_violation_from_gap, SWAP),
+         (spa_violation_from_gap, HUGE)],
+        ids=["spa-spa-trace", "spa-trace", "ppt_check-trace", "gap-spa-trace", "gap-trace"],
+    )
+    def test_zero_trace(self, check, op):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroTrace, match=r"trace inf; cannot normalize"):
+                check(op)
+
+    @staticmethod
+    def verdict_fields(verdict):
+        sides = [(v.status, v.conclusive_separability) for v in verdict.spa_sides]
+        return verdict.conclusion, verdict.npt_side, sides
+
+    def test_power_of_two_scales_keep_the_verdict(self, hakye_reference):
+        # at tolerance 0 the gap and the normalized floors of 2^k W keep the
+        # signs of W's, so 2^k W gets W's verdict or fails numerically; at
+        # 2^1017 (F + 100 diag(1, 0, 0, 1)) every entry is finite, the trace not
+        rng = np.random.default_rng(5)
+        fixed = [SWAP_22 + t * np.diag([1.0, 0.0, 0.0, 1.0]) for t in (0.0, 1.0, 100.0)]
+        witnesses = [HermitianOperator(D22, m) for m in fixed] + [hakye_reference[1]]
+        draws = [random_negative_hermitian(dims, rng) for dims in DIMS_SMALL for _ in range(3)]
+        for w in witnesses + draws:
+            base = spa_violation_from_gap(w, tol=0.0)
+            near = min(abs(v.min_pt_eigenvalue) for v in base.spa_sides) <= 1e-6
+            if w in draws and (near or base.gap <= 1e-6 * hs_norm(w)):
+                continue  # a draw within 1e-6 relative of the tolerance
+            for k in range(-60, 1021):
+                with np.errstate(over="ignore"):
+                    m = w.entries * 2.0**k
+                if not np.isfinite(m).all():
+                    break
+                try:
+                    verdict = spa_violation_from_gap(HermitianOperator(w.dims, m), tol=0.0)
+                except NumericalError:
+                    continue
+                assert self.verdict_fields(verdict) == self.verdict_fields(base), k
 
 def ground_projector(op: HermitianOperator) -> HermitianOperator:
     """Rank-one projector onto a unit eigenvector of op's minimum eigenvalue."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from spa_witness.errors import (
     InvalidParams,
     NotAWitness,
     NotNegative,
+    ZeroTrace,
 )
 from spa_witness.fileio import save_operator
 from spa_witness.operators import (
@@ -355,6 +357,20 @@ class TestSigmaFormFromMatrix:
         assert verdict.status is PptStatus.NPT_ENTANGLED
         assert verdict.min_pt_eigenvalue == pytest.approx(-0.0073, abs=5e-5)
         assert w.sigma.provenance is Provenance.UNKNOWN
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_huge_swap_recasts_like_the_unit_swap(self, scale):
+        # hs_norm squares no entry past the float range, so no overflow warns
+        base = sigma_form_from_matrix(swap_operator(2)).c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = sigma_form_from_matrix(HermitianOperator(D22, scale * swap_operator(2).entries))
+        assert abs(w.c - base) <= np.spacing(base)
+
+    def test_overflowing_divisor_is_numerical(self):
+        # tr = 1e308 is finite; tr + 4*(5e307 + eps) is not, so gamma cannot be 0
+        with pytest.raises(ZeroTrace, match=r"shifted operator has trace inf; cannot normalize"):
+            sigma_form_from_matrix(HermitianOperator(D22, 5e307 * swap_operator(2).entries))
 
     def test_sigma_strictly_positive(self):
         w = sigma_form_from_matrix(swap_operator(3))
