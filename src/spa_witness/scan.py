@@ -232,21 +232,34 @@ def _csv_cell(value) -> str:
 
 
 def _column_text(column: np.ndarray, rule) -> list[str]:
-    """One column's cells by its dtype: float64 by float.__repr__, bool and
-    str by the format's rule once per distinct value; any other dtype
-    raises TypeError naming it."""
-    values = column.tolist()
+    """One chunk column's cells by its dtype, each distinct value formatted
+    once: float64 by float.__repr__, bool and str by the format's rule; any
+    other dtype raises TypeError naming it.
+
+    Floats are keyed by bit pattern, so equal bits give equal text while
+    0.0 and -0.0 stay apart and NaN needs no case of its own.  Keying costs
+    a sort, which repays itself only on repeated cells: a float column with
+    more than half its cells distinct formats every cell instead.  Bool and
+    str values are taken in row order, so a cell the rule refuses is the
+    first such cell of the chunk."""
     if column.dtype == np.float64:
-        return list(map(float.__repr__, values))
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if 2 * len(bits) > len(column):
+            return list(map(float.__repr__, column.tolist()))
+        texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), object)
+        return texts[inverse].tolist()
     if column.dtype.kind not in "bU":
         raise TypeError(f"report columns are float64, bool or str, not {column.dtype}")
-    return list(map({v: rule(v) for v in set(values)}.__getitem__, values))
+    values = column.tolist()
+    return list(map({v: rule(v) for v in dict.fromkeys(values)}.__getitem__, values))
 
 
 def _write_rows(stream: IO[str], columns: list[np.ndarray], cell, row: str, sep: str) -> int:
     """Write row % (one cell per column) for each row of a table's columns,
     sep between rows, SCAN_CHUNK rows at a time, so it holds one chunk's
-    cells and text at once; returns the number of rows."""
+    cells and text at once; each chunk column formats each of its distinct
+    values once (floats keyed by bit pattern; see _column_text).  Returns
+    the number of rows."""
     n = min(map(len, columns), default=0)
     for start in range(0, n, SCAN_CHUNK):
         cells = [_column_text(c[start:start + SCAN_CHUNK], cell) for c in columns]

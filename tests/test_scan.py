@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -446,6 +447,60 @@ class TestReportBytes:
                 table_rows(table), columns, schema, self.NOTES
             )
 
+    @staticmethod
+    def _distinct(k, n):
+        """n cells cycling through k distinct floats, the first two 0.0 and -0.0."""
+        values = np.concatenate([[0.0, -0.0], np.arange(1, k - 1) / 7])
+        return values[np.arange(n) % k]
+
+    @pytest.fixture(scope="class")
+    def repeated(self):
+        """Three chunks of float columns: chunk 0 with SCAN_CHUNK // 2 distinct
+        values (each formatted once), chunk 1 with one more (every cell
+        formatted), a 5-row tail with 2; 0.0 and -0.0 in every chunk, and
+        columns equal on both sides of each chunk boundary."""
+        half = SCAN_CHUNK // 2
+        n = 2 * SCAN_CHUNK + 5
+        return {
+            "half": np.concatenate([
+                self._distinct(half, SCAN_CHUNK),
+                self._distinct(half + 1, SCAN_CHUNK),
+                self._distinct(2, 5),
+            ]),
+            "signed": np.tile([0.0, -0.0, 1.5], n)[:n],
+            "constant": np.full(n, 2 / 3),
+            "negative-zero": np.full(n, -0.0),
+        }
+
+    def test_repeated_floats_cover_each_side_of_the_half_rule(self, repeated):
+        chunks = [
+            len(np.unique(repeated["half"][start:start + SCAN_CHUNK].view(np.int64)))
+            for start in range(0, len(repeated["half"]), SCAN_CHUNK)
+        ]
+        assert chunks == [SCAN_CHUNK // 2, SCAN_CHUNK // 2 + 1, 2]
+
+    def test_repeated_floats(self, repeated):
+        assert self._json(repeated) == scan_report_reference(table_rows(repeated), self.NOTES)
+        buf = io.StringIO()
+        write_rows_csv(repeated, tuple(repeated), "s", buf, reproducible=True, notes=self.NOTES)
+        assert buf.getvalue() == rows_csv_row_by_row(
+            table_rows(repeated), tuple(repeated), "s", self.NOTES
+        )
+
+    def test_non_finite_floats_in_csv(self, repeated):
+        # NaN with either sign bit or a payload reads "nan", as repr has it
+        payload_nan = np.array([0x7FF8000000000001]).view(np.float64)
+        pool = np.concatenate([[math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0], payload_nan])
+        n = len(repeated["half"])
+        table = {
+            **repeated,
+            "non-finite": np.tile(pool, n)[:n],
+            "mixed": np.where(np.arange(n) % 3 == 0, math.nan, repeated["half"]),
+        }
+        buf = io.StringIO()
+        write_rows_csv(table, tuple(table), "s", buf, reproducible=True)
+        assert buf.getvalue() == rows_csv_row_by_row(table_rows(table), tuple(table), "s")
+
     def test_geometry_csv(self, hakye_reference):
         _, op = hakye_reference
         table = geometry_rows(op, samples=40, seed=3)
@@ -651,6 +706,27 @@ class TestCsvJoin:
             with pytest.raises(ValueError, match="would need quoting"):
                 write_rows_csv(table, columns, "s", buf, reproducible=True, notes=("n",))
 
+    # a float column drawn from a pool: a chunk column with few distinct
+    # values formats each once, keyed by bit pattern, so 0.0 and -0.0 stay
+    # apart and every NaN reads "nan"; n reaches past two chunk boundaries
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(
+            st.floats() | st.sampled_from([0.0, -0.0, math.nan, -math.nan]),
+            min_size=1,
+            max_size=64,
+        ),
+        n=st.integers(1, 2 * SCAN_CHUNK + 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_repeated_floats_match_the_row_by_row_writer(self, pool, n, seed):
+        x = np.array(pool)[np.random.default_rng(seed).integers(len(pool), size=n)]
+        table = {"x": x, "y": x[::-1].copy(), "flag": x > 0}
+        columns = tuple(table)
+        buf = io.StringIO()
+        write_rows_csv(table, columns, "s", buf, reproducible=True)
+        assert buf.getvalue() == rows_csv_row_by_row(table_rows(table), columns, "s")
+
 
 QUOTED = ["", ",", '"', "\r", "\n", "x\0"]
 
@@ -686,6 +762,19 @@ class TestRefusals:
         column = np.array(["plain"] * SCAN_CHUNK + [cell])
         assert column[-1] == cell
         with pytest.raises(ValueError, match=re.escape(repr(cell))):
+            write_rows_csv({"s": column}, ("s",), "s", io.StringIO(), reproducible=True)
+
+    # several cells need quoting: the first in row order is the one named,
+    # whatever order the string hash would give them
+    BAD = {"comma": "a,b", "newline": "c\nd", "quote": 'e"f', "empty": ""}
+
+    @pytest.mark.parametrize(
+        "order", ["-".join(names) for names in itertools.permutations(BAD)]
+    )
+    def test_the_first_cell_that_needs_quoting_is_named(self, order):
+        bad = [self.BAD[name] for name in order.split("-")]
+        column = np.array(["plain", bad[0], "plain", *bad[1:], bad[0]])
+        with pytest.raises(ValueError, match=re.escape(repr(bad[0]))):
             write_rows_csv({"s": column}, ("s",), "s", io.StringIO(), reproducible=True)
 
 
@@ -755,15 +844,27 @@ class TestMemoryBound:
         columns = sum(column.nbytes for column in table.values())
         assert peak <= columns + 1.5 * chunk_peak
 
+    @pytest.fixture(scope="class")
+    def four_axis(self):
+        """A four-axis grid scan of N points, whose chunk columns repeat
+        their cells, so the writers format each distinct value once."""
+        axes = ["a=1:6:16", "b=0:4:16", "c=0:4:16", "theta=0:3:16"]
+        return run_scan(build_grid([parse_grid_axis(axis) for axis in axes], {}))
+
+    @pytest.mark.parametrize("grid", ["cos-family", "four-axis"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_writer_holds_one_chunk_of_text(self, scan, fmt):
+    def test_writer_holds_one_chunk_of_text(self, request, grid, fmt):
         def write(table, stream):
             if fmt == "json":
                 write_scan_json(table, stream, reproducible=True)
             else:
                 write_rows_csv(table, SCAN_COLUMNS, SCAN_SCHEMA, stream, reproducible=True)
 
-        table = scan[0]
+        if grid == "cos-family":
+            table = request.getfixturevalue("scan")[0]
+        else:
+            table = request.getfixturevalue("four_axis")
+        assert len(table["a"]) == self.N
         with open(os.devnull, "w", encoding="utf-8", newline="") as stream:
             _, chunk_peak = _traced_peak(
                 write, {key: column[:SCAN_CHUNK] for key, column in table.items()}, stream
