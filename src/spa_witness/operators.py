@@ -60,10 +60,11 @@ def check_trace(tr: float, what: str) -> float:
     return tr
 
 
-def lapack_eig(solver, m: np.ndarray):
-    """solver(m) for a numpy.linalg eigensolver; LAPACK failure is ConvergenceFailure."""
+def lapack_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(m), unchecked, for the (..., d, d) Hermitian stack m;
+    LAPACK failure is ConvergenceFailure."""
     try:
-        return solver(m)
+        return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
@@ -144,8 +145,11 @@ def scaled(op: HermitianOperator, factor: float) -> HermitianOperator:
 def entry_scale(m: np.ndarray) -> np.ndarray:
     """s = max(1, largest |real part| or |imaginary part| of an entry) for
     each matrix of a (..., d, d) stack, real or complex: no square of a
-    part of m/s exceeds 1, so no square or sum of squares of m/s overflows."""
-    return np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), initial=1.0)
+    part of m/s exceeds 1, so no square or sum of squares of m/s overflows.
+    One pass over the float64 view of m as contiguous complex128, which
+    holds both parts of each entry along the last axis."""
+    parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
+    return np.abs(parts).max(axis=(-2, -1), initial=1.0)
 
 
 def eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +164,7 @@ def eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ConvergenceFailure naming the matrix; LAPACK's (w, v) are returned
     untouched.
     """
-    w, v = lapack_eig(np.linalg.eigh, stack)
+    w, v = lapack_eig(stack)
     s = entry_scale(stack)
     # both sides squared, to spare the square roots; an eigenvalue that
     # overflowed makes its residual nan, which fails the test silently

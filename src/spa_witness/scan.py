@@ -254,6 +254,15 @@ def _column_text(column: np.ndarray, rule) -> list[str]:
     return list(map({v: rule(v) for v in dict.fromkeys(values)}.__getitem__, values))
 
 
+def _check_lengths(table: Mapping[str, np.ndarray]) -> None:
+    """Raise ValueError naming each column's length unless every column of
+    the table has the same length."""
+    lengths = {name: len(column) for name, column in table.items()}
+    if len(set(lengths.values())) > 1:
+        listed = ", ".join(f"{name} has {n}" for name, n in lengths.items())
+        raise ValueError(f"table columns differ in length: {listed}")
+
+
 def _write_rows(stream: IO[str], columns: list[np.ndarray], cell, row: str, sep: str) -> int:
     """Write row % (one cell per column) for each row of a table's columns,
     sep between rows, SCAN_CHUNK rows at a time, so it holds one chunk's
@@ -278,7 +287,9 @@ def write_rows_csv(
     """Versioned-header CSV of the named columns of a column table ('#'
     preamble lines, then RFC-4180 content whose cells never need quoting).
     The columns are float64, bool or str: another dtype raises TypeError,
-    and a column name or cell that would need quoting ValueError."""
+    and a column name or cell that would need quoting ValueError, as do
+    columns of different lengths, before the first byte is written."""
+    _check_lengths({col: table[col] for col in columns})
     head = report_header(schema, reproducible, notes)
     stamp = [f"generated={head['generated']}"] if "generated" in head else []
     preamble = [f"schema={schema}", *(f"note={note}" for note in notes), *stamp]
@@ -317,8 +328,10 @@ def write_scan_json(
     """The bytes of json.dumps(scan_report_json(...), indent=2, allow_nan=False)
     and a newline, each row, keyed in the table's column order, from one
     format string.  The columns are float64, bool or str (another dtype
-    raises TypeError), and a non-finite float raises the encoder's error
-    before the first byte is written."""
+    raises TypeError), and columns of different lengths ValueError, as does
+    a non-finite float, with the encoder's message; both before the first
+    byte is written."""
+    _check_lengths(table)
     columns = list(table.values())
     _check_json_floats(columns)
     text = json_text(scan_report_json({}, reproducible, notes))

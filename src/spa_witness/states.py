@@ -8,9 +8,10 @@ Sampling, mixing and validation work on stacks: ``draw_densities``,
 ``draw_ensembles`` and ``mix_products`` build (n, dAB, dAB) stacks, and
 ``check_density`` and ``check_product_terms`` check every matrix, factor and
 weight of a stack at once.  ``check_density`` proves positivity with one
-stacked Cholesky factorisation and computes eigenvalues only for a stack
-that this does not accept.  The one-object constructors and samplers go
-through the same functions, so a state has the same bits either way.
+stacked Cholesky factorisation and computes eigenvalues, with the checked
+``eigh``, only for a stack that this does not accept.  The one-object
+constructors and samplers go through the same functions, so a state has
+the same bits either way.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams, NotADensity, WeightSumError
-from .operators import Dims, HermitianOperator, _first_failure, _read_only, check_seed, lapack_eig
-from .operators import real_traces
+from .operators import Dims, HermitianOperator, _first_failure, _read_only, check_seed
+from .operators import eigh_checked, real_traces
 
 UNIT_NORM_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-10
@@ -179,12 +180,14 @@ def check_density(m: np.ndarray) -> None:
     -DENSITY_MIN_EIG_TOL, naming the offending matrix.
 
     A finite Cholesky factor of m + (DENSITY_MIN_EIG_TOL / 2) I accepts the
-    stack without an eigensolve, and accepts nothing that eigvalsh rejects:
-    the factorisation succeeds only with positive diagonal entries, which a
-    trace of 1 then bounds by about 1, so its backward error is about
-    d^2 eps (about 1e-13) and every eigenvalue of m exceeds
+    stack without an eigensolve, and accepts nothing that the eigenvalues
+    reject: the factorisation succeeds only with positive diagonal entries,
+    which a trace of 1 then bounds by about 1, so its backward error is
+    about d^2 eps (about 1e-13) and every eigenvalue of m exceeds
     -DENSITY_MIN_EIG_TOL / 2 - 1e-13.  Any other stack, including one whose
-    factor is not finite, is decided by its minimum eigenvalues from eigvalsh.
+    factor is not finite, is decided by its minimum eigenvalues from
+    eigh_checked, so a solve that fails its residual test raises
+    ConvergenceFailure instead of deciding.
     """
     tr = real_traces(m)
     bad = ~(np.abs(tr - 1.0) <= DENSITY_TRACE_TOL)
@@ -197,7 +200,7 @@ def check_density(m: np.ndarray) -> None:
             return
     except np.linalg.LinAlgError:
         pass
-    min_eig = lapack_eig(np.linalg.eigvalsh, m)[..., 0]
+    min_eig = eigh_checked(m)[0][..., 0]
     bad = ~(min_eig >= -DENSITY_MIN_EIG_TOL)
     if bad.any():
         at, where = _first_failure(bad)

@@ -194,10 +194,10 @@ def c_sigma_max(
             break
         # M[r,i,k] = sum_{j,l} conj(nu_rj) sigma[(i,j),(k,l)] nu_rl
         nu_run = nu[active]
-        w_a, v_a = lapack_eig(np.linalg.eigh, np.einsum("ijkl,rj,rl->rik", t4, nu_run.conj(), nu_run))
+        w_a, v_a = lapack_eig(np.einsum("ijkl,rj,rl->rik", t4, nu_run.conj(), nu_run))
         mu_run = v_a[:, :, 0]
         # M[r,j,l] = sum_{i,k} conj(mu_ri) sigma[(i,j),(k,l)] mu_rk
-        w_b, v_b = lapack_eig(np.linalg.eigh, np.einsum("ijkl,ri,rk->rjl", t4, mu_run.conj(), mu_run))
+        w_b, v_b = lapack_eig(np.einsum("ijkl,ri,rk->rjl", t4, mu_run.conj(), mu_run))
         obj_a, obj_b = w_a[:, 0], w_b[:, 0]
         sweep_start = last[active]
         a_rose = obj_a > sweep_start + _MONOTONE_SLACK

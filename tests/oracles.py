@@ -8,8 +8,8 @@ plain array access; the exceptions are geometry_rows_one_at_a_time and
 scan_row_one_at_a_time, the per-object routes that the stacked geometry
 rows and scan columns must reproduce bit for bit, and grid_one_at_a_time,
 the per-point HaKyeParams build that the grid array must reproduce, errors
-included, and check_density_eigvalsh_only and draw_ensembles_dirichlet_loop,
-the eigvalsh density rule and the rng.dirichlet ensemble stream that
+included, and check_density_eigh_only and draw_ensembles_dirichlet_loop,
+the eigh density rule and the rng.dirichlet ensemble stream that
 check_density's verdicts and messages and draw_ensembles' bits must
 reproduce.  The scalar and row-by-row references at the end are the routes
 that the array forms and the column-wise report writers must reproduce bit
@@ -229,9 +229,9 @@ def geometry_rows_one_at_a_time(
     return rows
 
 
-def check_density_eigvalsh_only(m: np.ndarray) -> str | None:
+def check_density_eigh_only(m: np.ndarray) -> str | None:
     """The NotADensity message for the (..., d, d) stack m, or None if it is
-    accepted, by the density rule with eigvalsh alone: trace 1 to
+    accepted, by the density rule with eigh alone: trace 1 to
     DENSITY_TRACE_TOL, then no eigenvalue below -DENSITY_MIN_EIG_TOL."""
 
     def first(bad):
@@ -243,7 +243,7 @@ def check_density_eigvalsh_only(m: np.ndarray) -> str | None:
     if bad.any():
         at, where = first(bad)
         return f"{where}trace is {float(tr[at])!r}, expected 1"
-    min_eig = np.linalg.eigvalsh(m)[..., 0]
+    min_eig = np.linalg.eigh(m)[0][..., 0]
     bad = ~(min_eig >= -DENSITY_MIN_EIG_TOL)
     if bad.any():
         at, where = first(bad)

@@ -386,6 +386,18 @@ class TestCmax:
         assert out == ""
         assert err.startswith("numerical failure: eigensolver did not converge")
 
+    def test_overflowing_refused_spectrum_is_a_numerical_failure(self, capsys, tmp_path):
+        # unit trace, but the block [[x, x], [x, -x]] has eigenvalues
+        # +-sqrt(2) x, past the float range: the factorisation refuses it,
+        # and the checked eigh's residual test fails on the inf it returns
+        x = 1.7e308
+        m = np.diag([x, -x, 1.0, 0.0])
+        m[0, 1] = m[1, 0] = x
+        path = _save_matrix(tmp_path / "overflow.json", m, Dims(2, 2))
+        code, out, err = run_cli(capsys, "cmax", str(path), "--reproducible")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == "numerical failure: eigenpair residual nan exceeds 3.400e+298\n"
+
     def test_unconverged_estimate_flagged(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         rho = full_rank_separable(Dims(2, 2), rng)
@@ -426,6 +438,30 @@ class TestGeometry:
             )
             assert code == EXIT_OK
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{witness}", "--assert-onew"],
+        ["hakye", "--cos-family", "--scan", "theta=0.05:1.5:9"],
+        ["cmax", "{density}", "--restarts", "2"],
+        ["geometry", "{witness}", "--samples", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_run_no_eigvalsh(capsys, monkeypatch, tmp_path, reference_file, argv):
+    density = tmp_path / "tau.json"
+    save_operator(maximally_mixed(Dims(2, 3)).op, density)
+    argv = [a.format(witness=reference_file, density=density) for a in argv]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    expected = run_cli(capsys, *argv, "--reproducible")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert run_cli(capsys, *argv, "--reproducible") == expected
+    assert expected[0] in (EXIT_OK, EXIT_VIOLATION)
 
 
 def _write_non_finite(path):

@@ -135,7 +135,7 @@ class TestStackedRows:
 
     @pytest.mark.parametrize("corrupt", [None, _make_negative], ids=["valid", "negative"])
     def test_one_eigensolve_per_chunk(self, monkeypatch, corrupt):
-        # the density check factorises; eigvalsh runs only for a stack it rejects
+        # the density check factorises; the checked eigh runs only for a stack it rejects
         witness = random_negative_hermitian(Dims(2, 2), np.random.default_rng(1))
         calls = []
         for name in ("eigh", "eigvalsh", "cholesky"):
@@ -161,7 +161,7 @@ class TestStackedRows:
         else:
             with pytest.raises(NotADensity, match=r"^matrix \(1,\): minimum eigenvalue "):
                 geometry_rows(witness, 100)
-            assert calls == [("eigh", (4, 4)), ("cholesky", stack), ("eigvalsh", stack)]
+            assert calls == [("eigh", (4, 4)), ("cholesky", stack), ("eigh", stack)]
 
     def test_one_corrupted_pt_solve_in_a_stack_fails(self, monkeypatch, capsys, tmp_path):
         real_eigh = np.linalg.eigh

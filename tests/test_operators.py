@@ -210,6 +210,26 @@ class TestEntryScale:
         assert entry_scale(stack).tolist() == [1.0, 3.0]
         assert entry_scale(np.array([[1.0, -4.0j], [4.0j, 2.0]])) == 4.0
 
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_equals_the_larger_part_rule_bit_for_bit(self, complex_entries):
+        # the one pass over the float64 view gives the bits of the max over
+        # entries of max(|re|, |im|), whatever the entries and the layout
+        values = np.array([
+            0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 0.5, -3.0
+        ])
+        rng = np.random.default_rng(11)
+        for shape in [(3, 3), (6, 4, 4), (2, 3, 5, 5)]:
+            for _ in range(50):
+                m = rng.choice(values, shape)
+                if complex_entries:
+                    m = m + 0j
+                    m.imag = rng.choice(values, shape)
+                for view in (m, m.mT, m[..., ::2, ::2], m[..., 1:, 1:]):
+                    expected = np.maximum(np.abs(view.real), np.abs(view.imag)).max(
+                        axis=(-2, -1), initial=1.0
+                    )
+                    assert entry_scale(view).tobytes() == expected.tobytes()
+
 
 class TestMinEigenpair:
     def test_identity(self):

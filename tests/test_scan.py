@@ -764,6 +764,26 @@ class TestRefusals:
         with pytest.raises(ValueError, match=re.escape(repr(cell))):
             write_rows_csv({"s": column}, ("s",), "s", io.StringIO(), reproducible=True)
 
+    @pytest.mark.parametrize(
+        ("table", "lengths"),
+        [
+            ({"a": np.array([1.0, 2.0]), "b": np.array([3.0])}, "a has 2, b has 1"),
+            (
+                {"x": np.array([]), "flag": np.array([True]), "s": np.array(["p", "q"])},
+                "x has 0, flag has 1, s has 2",
+            ),
+        ],
+        ids=["short-last", "three-lengths"],
+    )
+    def test_columns_of_different_lengths_raise_before_any_byte(self, table, lengths):
+        message = f"^table columns differ in length: {lengths}$"
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            write_rows_csv(table, tuple(table), "s", buf, reproducible=True, notes=("n",))
+        with pytest.raises(ValueError, match=message):
+            write_scan_json(table, buf, reproducible=True, notes=("n",))
+        assert buf.getvalue() == ""
+
     # several cells need quoting: the first in row order is the one named,
     # whatever order the string hash would give them
     BAD = {"comma": "a,b", "newline": "c\nd", "quote": 'e"f', "empty": ""}

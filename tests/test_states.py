@@ -7,8 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import DIMS_SMALL
-from oracles import check_density_eigvalsh_only, draw_ensembles_dirichlet_loop, haar_one_at_a_time
-from spa_witness.errors import DimensionMismatch, InvalidParams, NotADensity, WeightSumError
+from oracles import check_density_eigh_only, draw_ensembles_dirichlet_loop, haar_one_at_a_time
+from spa_witness.errors import ConvergenceFailure, DimensionMismatch, InvalidParams, NotADensity
+from spa_witness.errors import WeightSumError
+from spa_witness.hakye import HaKyeParams, hakye_witness
 from spa_witness.operators import Dims, HermitianOperator, partial_transpose
 from spa_witness.states import (
     DENSITY_MIN_EIG_TOL,
@@ -178,10 +180,11 @@ class TestDensityValidation:
 
     def test_nan_spectrum_rejected(self, monkeypatch):
         op = HermitianOperator(D22, np.eye(4) / 4.0)
-        # a failed factorisation leaves the verdict to the eigenvalues
+        # a failed factorisation leaves the verdict to the checked eigenvalues,
+        # and a nan eigenvalue fails the residual test instead of deciding
         monkeypatch.setattr(np.linalg, "cholesky", _failed_cholesky)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(4, np.nan))
-        with pytest.raises(NotADensity, match="nan"):
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.full(4, np.nan), np.eye(4)))
+        with pytest.raises(ConvergenceFailure, match="^eigenpair residual nan exceeds "):
             DensityOperator(op)
 
     def test_nan_factor_is_not_accepted(self, monkeypatch):
@@ -192,7 +195,7 @@ class TestDensityValidation:
 
     @pytest.mark.parametrize("dims", [D22, D23, D33, Dims(3, 4)], ids=str)
     @pytest.mark.parametrize("scale", [-2.0, -1.01, -1.0, -0.99, -0.6, -0.5, -0.4, 0.0, 1.0])
-    def test_boundary_verdicts_equal_the_eigvalsh_rule(self, dims, scale):
+    def test_boundary_verdicts_equal_the_eigh_rule(self, dims, scale):
         d = dims.dAB
         rng = np.random.default_rng(round(100 * scale) + 300 + 1000 * d)
         u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
@@ -204,7 +207,7 @@ class TestDensityValidation:
         stack = draw_densities(dims, 4, rng)
         stack[2] = m
         for case in (m, stack):
-            expected = check_density_eigvalsh_only(case)
+            expected = check_density_eigh_only(case)
             if scale != -1.0:
                 assert (expected is None) == (scale > -1.0)
             if expected is None:
@@ -213,6 +216,41 @@ class TestDensityValidation:
                 with pytest.raises(NotADensity) as raised:
                     check_density(case)
                 assert str(raised.value) == expected
+
+    @pytest.mark.parametrize(
+        ("diagonal", "message"),
+        [
+            ([1.5, -0.5], "minimum eigenvalue -0.5 is negative"),
+            ([1.0 + 7e-11, -7e-11], None),
+        ],
+        ids=["rejected", "accepted"],
+    )
+    def test_refused_factor_decided_without_eigvalsh(self, monkeypatch, diagonal, message):
+        m = np.diag(diagonal)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m + 0.5 * DENSITY_MIN_EIG_TOL * np.eye(2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        if message is None:
+            check_density(m)
+        else:
+            with pytest.raises(NotADensity) as raised:
+                check_density(m)
+            assert str(raised.value) == message
+
+    def test_message_prints_the_checked_minimum(self):
+        # the Ha-Kye matrix at a = b = theta = 4.325e-161, c = 0 has the
+        # exact eigenvalues -2 and 1, which eigh returns and value-only
+        # eigvalsh misses by about 1e-4; padded here to a unit-trace 12x12
+        t = 4.325e-161
+        m = np.zeros((12, 12), dtype=np.complex128)
+        m[:9, :9] = hakye_witness(HaKyeParams(t, t, 0.0, t)).entries
+        m[9, 9] = 1.0 - np.trace(m).real
+        with pytest.raises(NotADensity, match=r"^minimum eigenvalue -2\.0 is negative$"):
+            DensityOperator(HermitianOperator(Dims(3, 4), m))
 
 
 class TestRandomSampling:

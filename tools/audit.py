@@ -13,6 +13,7 @@ diffing this output against its parent's:
 
     python3 tools/audit.py                 # this checkout
     python3 tools/audit.py --root ../base  # another checkout
+    python3 tools/audit.py | head -n 5     # the digests only; exits 0
 
 Inputs and demo copies go under the checkout's ignored ``bench/out/digest/``,
 at the same relative paths in every checkout, since reports name their input
@@ -115,13 +116,22 @@ def main() -> int:
     )
     root = parser.parse_args().root.resolve()
     digests, executed = audit(root)
-    print(*digests, sep="\n")
-    for path in sorted((root / "src" / "spa_witness").glob("*.py")):
-        unreached = sorted(body_lines(path) - {line for f, line in executed if f == str(path)})
-        text = path.read_text(encoding="utf-8").splitlines()
-        print(f"{path.relative_to(root / 'src')}: {len(unreached)} unreached lines")
-        for line in unreached:
-            print(f"  {line:>4}  {text[line - 1].strip()}")
+    try:
+        print(*digests, sep="\n")
+        for path in sorted((root / "src" / "spa_witness").glob("*.py")):
+            unreached = sorted(body_lines(path) - {line for f, line in executed if f == str(path)})
+            text = path.read_text(encoding="utf-8").splitlines()
+            print(f"{path.relative_to(root / 'src')}: {len(unreached)} unreached lines")
+            for line in unreached:
+                print(f"  {line:>4}  {text[line - 1].strip()}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head -n 5`, say) and has all it
+        # wanted; what is still buffered goes to devnull at exit, not to a
+        # second BrokenPipeError
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 
