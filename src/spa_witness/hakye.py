@@ -166,17 +166,18 @@ def certify_spectra(
     Rounding.  Each side adds 16u max(1, ||W||_F), u = 2^-53 the unit
     roundoff.  The circulant's eigenvalues carry at most 9u ||W||_F (Im w,
     two products, three sums), the 2x2 formula at most 11u ||W||_F, and
-    the scaling below, the division of the claims and the gap's
-    subtraction u each (2u for the gap, on the W side).  Errors of
-    relative size u in the norms and the comparisons are below
+    the gap's subtraction u (2u for the gap, on the W side).  The two
+    scaling divisions below are exact outside the subnormal range, whose
+    rounding is far below 16u / s, so the 16u is a conservative bound.
+    Errors of relative size u in the norms and the comparisons are below
     u * DEFAULT_EIG_TOL of the scale wherever the tolerance holds.
 
-    Overflow.  Each matrix is divided by s = entry_scale(m), the scale
-    eigh_checked divides by, so no square overflows; e is worked out for
-    m/s and multiplied back by s, and stays finite for finite input.  Only
-    +, -, *, / and sqrt run elementwise, and the sums run along each
-    matrix's own row, so a matrix's bound has the same bits in a stack of
-    any size.
+    Overflow.  Each matrix and its claims are divided by s = entry_scale(m),
+    the power of two eigh_checked divides by, so no square overflows; e is
+    worked out for m/s and multiplied back by s, and stays finite for
+    finite input.  Only +, -, *, / and sqrt run elementwise, and the sums
+    run along each matrix's own row, so a matrix's bound has the same bits
+    in a stack of any size.
     """
     n = len(m)
     parts = np.ascontiguousarray(m).view(np.float64).reshape(n, 162)

@@ -143,49 +143,48 @@ def scaled(op: HermitianOperator, factor: float) -> HermitianOperator:
 
 
 def entry_scale(m: np.ndarray) -> np.ndarray:
-    """s = max(1, largest |real part| or |imaginary part| of an entry) for
-    each matrix of a (..., d, d) stack, real or complex: no square of a
-    part of m/s exceeds 1, so no square or sum of squares of m/s overflows.
-    One pass over the float64 view of m as contiguous complex128, which
-    holds both parts of each entry along the last axis."""
+    """p, the power of two at or below s = max(1, largest |real part| or
+    |imaginary part| of an entry), for each matrix of a (..., d, d) stack,
+    real or complex, and a non-finite s as it is.  No part of m/p reaches 2,
+    so no square or sum of squares of m/p overflows, and dividing by p and
+    multiplying back are exact for normal results.  One pass over the
+    float64 view of m as contiguous complex128."""
     parts = np.ascontiguousarray(m, dtype=np.complex128).view(np.float64)
-    return np.abs(parts).max(axis=(-2, -1), initial=1.0)
+    s = np.abs(parts).max(axis=(-2, -1), initial=1.0)
+    return np.where(np.isfinite(s), np.ldexp(1.0, np.frexp(s)[1] - 1), s)
 
 
 def eigh_checked(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of each matrix of a (..., d, d) Hermitian stack, verified.
 
-    Residuals ||A v_k - w_k v_k|| are checked against
-    DEFAULT_EIG_TOL*max(1, ||A||) where ||.|| is the Hilbert-Schmidt norm of
-    each matrix, and pairwise eigenvector overlaps to _ORTHONORMALITY_TOL,
-    in one pass over the whole stack.  The residual test runs on A/s, whose
-    eigenpairs are (w/s, v), with s = entry_scale(A): where s > 1, s <= ||A||,
-    so both sides scale by 1/s, and no square overflows.  Violations raise
-    ConvergenceFailure naming the matrix; LAPACK's (w, v) are returned
-    untouched.
+    LAPACK solves A/p, p = entry_scale(A), and its eigenvalues come back
+    times p: both scalings are exact, so an eigenvalue is inf only past the
+    float range, and below LAPACK's own rescale (entries near 1e146) the
+    bits are np.linalg.eigh(A)'s.  Residuals ||(A/p) v_k - w_k v_k|| are
+    checked against DEFAULT_EIG_TOL*max(1, ||A/p||_HS), which is
+    DEFAULT_EIG_TOL*max(1, ||A||_HS)/p since p <= ||A|| where p > 1, and
+    eigenvector overlaps to _ORTHONORMALITY_TOL, in one pass over the
+    stack; violations raise ConvergenceFailure naming the matrix.
     """
-    w, v = lapack_eig(stack)
-    s = entry_scale(stack)
-    # both sides squared, to spare the square roots; an eigenvalue that
-    # overflowed makes its residual nan, which fails the test silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = stack / s[..., None, None]
-        r = a @ v - v * (w / s[..., None])[..., None, :]
-        residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
-        limit2 = DEFAULT_EIG_TOL**2 * np.maximum(1.0, np.vecdot(a, a).real.sum(axis=-1))
+    p = entry_scale(stack)
+    a = stack / p[..., None, None]
+    w, v = lapack_eig(a)
+    # both sides squared, to spare the square roots; no square of a overflows
+    r = a @ v - v * w[..., None, :]
+    residual2 = np.vecdot(r, r, axis=-2).real.max(axis=-1)
+    limit2 = DEFAULT_EIG_TOL**2 * np.maximum(1.0, np.vecdot(a, a).real.sum(axis=-1))
     ok = residual2 <= limit2
     if not ok.all():
         at, where = _first_failure(~ok)
-        raise ConvergenceFailure(
-            f"{where}eigenpair residual {np.sqrt(residual2[at]) * s[at]:.3e} exceeds "
-            f"{np.sqrt(limit2[at]) * s[at]:.3e}"
-        )
+        residual, limit = (float(np.sqrt(x[at])) * float(p[at]) for x in (residual2, limit2))
+        raise ConvergenceFailure(f"{where}eigenpair residual {residual:.3e} exceeds {limit:.3e}")
     gram = np.abs(v.mT.conj() @ v - np.eye(stack.shape[-1])).max(axis=(-2, -1))
     ok = gram <= _ORTHONORMALITY_TOL
     if not ok.all():
         at, where = _first_failure(~ok)
         raise ConvergenceFailure(f"{where}eigenvectors lost orthonormality by {gram[at]:.3e}")
-    return w, v
+    with np.errstate(over="ignore"):  # an eigenvalue past the float range is +-inf
+        return w * p[..., None], v
 
 
 def spectra_with_pt(m: np.ndarray, dims: Dims) -> np.ndarray:
@@ -235,7 +234,7 @@ def hs_inner_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tr(a_k b) for each matrix a_k of a (..., d, d) stack, real for
     Hermitian arguments; NonRealResult names a matrix whose trace is not."""
     val = np.trace(a @ b, axis1=-2, axis2=-1)
-    bad = np.abs(val.imag) > _IMAG_TRACE_TOL
+    bad = ~(np.abs(val.imag) <= _IMAG_TRACE_TOL)
     if bad.any():
         at, where = _first_failure(bad)
         raise NonRealResult(
@@ -246,9 +245,8 @@ def hs_inner_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hs_norm(op: HermitianOperator) -> float:
-    """Hilbert-Schmidt norm sqrt(tr op^2), as p*||op/p|| for p the power of
-    two at or below entry_scale: scaling by p is exact and no square of an
-    entry of op/p overflows, so only a norm past the float range is inf."""
-    p = float(np.ldexp(1.0, np.frexp(entry_scale(op.entries))[1] - 1))
+    """Hilbert-Schmidt norm sqrt(tr op^2), as p*||op/p|| for p = entry_scale:
+    scaling by p is exact and no square of an entry of op/p overflows, so
+    only a norm past the float range is inf."""
+    p = float(entry_scale(op.entries))
     return p * float(np.linalg.norm(op.entries / p))
-

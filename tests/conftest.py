@@ -27,6 +27,18 @@ def random_hermitian(dims: Dims, rng: np.random.Generator, scale: float = 1.0) -
     return HermitianOperator(dims, scale * (g + g.conj().T) / 2.0)
 
 
+def sigma_minus_c(dims: Dims, rng: np.random.Generator) -> HermitianOperator:
+    """A bench-style analyze input: sigma - c*I for a Hilbert-Schmidt random
+    density sigma and c = min eig sigma + uniform(0.2, 1)/dAB."""
+    d = dims.dAB
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    sigma = g @ g.conj().T
+    sigma = (sigma + sigma.conj().T) / 2.0
+    sigma /= np.trace(sigma).real
+    c = float(np.linalg.eigvalsh(sigma)[0]) + float(rng.uniform(0.2, 1.0)) / d
+    return HermitianOperator(dims, sigma - c * np.eye(d))
+
+
 def random_negative_hermitian(dims: Dims, rng: np.random.Generator) -> HermitianOperator:
     """Random Hermitian matrix guaranteed to have a negative eigenvalue."""
     op = random_hermitian(dims, rng)

@@ -25,6 +25,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 from itertools import product
 from numbers import Real
 
@@ -74,6 +75,61 @@ def char_poly_roots_3x3(m: np.ndarray) -> np.ndarray:
     ).real
     roots = np.roots([1.0, -tr, minors, -det])
     return np.sort(roots.real)
+
+
+def _gaussian_rationals(m: np.ndarray) -> list[list[tuple[Fraction, Fraction]]]:
+    """The Hermitian part (m + m^H)/2 of a square complex matrix, exactly:
+    each entry a (real, imaginary) pair of Fractions."""
+    re = [[Fraction(x) for x in row] for row in np.real(m).tolist()]
+    im = [[Fraction(x) for x in row] for row in np.imag(m).tolist()]
+    d = len(re)
+    return [
+        [((re[i][j] + re[j][i]) / 2, (im[i][j] - im[j][i]) / 2) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def exact_rayleigh(m: np.ndarray, v: np.ndarray) -> Fraction:
+    """The Rayleigh quotient v^H H v / v^H v of the Hermitian part H of m, in
+    exact arithmetic: an upper bound on the minimum eigenvalue of H, for
+    any nonzero vector v, however v was computed."""
+    h = _gaussian_rationals(m)
+    x = [(Fraction(z.real), Fraction(z.imag)) for z in np.asarray(v, dtype=complex).tolist()]
+    num = Fraction(0)
+    for (ar, ai), row in zip(x, h):
+        # Re(conj(x_i) (H x)_i); the imaginary parts cancel over i exactly
+        sr = si = Fraction(0)
+        for (br, bi), (hr, hi) in zip(x, row):
+            sr += hr * br - hi * bi
+            si += hr * bi + hi * br
+        num += ar * sr + ai * si
+    return num / sum(ar * ar + ai * ai for ar, ai in x)
+
+
+def exact_lower_bound(m: np.ndarray, t: Fraction | float) -> bool:
+    """Whether t is proved a strict lower bound on the minimum eigenvalue of
+    the Hermitian part H of m: an exact LDL^H factorisation of H - t I whose
+    pivots are all positive shows that H - t I is positive definite.  False
+    when a pivot is not positive, so nothing is proved."""
+    h = _gaussian_rationals(m)
+    t = Fraction(t)
+    d = len(h)
+    # the lower triangle, which the Schur complements overwrite in place
+    a = [[h[i][j] for j in range(i + 1)] for i in range(d)]
+    for i in range(d):
+        a[i][i] = (a[i][i][0] - t, Fraction(0))
+    for k in range(d):
+        pivot = a[k][k][0]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, d):
+            lr, li = a[i][k][0] / pivot, a[i][k][1] / pivot
+            for j in range(k + 1, i + 1):
+                # a_ij -= l_ik conj(a_jk)
+                br, bi = a[j][k]
+                cr, ci = a[i][j]
+                a[i][j] = (cr - (lr * br + li * bi), ci - (li * br - lr * bi))
+    return True
 
 
 def brute_force_partial_transpose(

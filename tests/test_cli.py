@@ -101,16 +101,17 @@ class TestAnalyze:
         assert report["npt_side"] == "partial-transpose"
         assert report["conclusion"] == "VIOLATES"
 
-    def test_overflowing_eigenvalue_names_its_matrix(self, capsys, tmp_path):
-        # W^Gamma = 2|Phi+><Phi+| * 1.7e308 has the eigenvalue 3.4e308, which
-        # overflows: its residual is nan and fails, without a numpy warning
+    def test_overflowing_eigenvalue_overflows_the_spa_trace(self, capsys, tmp_path):
+        # W^Gamma = 2|Phi+><Phi+| * 1.7e308 has the eigenvalue 3.4e308, past
+        # the float range: the checked solve returns it as inf, without a
+        # numpy warning, and the SPA's trace, which it enters, is refused
         path = tmp_path / "swap.json"
         save_operator(HermitianOperator(Dims(2, 2), 1.7e308 * np.eye(4)[[0, 2, 1, 3]]), path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "analyze", str(path))
         assert (code, out) == (EXIT_NUMERIC, "")
-        assert err == "numerical failure: matrix (1,): eigenpair residual nan exceeds 3.400e+298\n"
+        assert err == "numerical failure: shifted operator has trace inf; cannot normalize\n"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_pt_invariant_witness_exits_clean(self, capsys, tmp_path):
@@ -386,17 +387,18 @@ class TestCmax:
         assert out == ""
         assert err.startswith("numerical failure: eigensolver did not converge")
 
-    def test_overflowing_refused_spectrum_is_a_numerical_failure(self, capsys, tmp_path):
+    def test_overflowing_refused_spectrum_is_not_a_density(self, capsys, tmp_path):
         # unit trace, but the block [[x, x], [x, -x]] has eigenvalues
         # +-sqrt(2) x, past the float range: the factorisation refuses it,
-        # and the checked eigh's residual test fails on the inf it returns
+        # and the checked eigh solves the matrix over a power of two, so its
+        # residual test holds and the minimum eigenvalue comes back as -inf
         x = 1.7e308
         m = np.diag([x, -x, 1.0, 0.0])
         m[0, 1] = m[1, 0] = x
         path = _save_matrix(tmp_path / "overflow.json", m, Dims(2, 2))
         code, out, err = run_cli(capsys, "cmax", str(path), "--reproducible")
-        assert (code, out) == (EXIT_NUMERIC, "")
-        assert err == "numerical failure: eigenpair residual nan exceeds 3.400e+298\n"
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: minimum eigenvalue -inf is negative\n"
 
     def test_unconverged_estimate_flagged(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from spa_witness.errors import (
     NonRealResult,
     NotHermitian,
 )
-from spa_witness.hakye import hakye_matrices
+from spa_witness.hakye import cos_family_params, hakye_matrices
 from spa_witness.operators import (
     Dims,
     HermitianOperator,
@@ -29,6 +31,7 @@ from spa_witness.operators import (
     eigh_checked,
     entry_scale,
     hs_inner,
+    hs_inner_stack,
     hs_norm,
     min_eigenpair,
     partial_transpose,
@@ -101,14 +104,17 @@ class TestEigHermitian:
 
     @pytest.mark.parametrize("scale", [1.0, 1e200], ids=["unit", "huge"])
     def test_residual_check_holds_at_any_scale(self, monkeypatch, scale):
-        # at 1e200 the squared norms overflow; the check must still hold
+        # at 1e200 the squared norms of A would overflow; the check must still hold
         m = np.diag([1.0, -1.0, 0.3, 1e-200]) * scale
         mixed = np.stack([m, np.diag([1e200, 1.0, 1.0, 1.0])])
         w, _ = eig_hermitian(HermitianOperator(D22, m))
         assert_allclose(w, np.sort(np.diag(m)))
-        # the check returns LAPACK's own arrays, bit for bit
+        # the check returns LAPACK's own arrays for A/p, with the eigenvalues
+        # scaled back by the power of two p, bit for bit
         for a in (m, mixed):
-            for got, want in zip(eigh_checked(a), np.linalg.eigh(a)):
+            p = entry_scale(a)
+            lapack_w, lapack_v = np.linalg.eigh(a / p[..., None, None])
+            for got, want in zip(eigh_checked(a), (lapack_w * p[..., None], lapack_v)):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
         real_eigh = np.linalg.eigh
@@ -120,8 +126,8 @@ class TestEigHermitian:
         monkeypatch.setattr(np.linalg, "eigh", swap_first_two)
         with pytest.raises(ConvergenceFailure, match="residual"):
             eig_hermitian(HermitianOperator(D22, m))
-        # one matrix of a stack overflowing leaves the others' check intact,
-        # and the error names the matrix that fails
+        # the swap leaves the second matrix's residuals intact (its first two
+        # eigenvalues are equal), and the error names the matrix that fails
         with pytest.raises(ConvergenceFailure, match=r"^matrix \(0,\): eigenpair residual"):
             eigh_checked(mixed)
 
@@ -191,9 +197,18 @@ class TestEigHermitian:
             assert_allclose(w, expected, atol=1e-8)
 
 
+def power_of_two_at_or_below(s: np.ndarray) -> np.ndarray:
+    """The power of two at or below each finite s >= 1, one math.frexp per
+    value; a non-finite s as it is."""
+    return np.array([
+        math.ldexp(0.5, math.frexp(x)[1]) if math.isfinite(x) else x for x in np.ravel(s).tolist()
+    ]).reshape(np.shape(s))
+
+
 class TestEntryScale:
-    def test_matches_certify_spectra_scale_bit_for_bit(self):
-        # the scale certify_spectra computed inline over the float64 parts
+    def test_brackets_the_largest_part_of_hakye_matrices(self):
+        # p <= s < 2p for s the largest part over the float64 parts, which is
+        # the scale certify_spectra used to compute inline
         rng = np.random.default_rng(5)
         n = 64
         grid = np.vstack([
@@ -202,18 +217,23 @@ class TestEntryScale:
         ])
         m = hakye_matrices(grid)
         parts = m.view(np.float64).reshape(n, 162)
-        expected = np.maximum(parts.max(axis=1, initial=1.0), -parts.min(axis=1))
-        assert entry_scale(m).tobytes() == expected.tobytes()
+        s = np.maximum(parts.max(axis=1, initial=1.0), -parts.min(axis=1))
+        p = entry_scale(m)
+        assert (np.frexp(p)[0] == 0.5).all()
+        assert (p <= s).all() and (s < 2.0 * p).all()
+        assert p.tobytes() == power_of_two_at_or_below(s).tobytes()
 
     def test_real_and_complex_input(self):
         stack = np.stack([np.diag([0.5, -0.25]), np.diag([-3.0, 2.0])])
-        assert entry_scale(stack).tolist() == [1.0, 3.0]
+        assert entry_scale(stack).tolist() == [1.0, 2.0]
         assert entry_scale(np.array([[1.0, -4.0j], [4.0j, 2.0]])) == 4.0
+        assert entry_scale(np.array([[1.0, -4.5j], [4.5j, 2.0]])) == 4.0
 
     @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
     def test_equals_the_larger_part_rule_bit_for_bit(self, complex_entries):
-        # the one pass over the float64 view gives the bits of the max over
-        # entries of max(|re|, |im|), whatever the entries and the layout
+        # the one pass over the float64 view gives the bits of the power of
+        # two at or below the max over entries of max(|re|, |im|), whatever
+        # the entries and the layout
         values = np.array([
             0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, 0.5, -3.0
         ])
@@ -225,10 +245,59 @@ class TestEntryScale:
                     m = m + 0j
                     m.imag = rng.choice(values, shape)
                 for view in (m, m.mT, m[..., ::2, ::2], m[..., 1:, 1:]):
-                    expected = np.maximum(np.abs(view.real), np.abs(view.imag)).max(
+                    larger = np.maximum(np.abs(view.real), np.abs(view.imag)).max(
                         axis=(-2, -1), initial=1.0
                     )
+                    expected = power_of_two_at_or_below(larger)
                     assert entry_scale(view).tobytes() == expected.tobytes()
+
+
+def hermitian_stack(rng: np.random.Generator, n: int, d: int, lo: float, hi: float) -> np.ndarray:
+    """n random d x d Hermitian matrices, each scaled by 10**uniform(lo, hi)."""
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    return (g + g.mT.conj()) / 2.0 * 10.0 ** rng.uniform(lo, hi, (n, 1, 1))
+
+
+class TestPowerOfTwoScale:
+    def test_eigh_checked_keeps_lapacks_bits_below_its_own_rescale(self):
+        # LAPACK rescales a matrix whose largest entry passes about 1e146;
+        # below that its arithmetic commutes with a power-of-two scale, so
+        # solving A/p and multiplying back by p changes no bit
+        rng = np.random.default_rng(31)
+        grid = np.vstack([rng.uniform(0.0, 2.0, (3, 16)), rng.uniform(-np.pi, np.pi, (1, 16))])
+        stacks = []
+        for m, dims in [
+            (hakye_matrices(grid), D33),
+            (hakye_matrices(cos_family_params(rng.uniform(0.05, 1.2, 16))), D33),
+            *[(hermitian_stack(rng, 8, d.dAB, -1.0, 1.0), d) for d in DIMS_SMALL + (Dims(3, 4),)],
+        ]:
+            stacks.append(np.stack([m, partial_transpose_stack(m, dims)]))
+        stacks += [hermitian_stack(rng, 12, d, -3.0, 100.0) for d in range(2, 13)]
+        for a in stacks:
+            for got, want in zip(eigh_checked(a), np.linalg.eigh(a)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_above_lapacks_rescale_the_power_of_two_scale_is_exact(self):
+        rng = np.random.default_rng(37)
+        for d in range(2, 13):
+            a = hermitian_stack(rng, 6, d, 150.0, 300.0)
+            p = entry_scale(a)
+            w, v = np.linalg.eigh(a / p[:, None, None])
+            got_w, got_v = eigh_checked(a)
+            assert got_w.tobytes() == (w * p[:, None]).tobytes()
+            assert got_v.tobytes() == v.tobytes()
+        # LAPACK's own rescale misplaces 3e199 here; the exact one does not
+        m = np.diag([1.0, -1.0, 0.3, 1e-200]) * 1e200
+        assert eigh_checked(m)[0].tolist() == np.sort(np.diag(m)).tolist()
+
+    def test_only_an_eigenvalue_past_the_float_range_overflows(self):
+        # [[x, x], [x, -x]] has eigenvalues +-sqrt(2) x: past the range for
+        # x = 1.7e308, and inf without a numpy warning
+        x = 1.7e308
+        w, _ = eigh_checked(np.array([[x, x], [x, -x]]))
+        assert w.tolist() == [-np.inf, np.inf]
+        w, _ = eigh_checked(np.array([[x, 0.0], [0.0, -x]]))
+        assert w.tolist() == [-x, x]
 
 
 class TestMinEigenpair:
@@ -317,6 +386,12 @@ class TestHsAlgebra:
         a = HermitianOperator(D22, m)
         with pytest.raises(NonRealResult):
             hs_inner(a, a)
+
+    def test_nan_trace_raises_non_real(self):
+        # a nan imaginary part is no evidence of a real trace either; the
+        # second argument is complex, as a HermitianOperator's entries are
+        with pytest.raises(NonRealResult, match=r"^matrix \(0,\): tr\(a b\) has imaginary part nan"):
+            hs_inner_stack(np.full((1, 2, 2), np.nan), np.eye(2, dtype=np.complex128))
 
 
 class TestScaleShiftHelpers:

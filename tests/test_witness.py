@@ -507,7 +507,8 @@ class TestVerifyDecomposition:
         q = HermitianOperator(D22, np.diag([1.0, 2.0, 3.0, 4.0]))
         verify_decomposition(swap_operator(2), p, q)
         assert len(eigh_calls) == 1
-        assert np.array_equal(eigh_calls[0], np.stack([p.entries, q.entries]))
+        # each piece over its power-of-two scale: 1 for p, 4 for q
+        assert np.array_equal(eigh_calls[0], np.stack([p.entries, q.entries / 4.0]))
 
     def test_swap_is_decomposable(self):
         v = swap_operator(2)
