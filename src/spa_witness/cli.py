@@ -2,10 +2,10 @@
 
 Exit codes: 0 clean, 1 bad input or validation failure (an argparse usage
 error, an InputError, OSError or ValueError, or a MemoryError such as a grid
-too large to allocate), 2 numerical failure (a NumericalError, or a cmax
-estimate that did not converge within --max-iter sweeps), 3 a violation
-of the SPA-separability conjecture was flagged (the eigenvalue-gap
-condition fired), so scripts can branch on the result.
+too large to allocate), 2 numerical failure (a NumericalError), 3 a
+violation of the SPA-separability conjecture was flagged (the eigenvalue-gap
+condition fired), so scripts can branch on the result.  Handlers return 0
+or 3; main alone maps errors to 1 and 2.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 
-from .errors import InputError, InvalidParams, NumericalError
+from .errors import ConvergenceFailure, InputError, InvalidParams, NumericalError
 from .fileio import load_operator_file, save_operator
 from .geometry import GEOMETRY_COLUMNS, GEOMETRY_SCHEMA, GEOMETRY_SEED, geometry_rows
 from .hakye import HaKyeParams, hakye_witness
@@ -142,17 +142,10 @@ def _cmd_hakye(args: argparse.Namespace) -> int:
                 table, SCAN_COLUMNS, SCAN_SCHEMA, fh,
                 reproducible=args.reproducible, notes=notes,
             )
-    failed = int((table["verdict"] == CERTIFICATE_FAILED).sum())
-    if failed:
-        print(
-            f"numerical failure: closed-form spectra not certified at {failed} of "
-            f"{len(table['verdict'])} points",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERIC
-    if table["condition_holds"].any():
-        return EXIT_VIOLATION
-    return EXIT_OK
+    if failed := int((table["verdict"] == CERTIFICATE_FAILED).sum()):
+        n = len(table["verdict"])
+        raise ConvergenceFailure(f"closed-form spectra not certified at {failed} of {n} points")
+    return EXIT_VIOLATION if table["condition_holds"].any() else EXIT_OK
 
 
 def _cmd_cmax(args: argparse.Namespace) -> int:
@@ -185,11 +178,7 @@ def _cmd_cmax(args: argparse.Namespace) -> int:
         ("converged", estimate.converged),
     ])
     if not estimate.converged:
-        print(
-            f"numerical failure: see-saw did not converge in --max-iter {args.max_iter} sweeps",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERIC
+        raise ConvergenceFailure(f"see-saw did not converge in --max-iter {args.max_iter} sweeps")
     return EXIT_OK
 
 

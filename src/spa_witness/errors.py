@@ -30,11 +30,14 @@ class NotHermitian(InputError):
 
 
 class ConvergenceFailure(NumericalError):
-    """An eigensolver did not converge or produced an inconsistent result."""
+    """An eigensolver did not converge or produced an inconsistent result, a
+    see-saw estimate did not converge within its sweeps, or a scan's
+    closed-form spectra could not be certified (rows `certificate-failed`)."""
 
 
 class NonRealResult(NumericalError):
-    """A quantity that must be real carried too large an imaginary part."""
+    """A quantity that must be real carried too large an imaginary part, or a
+    trace tr(a b) is not finite."""
 
 
 class WeightSumError(InputError):

@@ -232,15 +232,19 @@ def hs_inner(a: HermitianOperator, b: HermitianOperator) -> float:
 
 def hs_inner_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tr(a_k b) for each matrix a_k of a (..., d, d) stack, real for
-    Hermitian arguments; NonRealResult names a matrix whose trace is not."""
-    val = np.trace(a @ b, axis1=-2, axis2=-1)
-    bad = ~(np.abs(val.imag) <= _IMAG_TRACE_TOL)
+    Hermitian arguments; NonRealResult names a matrix whose trace is not,
+    or whose real part is nan or +-inf (a non-finite or overflowing operand)."""
+    with np.errstate(invalid="ignore", over="ignore"):  # refused below
+        val = np.trace(a @ b, axis1=-2, axis2=-1)
+    imag_ok = np.abs(val.imag) <= _IMAG_TRACE_TOL
+    bad = ~(imag_ok & np.isfinite(val.real))
     if bad.any():
         at, where = _first_failure(bad)
-        raise NonRealResult(
-            f"{where}tr(a b) has imaginary part {float(val.imag[at]):.3e}; "
-            "inputs are too asymmetric"
+        fault = (
+            f"real part {float(val.real[at])!r}, not finite" if imag_ok[at]
+            else f"imaginary part {float(val.imag[at]):.3e}; inputs are too asymmetric"
         )
+        raise NonRealResult(f"{where}tr(a b) has {fault}")
     return val.real
 
 

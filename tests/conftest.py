@@ -27,6 +27,19 @@ def random_hermitian(dims: Dims, rng: np.random.Generator, scale: float = 1.0) -
     return HermitianOperator(dims, scale * (g + g.conj().T) / 2.0)
 
 
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotated(op: HermitianOperator, rng: np.random.Generator) -> HermitianOperator:
+    """(U (x) V) W (U (x) V)^H for Haar-random U and V, Hermitian part."""
+    k = np.kron(haar_unitary(op.dims.dA, rng), haar_unitary(op.dims.dB, rng))
+    m = k @ op.entries @ k.conj().T
+    return HermitianOperator(op.dims, (m + m.conj().T) / 2.0)
+
+
 def sigma_minus_c(dims: Dims, rng: np.random.Generator) -> HermitianOperator:
     """A bench-style analyze input: sigma - c*I for a Hilbert-Schmidt random
     density sigma and c = min eig sigma + uniform(0.2, 1)/dAB."""

@@ -89,12 +89,31 @@ def _gaussian_rationals(m: np.ndarray) -> list[list[tuple[Fraction, Fraction]]]:
     ]
 
 
+def _exact_vector(v: np.ndarray) -> list[tuple[Fraction, Fraction]]:
+    return [(Fraction(z.real), Fraction(z.imag)) for z in np.asarray(v, dtype=complex).tolist()]
+
+
 def exact_rayleigh(m: np.ndarray, v: np.ndarray) -> Fraction:
     """The Rayleigh quotient v^H H v / v^H v of the Hermitian part H of m, in
     exact arithmetic: an upper bound on the minimum eigenvalue of H, for
     any nonzero vector v, however v was computed."""
-    h = _gaussian_rationals(m)
-    x = [(Fraction(z.real), Fraction(z.imag)) for z in np.asarray(v, dtype=complex).tolist()]
+    return _rayleigh(_gaussian_rationals(m), _exact_vector(v))
+
+
+def exact_product_value(m: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> Fraction:
+    """<mu nu|H|mu nu> / (|mu|^2 |nu|^2) for the Hermitian part H of m, in
+    exact arithmetic, the joint entries mu_i nu_j formed exactly (A-major):
+    the value of H on the product state of any nonzero mu and nu, so an upper
+    bound on H's product-state infimum, however mu and nu were computed."""
+    joint = [
+        (ar * br - ai * bi, ar * bi + ai * br)
+        for (ar, ai), (br, bi) in product(_exact_vector(mu), _exact_vector(nu))
+    ]
+    return _rayleigh(_gaussian_rationals(m), joint)
+
+
+def _rayleigh(h: list, x: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """x^H h x / x^H x for a Gaussian-rational Hermitian h and vector x."""
     num = Fraction(0)
     for (ar, ai), row in zip(x, h):
         # Re(conj(x_i) (H x)_i); the imaginary parts cancel over i exactly
@@ -130,6 +149,21 @@ def exact_lower_bound(m: np.ndarray, t: Fraction | float) -> bool:
                 cr, ci = a[i][j]
                 a[i][j] = (cr - (lr * br + li * bi), ci - (li * br - lr * bi))
     return True
+
+
+def hakye_product_min(a: float, b: float, c: float, theta: float) -> float:
+    """m = min over unit product vectors ef of <ef|W[a, b, c; theta]|ef>, in
+    closed form: W - s I = W[a - s, b - s, c - s; theta] is block-positive
+    exactly while s <= min(a, b, c), s <= (a + b + c - p_theta)/3 with
+    p_theta = max_k 2 cos(theta + 2 pi k/3), and s <= max(a - 1, s2) with
+    s2 = (bc - (1 - a)^2)/(b + c + 2 - 2a); s2 is dropped when its
+    denominator is <= 0, where a - 1 >= min(b, c) already binds."""
+    p_theta = max(2.0 * math.cos(theta + 2.0 * math.pi * k / 3.0) for k in range(3))
+    denominator = b + c + 2.0 - 2.0 * a
+    second = a - 1.0
+    if denominator > 0.0:
+        second = max(second, (b * c - (1.0 - a) ** 2) / denominator)
+    return min(a, b, c, (a + b + c - p_theta) / 3.0, second)
 
 
 def brute_force_partial_transpose(

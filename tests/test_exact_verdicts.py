@@ -1,19 +1,24 @@
-"""Exact certificates for the SPA side verdicts: every float is a dyadic
-rational, so the oracles in ``oracles.py`` prove each PPT or NPT claim about
-the very matrix it was computed from, in ``fractions.Fraction`` arithmetic.
+"""Exact certificates for the SPA side verdicts and for cmax's value: every
+float is a dyadic rational, so the oracles in ``oracles.py`` prove each PPT
+or NPT claim about the very matrix it was computed from, and the value of
+cmax's printed product vector on the very density it read, in
+``fractions.Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import DIMS_SMALL, full_rank_separable, rank_deficient_separable, sigma_minus_c
-from oracles import exact_lower_bound, exact_rayleigh
+from conftest import DIMS_SMALL, full_rank_separable, rank_deficient_separable, rotated, sigma_minus_c
+from oracles import exact_lower_bound, exact_product_value, exact_rayleigh
+from spa_witness.cli import EXIT_OK, main
+from spa_witness.fileio import load_operator_file, save_operator
 from spa_witness.hakye import hakye_witness, reference_violation_params
 from spa_witness.operators import (
     Dims,
@@ -147,3 +152,41 @@ def test_tol_zero_side_verdicts_on_rank_deficient_draws_are_certified():
     for w in criterion_4_witnesses():
         verdict = spa_violation_from_sigma(w, tol=0.0)
         assert not uncertified_sides(w.sigma.op.entries, w.dims, verdict, 0.0, w.c)
+
+
+def cmax_densities():
+    """(label, density) for cmax: per dimension pair, 2x2 to 3x4, a
+    Hilbert-Schmidt random density, a low-rank separable one and a locally
+    rotated copy of the latter."""
+    rng = np.random.default_rng(1818)
+    for dims in POOL_DIMS:
+        d = dims.dAB
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        hs = g @ g.conj().T
+        hs = (hs + hs.conj().T) / 2.0
+        yield f"hs-{dims.dA}x{dims.dB}", HermitianOperator(dims, hs / np.trace(hs).real)
+        separable = rank_deficient_separable(dims, rng).op
+        yield f"separable-{dims.dA}x{dims.dB}", separable
+        yield f"rotated-{dims.dA}x{dims.dB}", rotated(separable, rng)
+
+
+def test_cmax_value_is_an_exact_product_value(tmp_path, capsys):
+    # The printed value is (v^H sigma v).real for v = mu (x) nu in floats, with
+    # |mu|, |nu| 1 within a few ulps: each of the d = dAB terms of the two
+    # matrix-vector products rounds by a few u, on entries of modulus <= 1
+    # and |v|_1^2 <= d, so 8 d^2 u bounds its distance from the exact value of
+    # the printed mu and nu on the file's entries.  That exact value is an
+    # upper bound on c_max, so the printed one is too, to within the bound.
+    misses = {}
+    for label, sigma in cmax_densities():
+        path = tmp_path / f"{label}.json"
+        save_operator(sigma, path)
+        assert main(["cmax", str(path), "--json", "--reproducible"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        mu, nu = ([complex(re, im) for re, im in report["argmin"][k]] for k in ("mu_a", "nu_b"))
+        entries = load_operator_file(path)[0].entries
+        exact = exact_product_value(entries, np.array(mu), np.array(nu))
+        bound = 8 * sigma.dims.dAB**2 * Fraction(2) ** -53
+        if not abs(exact - Fraction(report["value"])) <= bound:
+            misses[label] = float(exact - Fraction(report["value"]))
+    assert not misses

@@ -1,7 +1,9 @@
 """Local unitaries U (x) V, the party swap and complex conjugation leave the
 spectra of W and W^Gamma unchanged, and so every quantity analyze reports:
 lambda0(W), lambda0(W^Gamma), the gap and the conclusion must agree on the
-transformed input within a stated rounding.
+transformed input within a stated rounding.  They keep the product-state
+infimum too, so cmax on a transformed Ha-Kye density still meets the closed
+form, and geometry's ground-projector row still reads lambda0(W).
 """
 
 from __future__ import annotations
@@ -9,18 +11,24 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DIMS_SMALL, sigma_minus_c
+from conftest import DIMS_SMALL, rotated, sigma_minus_c
+from oracles import hakye_product_min
+from spa_witness.geometry import geometry_rows
 from spa_witness.hakye import (
     HaKyeParams,
     cos_family_params,
+    hakye_spectra_closed_form,
     hakye_witness,
     reference_violation_params,
 )
-from spa_witness.operators import Dims, HermitianOperator, hs_norm
+from spa_witness.operators import Dims, HermitianOperator, hs_norm, min_eigenpair
 from spa_witness.spa import DEFAULT_COMPARE_TOL, spa_violation_from_gap
+from spa_witness.states import DensityOperator
+from spa_witness.witness import c_sigma_max
 
 # The stated rounding, in units of max(1, ||W||_F): the rotation's products
 # and the two eigensolves each move an eigenvalue by a few d*u*||W||, with
@@ -45,19 +53,6 @@ def _pool() -> list[HermitianOperator]:
 
 
 POOL = _pool()
-
-
-def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def rotated(op: HermitianOperator, rng: np.random.Generator) -> HermitianOperator:
-    """(U (x) V) W (U (x) V)^H for Haar-random U and V, Hermitian part."""
-    k = np.kron(_haar_unitary(op.dims.dA, rng), _haar_unitary(op.dims.dB, rng))
-    m = k @ op.entries @ k.conj().T
-    return HermitianOperator(op.dims, (m + m.conj().T) / 2.0)
 
 
 def party_swapped(op: HermitianOperator, rng: np.random.Generator) -> HermitianOperator:
@@ -105,3 +100,59 @@ def test_analyze_is_invariant_under_local_unitaries_swap_and_conjugation(
             after.condition_holds, after.npt_side, after.conclusion
         )
         assert [s.status for s in before.spa_sides] == [s.status for s in after.spa_sides]
+
+
+def identity(op: HermitianOperator, rng: np.random.Generator) -> HermitianOperator:
+    return op
+
+
+TRANSFORMS = [identity, rotated, party_swapped, conjugated]
+
+# cmax's band around the exact infimum gamma*(m + t): building sigma in floats
+# moves it by a few ulps below, and the see-saw may stop a few 1e-9 above it
+CMAX_BELOW, CMAX_ABOVE = 1e-14, 1e-8
+
+
+def _hakye_densities(n: int = 30) -> list[tuple[np.ndarray, float]]:
+    """(sigma, exact c_max) for sigma = gamma*(W + t I) at seeded Ha-Kye points,
+    a, b, c in [0, 2.2] and theta in [-pi, pi], with t above -lambda0(W) and
+    gamma = 1/tr(W + t I); c_max(sigma) = gamma*(m + t), m the closed form."""
+    rng = np.random.default_rng(3232)
+    out = []
+    for _ in range(n):
+        a, b, c = rng.uniform(0.0, 2.2, 3).tolist()
+        theta = float(rng.uniform(-math.pi, math.pi))
+        params = HaKyeParams(a, b, c, theta)
+        lam0 = float(hakye_spectra_closed_form(params.column())[0][0, 0])
+        t = -lam0 + float(rng.uniform(0.05, 1.0))
+        gamma = 1.0 / (3.0 * (a + b + c) + 9.0 * t)
+        sigma = gamma * (hakye_witness(params).entries + t * np.eye(9))
+        out.append((sigma, gamma * (hakye_product_min(a, b, c, theta) + t)))
+    return out
+
+
+HAKYE_DENSITIES = _hakye_densities()
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda f: f.__name__)
+def test_cmax_meets_the_hakye_closed_form_in_every_frame(transform):
+    rng = np.random.default_rng(4343)
+    misses = []
+    for k, (sigma, exact) in enumerate(HAKYE_DENSITIES):
+        moved = transform(HermitianOperator(Dims(3, 3), sigma), rng)
+        value = c_sigma_max(DensityOperator(moved)).value
+        if not exact - CMAX_BELOW <= value <= exact + CMAX_ABOVE:
+            misses.append((k, value - exact))
+    assert not misses
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("witness", POOL[:2], ids=["reference", "swap"])
+def test_geometry_ground_row_reads_lambda0_in_every_frame(witness, transform):
+    moved = transform(witness, np.random.default_rng(5454))
+    table = geometry_rows(moved, samples=2)
+    lam0, _ = min_eigenpair(witness)
+    assert math.isclose(
+        table["witness_value"][0], lam0, rel_tol=0.0, abs_tol=ROUNDING * max(1.0, hs_norm(witness))
+    )
+    assert table["classification"][0] == "negative-side"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -388,10 +389,20 @@ class TestHsAlgebra:
             hs_inner(a, a)
 
     def test_nan_trace_raises_non_real(self):
-        # a nan imaginary part is no evidence of a real trace either; the
-        # second argument is complex, as a HermitianOperator's entries are
-        with pytest.raises(NonRealResult, match=r"^matrix \(0,\): tr\(a b\) has imaginary part nan"):
-            hs_inner_stack(np.full((1, 2, 2), np.nan), np.eye(2, dtype=np.complex128))
+        # a nan imaginary part is no evidence of a real trace either; with a
+        # complex b, as a HermitianOperator's entries are, the nan reaches the
+        # imaginary part, and with a real b only the real part, which must be
+        # refused as well (inf * 0 makes it nan), without a RuntimeWarning
+        cases = [
+            (np.nan, np.complex128, "imaginary part nan"),
+            (np.nan, np.float64, "real part nan"),
+            (np.inf, np.float64, "real part nan"),
+        ]
+        for fill, b_dtype, part in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonRealResult, match=rf"^matrix \(0,\): tr\(a b\) has {part}"):
+                    hs_inner_stack(np.full((1, 2, 2), fill), np.eye(2, dtype=b_dtype))
 
 
 class TestScaleShiftHelpers:
