@@ -9,7 +9,6 @@ import numpy as np
 
 from spa_witness import (
     Dims,
-    ProductVector,
     SeparableEnsemble,
     build_witness,
     ensemble_density,
@@ -38,7 +37,7 @@ print("the offset only moves the shift, never the resulting state\n")
 # Rank-deficient sigma: a single product projector.
 mu = np.array([1.0, 0.0])
 nu = np.array([0.0, 1.0])
-pure = ensemble_density(SeparableEnsemble(dims, ((1.0, ProductVector(mu, nu)),)))
+pure = ensemble_density(SeparableEnsemble(dims, [1.0], [mu], [nu]))
 w = build_witness(pure, 0.25)
 result = spa_sigma_form(w)
 print(f"rank-deficient sigma: shortcut taken = {result.rank_deficient_shortcut}")

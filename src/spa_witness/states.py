@@ -233,18 +233,23 @@ class ProductVector:
 
 @dataclass(frozen=True, eq=False)
 class SeparableEnsemble:
-    """Weighted product vectors; weights form a probability distribution."""
+    """Read-only (T,) weights and (T, dA), (T, dB) unit factors: one draw_ensembles row."""
 
     dims: Dims
-    terms: tuple[tuple[float, ProductVector], ...]
+    weights: np.ndarray
+    mu: np.ndarray
+    nu: np.ndarray
 
     def __post_init__(self) -> None:
-        for _, pv in self.terms:
-            if pv.dims != self.dims:
-                raise DimensionMismatch(
-                    f"term dims {pv.dims} do not match ensemble dims {self.dims}"
-                )
-        _check_weights(np.array([weight for weight, _ in self.terms], dtype=np.float64))
+        for name, dtype in (("weights", np.float64), ("mu", np.complex128), ("nu", np.complex128)):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
+        n_terms = self.weights.shape[0] if self.weights.ndim == 1 else -1
+        if self.mu.shape != (n_terms, self.dims.dA) or self.nu.shape != (n_terms, self.dims.dB):
+            raise DimensionMismatch(
+                f"weights {self.weights.shape} and factors {self.mu.shape}, "
+                f"{self.nu.shape} do not match ensemble dims {self.dims}"
+            )
+        check_product_terms(self.weights, self.mu, self.nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,10 +269,7 @@ class DensityOperator:
 
 def ensemble_density(ensemble: SeparableEnsemble) -> DensityOperator:
     """Mix the ensemble into a density; the result is separable by construction."""
-    weights = np.array([[weight for weight, _ in ensemble.terms]], dtype=np.float64)
-    mu = np.array([[pv.mu_a for _, pv in ensemble.terms]])
-    nu = np.array([[pv.nu_b for _, pv in ensemble.terms]])
-    acc = mix_products(weights, mu, nu)[0]
+    acc = mix_products(ensemble.weights[None], ensemble.mu[None], ensemble.nu[None])[0]
     return DensityOperator(HermitianOperator(ensemble.dims, acc), Provenance.SEPARABLE)
 
 
@@ -290,7 +292,4 @@ def random_separable_ensemble(
     """Random mixture of Haar product vectors with Dirichlet weights."""
     check_seed(seed)
     weights, mu, nu = draw_ensembles(dims, 1, n_terms, np.random.default_rng(seed))
-    terms = tuple(
-        (float(w), ProductVector(m, n)) for w, m, n in zip(weights[0], mu[0], nu[0])
-    )
-    return SeparableEnsemble(dims, terms)
+    return SeparableEnsemble(dims, weights[0], mu[0], nu[0])

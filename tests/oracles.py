@@ -47,7 +47,6 @@ from spa_witness.states import (
     DENSITY_MIN_EIG_TOL,
     DENSITY_TRACE_TOL,
     DensityOperator,
-    ProductVector,
     Provenance,
     SeparableEnsemble,
 )
@@ -295,15 +294,14 @@ def geometry_rows_one_at_a_time(
     for _ in range(samples):
         weights = rng.dirichlet(2.0 * np.ones(2 * d))
         weights = weights / weights.sum()
-        terms = tuple(
-            (float(w), ProductVector(
-                haar_one_at_a_time(dims.dA, rng), haar_one_at_a_time(dims.dB, rng)
-            ))
-            for w in weights
-        )
+        factors = [
+            (haar_one_at_a_time(dims.dA, rng), haar_one_at_a_time(dims.dB, rng))
+            for _ in weights
+        ]
+        ensemble = SeparableEnsemble(dims, weights, *zip(*factors))
         acc = np.zeros((d, d), dtype=np.complex128)
-        for weight, pv in SeparableEnsemble(dims, terms).terms:
-            v = np.kron(pv.mu_a, pv.nu_b)
+        for weight, a, b in zip(ensemble.weights, ensemble.mu, ensemble.nu):
+            v = np.kron(a, b)
             acc += weight * np.outer(v, v.conj())
         states.append(("separable-ensemble", HermitianOperator(dims, acc)))
     rows = []

@@ -1,14 +1,16 @@
 """Exact certificates for the SPA side verdicts and for cmax's value: every
 float is a dyadic rational, so the oracles in ``oracles.py`` prove each PPT
-or NPT claim about the very matrix it was computed from, and the value of
-cmax's printed product vector on the very density it read, in
-``fractions.Fraction`` arithmetic.
+or NPT claim about the very matrix it was computed from, the value of
+cmax's printed product vector on the very density it read, and the negative
+product value that refutes a recast input, in ``fractions.Fraction``
+arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,14 +18,16 @@ import numpy as np
 import pytest
 
 from conftest import DIMS_SMALL, full_rank_separable, rank_deficient_separable, rotated, sigma_minus_c
-from oracles import exact_lower_bound, exact_product_value, exact_rayleigh
+from oracles import _expectation_raw, exact_lower_bound, exact_product_value, exact_rayleigh
 from spa_witness.cli import EXIT_OK, main
+from spa_witness.errors import NotAWitness
 from spa_witness.fileio import load_operator_file, save_operator
 from spa_witness.hakye import hakye_witness, reference_violation_params
 from spa_witness.operators import (
     Dims,
     HermitianOperator,
     eigh_checked,
+    hs_norm,
     min_eigenpair,
     partial_transpose,
     partial_transpose_stack,
@@ -34,7 +38,8 @@ from spa_witness.spa import (
     spa_violation_from_gap,
     spa_violation_from_sigma,
 )
-from spa_witness.witness import build_witness, sigma_form_from_matrix
+from spa_witness.states import haar_product_factors
+from spa_witness.witness import SPOT_CHECKS, build_witness, sigma_form_from_matrix
 
 SWAP_22 = np.eye(4)[[0, 2, 1, 3]]
 # the bench's analyze dimensions
@@ -189,4 +194,43 @@ def test_cmax_value_is_an_exact_product_value(tmp_path, capsys):
         bound = 8 * sigma.dims.dAB**2 * Fraction(2) ** -53
         if not abs(exact - Fraction(report["value"])) <= bound:
             misses[label] = float(exact - Fraction(report["value"]))
+    assert not misses
+
+
+def refuted_inputs():
+    """(label, operator) that sigma_form_from_matrix's spot checks refute:
+    a diagonal input whose first refuting sample is not its first sample, and
+    per dimension pair, 2x2 to 3x4, a seeded sigma - (2/dAB) I for a
+    Hilbert-Schmidt random density sigma."""
+    yield "diagonal", HermitianOperator(Dims(2, 3), np.diag([-1.0, 0.5, 0.5, 0.5, 0.5, 0.5]))
+    rng = np.random.default_rng(1919)
+    for dims in POOL_DIMS:
+        d = dims.dAB
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        sigma = g @ g.conj().T
+        sigma = (sigma + sigma.conj().T) / 2.0
+        sigma /= np.trace(sigma).real
+        yield f"sigma-minus-2/d-{dims.dA}x{dims.dB}", HermitianOperator(dims, sigma - 2.0 / d * np.eye(d))
+
+
+def test_not_a_witness_value_is_an_exact_negative_product_value():
+    # The printed value is (v^H W v).real for the first spot-check sample v
+    # below -1e-8 max(1, ||W||_F); as for cmax's value, 8 dAB^2 u max|W_ij|
+    # bounds its distance from W's exact value on that sample, which, being
+    # negative, proves that W is no witness.
+    misses = {}
+    for label, op in refuted_inputs():
+        with pytest.raises(NotAWitness) as refused:
+            sigma_form_from_matrix(op)
+        printed = Fraction(float(re.search(r"negative \((\S+)\)", str(refused.value)).group(1)))
+        mu, nu = haar_product_factors(op.dims, SPOT_CHECKS, np.random.default_rng(0))
+        tol = 1e-8 * max(1.0, hs_norm(op))
+        k = next(
+            k for k in range(SPOT_CHECKS)
+            if _expectation_raw(op.entries, np.kron(mu[k], nu[k])) < -tol
+        )
+        exact = exact_product_value(op.entries, mu[k], nu[k])
+        bound = 8 * op.dims.dAB**2 * Fraction(2) ** -53 * Fraction(float(np.abs(op.entries).max()))
+        if not (exact < 0 and abs(exact - printed) <= bound):
+            misses[label] = (k, float(exact), float(exact - printed))
     assert not misses

@@ -10,18 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import brute_force_partial_transpose, hakye_spectra_one_at_a_time
+from oracles import (
+    brute_force_partial_transpose,
+    exact_product_value,
+    hakye_product_min,
+    hakye_spectra_one_at_a_time,
+)
 from spa_witness.errors import InvalidParams
 from spa_witness.hakye import (
     HAKYE_DIMS,
     HaKyeParams,
+    cos_family_params,
     hakye_pt_spectrum_closed_form,
     hakye_spectra_closed_form,
     hakye_spectrum_closed_form,
     hakye_witness,
     reference_violation_params,
 )
-from spa_witness.operators import min_eigenpair, partial_transpose
+from spa_witness.operators import Dims, HermitianOperator, min_eigenpair, partial_transpose
+from spa_witness.states import DensityOperator
+from spa_witness.witness import c_sigma_max
 
 
 class TestLayout:
@@ -186,3 +194,44 @@ class TestArrayOracles:
             assert pt[k].tobytes() == ref_pt.tobytes()
             assert hakye_spectrum_closed_form(p).tobytes() == ref.tobytes()
             assert hakye_pt_spectrum_closed_form(p).tobytes() == ref_pt.tobytes()
+
+
+def rule_r_allowance(a: float, b: float, c: float) -> float:
+    """Rule R's rounding allowance, 4 ulps of a + b + c + 2: the closed-form
+    product minimum m is 0 in exact arithmetic on the cos family up to
+    theta0 = arccos(3/4), and its float value stays above -0.2 ulps there."""
+    return 4.0 * 2.0**-53 * (a + b + c + 2.0)
+
+
+# cos-family points beyond theta0, where W is not block-positive: m ranges
+# from -7.96e-6 at 0.725 to -0.209 at 1.2
+NOT_BLOCK_POSITIVE_THETAS = (0.725, 0.8, 1.0, 1.2)
+
+
+class TestRuleRAllowance:
+    """Rule R: W[a, b, c; theta] is block-positive iff its product minimum m
+    is >= 0, read with a rounding allowance."""
+
+    def test_cos_family_passes_up_to_theta0(self):
+        theta0 = math.acos(0.75)
+        for a, b, c, theta in cos_family_params(np.linspace(-theta0, theta0, 2001)).T.tolist():
+            assert hakye_product_min(a, b, c, theta) >= -rule_r_allowance(a, b, c), theta
+
+    @pytest.mark.parametrize("theta", NOT_BLOCK_POSITIVE_THETAS)
+    def test_cos_family_fails_beyond_theta0(self, theta):
+        a, b, c, _ = cos_family_params(np.array([theta]))[:, 0].tolist()
+        assert hakye_product_min(a, b, c, theta) < -rule_r_allowance(a, b, c)
+
+    @pytest.mark.parametrize("theta", NOT_BLOCK_POSITIVE_THETAS)
+    def test_seesaw_finds_an_exactly_negative_product_value(self, theta):
+        # without R: cmax on sigma = gamma*(W + t I), t = -lambda0(W) + 0.5,
+        # returns a product vector on which W's exact value is negative.  At
+        # 0.725 the see-saw gets there without converging in its 500 sweeps,
+        # so the exact value, not ``converged``, decides.
+        params = HaKyeParams(*cos_family_params(np.array([theta]))[:, 0].tolist())
+        w = hakye_witness(params).entries
+        t = -float(hakye_spectra_closed_form(params.column())[0][0, 0]) + 0.5
+        gamma = 1.0 / (3.0 * (params.a + params.b + params.c) + 9.0 * t)
+        sigma = DensityOperator(HermitianOperator(Dims(3, 3), gamma * (w + t * np.eye(9))))
+        argmin = c_sigma_max(sigma).argmin
+        assert exact_product_value(w, argmin.mu_a, argmin.nu_b) < 0

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DIMS_SMALL, rotated, sigma_minus_c
@@ -113,21 +113,26 @@ TRANSFORMS = [identity, rotated, party_swapped, conjugated]
 CMAX_BELOW, CMAX_ABOVE = 1e-14, 1e-8
 
 
+def hakye_density(a: float, b: float, c: float, theta: float, offset: float) -> tuple[np.ndarray, float]:
+    """(sigma, exact c_max) for sigma = gamma*(W + t I) at the Ha-Kye point
+    (a, b, c, theta), with t = offset - lambda0(W) and gamma = 1/tr(W + t I);
+    c_max(sigma) = gamma*(m + t), m the closed form."""
+    params = HaKyeParams(a, b, c, theta)
+    t = -float(hakye_spectra_closed_form(params.column())[0][0, 0]) + offset
+    gamma = 1.0 / (3.0 * (a + b + c) + 9.0 * t)
+    sigma = gamma * (hakye_witness(params).entries + t * np.eye(9))
+    return sigma, gamma * (hakye_product_min(a, b, c, theta) + t)
+
+
 def _hakye_densities(n: int = 30) -> list[tuple[np.ndarray, float]]:
-    """(sigma, exact c_max) for sigma = gamma*(W + t I) at seeded Ha-Kye points,
-    a, b, c in [0, 2.2] and theta in [-pi, pi], with t above -lambda0(W) and
-    gamma = 1/tr(W + t I); c_max(sigma) = gamma*(m + t), m the closed form."""
+    """hakye_density at seeded points, a, b, c in [0, 2.2], theta in [-pi, pi]
+    and offset in [0.05, 1]."""
     rng = np.random.default_rng(3232)
     out = []
     for _ in range(n):
         a, b, c = rng.uniform(0.0, 2.2, 3).tolist()
         theta = float(rng.uniform(-math.pi, math.pi))
-        params = HaKyeParams(a, b, c, theta)
-        lam0 = float(hakye_spectra_closed_form(params.column())[0][0, 0])
-        t = -lam0 + float(rng.uniform(0.05, 1.0))
-        gamma = 1.0 / (3.0 * (a + b + c) + 9.0 * t)
-        sigma = gamma * (hakye_witness(params).entries + t * np.eye(9))
-        out.append((sigma, gamma * (hakye_product_min(a, b, c, theta) + t)))
+        out.append(hakye_density(a, b, c, theta, float(rng.uniform(0.05, 1.0))))
     return out
 
 
@@ -146,13 +151,58 @@ def test_cmax_meets_the_hakye_closed_form_in_every_frame(transform):
     assert not misses
 
 
-@pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("witness", POOL[:2], ids=["reference", "swap"])
-def test_geometry_ground_row_reads_lambda0_in_every_frame(witness, transform):
-    moved = transform(witness, np.random.default_rng(5454))
+WEIGHT = st.floats(0.0, 2.2)
+
+
+# Drawn points on the block-positivity boundary (a = 1 with bc = 0, say) stop
+# the see-saw after its 500 sweeps, unconverged, about 1e-8 above the exact
+# infimum; unseeded draws met one in about 1 run of 40 examples in 20.  The
+# example below pins that open defect, and derandomize keeps the other draws
+# the same from run to run.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    a=WEIGHT,
+    b=WEIGHT,
+    c=WEIGHT,
+    theta=st.floats(-math.pi, math.pi),
+    offset=st.floats(0.05, 1.0),
+    transform=st.sampled_from([rotated, party_swapped, conjugated]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    a=1.0, b=1.25, c=0.0, theta=0.0, offset=0.25, transform=rotated, seed=0
+).xfail(raises=AssertionError, reason="the see-saw stops 1.1e-8 above a boundary point's infimum")
+def test_cmax_meets_the_hakye_closed_form_on_drawn_points(a, b, c, theta, offset, transform, seed):
+    assume(a + b + c > 0.0)  # HaKyeParams refuses all-zero weights
+    sigma, exact = hakye_density(a, b, c, theta, offset)
+    moved = transform(HermitianOperator(Dims(3, 3), sigma), np.random.default_rng(seed))
+    value = c_sigma_max(DensityOperator(moved)).value
+    assert exact - CMAX_BELOW <= value <= exact + CMAX_ABOVE
+
+
+def check_ground_row(witness: HermitianOperator, transform, seed: int) -> None:
+    """geometry's ground-projector row on the transformed witness reads
+    lambda0(W) within the stated rounding, on the negative side."""
+    moved = transform(witness, np.random.default_rng(seed))
     table = geometry_rows(moved, samples=2)
     lam0, _ = min_eigenpair(witness)
     assert math.isclose(
         table["witness_value"][0], lam0, rel_tol=0.0, abs_tol=ROUNDING * max(1.0, hs_norm(witness))
     )
     assert table["classification"][0] == "negative-side"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.integers(0, len(POOL) - 1),
+    transform=st.sampled_from(TRANSFORMS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_geometry_ground_row_reads_lambda0_on_drawn_pool_frames(case, transform, seed):
+    check_ground_row(POOL[case], transform, seed)
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("witness", POOL[:2], ids=["reference", "swap"])
+def test_geometry_ground_row_reads_lambda0_in_every_frame(witness, transform):
+    check_ground_row(witness, transform, 5454)

@@ -53,7 +53,6 @@ from spa_witness.spa import (
 )
 from spa_witness.states import (
     DensityOperator,
-    ProductVector,
     Provenance,
     SeparableEnsemble,
     ensemble_density,
@@ -88,17 +87,16 @@ def pt_symmetric_separable(dims: Dims, seed: int) -> DensityOperator:
     partial transpose permutes terms and the density is a fixed point.
     """
     rng = np.random.default_rng(seed)
-    n = 2 * dims.dAB
-    terms = []
-    for _ in range(n):
-        mu = haar_one_at_a_time(dims.dA, rng)
-        nu = haar_one_at_a_time(dims.dB, rng)
+    weights, mu, nu = [], [], []
+    for _ in range(2 * dims.dAB):
+        a = haar_one_at_a_time(dims.dA, rng)
+        b = haar_one_at_a_time(dims.dB, rng)
         w = rng.uniform(0.5, 1.5)
-        terms.append((w, ProductVector(mu, nu)))
-        terms.append((w, ProductVector(mu, nu.conj())))
-    total = sum(w for w, _ in terms)
-    terms = tuple((w / total, pv) for w, pv in terms)
-    return ensemble_density(SeparableEnsemble(dims, terms))
+        weights += [w, w]
+        mu += [a, a]
+        nu += [b, b.conj()]
+    total = sum(weights)
+    return ensemble_density(SeparableEnsemble(dims, [w / total for w in weights], mu, nu))
 
 
 class TestSpa:

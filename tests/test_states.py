@@ -48,6 +48,12 @@ def basis_product(dims: Dims, i: int, j: int) -> ProductVector:
     return ProductVector(mu, nu)
 
 
+def basis_ensemble(dims: Dims, weights: list, indices: list) -> SeparableEnsemble:
+    """The ensemble of basis products |i>|j>, one (i, j) per weight."""
+    a, b = zip(*indices)
+    return SeparableEnsemble(dims, weights, np.eye(dims.dA)[list(a)], np.eye(dims.dB)[list(b)])
+
+
 class TestProductVector:
     def test_joint_vector_ordering(self):
         pv = basis_product(D23, 1, 2)
@@ -70,27 +76,44 @@ class TestProductVector:
 
 class TestSeparableEnsemble:
     def test_weights_must_sum_to_one(self):
-        pv = basis_product(D22, 0, 0)
-        with pytest.raises(WeightSumError):
-            SeparableEnsemble(D22, ((0.5, pv), (0.4, pv)))
+        with pytest.raises(WeightSumError, match=r"^weights sum to 0\.9, expected 1$"):
+            basis_ensemble(D22, [0.5, 0.4], [(0, 0), (0, 0)])
 
     def test_weights_must_be_positive(self):
-        pv = basis_product(D22, 0, 0)
-        with pytest.raises(WeightSumError):
-            SeparableEnsemble(D22, ((1.2, pv), (-0.2, pv)))
+        with pytest.raises(WeightSumError, match=r"^every weight must be positive, got -0\.2$"):
+            basis_ensemble(D22, [1.2, -0.2], [(0, 0), (0, 0)])
+
+    def test_factors_must_have_unit_norm(self):
+        with pytest.raises(InvalidParams, match=r"^nu_b \(1,\) is not unit norm"):
+            SeparableEnsemble(D22, [0.5, 0.5], np.eye(2), [[1.0, 0.0], [1.0, 1.0]])
 
     def test_term_dims_must_match(self):
-        with pytest.raises(DimensionMismatch):
-            SeparableEnsemble(D22, ((1.0, basis_product(D23, 0, 0)),))
+        for weights, mu, nu in (
+            ([1.0], np.eye(2)[:1], np.eye(3)[:1]),  # nu of another dB
+            ([0.5, 0.5], np.eye(2)[:1], np.eye(2)[:1]),  # fewer factors than weights
+            ([[1.0]], np.eye(2)[:1], np.eye(2)[:1]),  # a stack of weights, not one row
+        ):
+            with pytest.raises(DimensionMismatch, match="do not match ensemble dims"):
+                SeparableEnsemble(D22, weights, mu, nu)
+
+    def test_holds_read_only_copies(self):
+        weights, mu, nu = np.array([0.25, 0.75]), np.eye(2), np.eye(2)
+        ensemble = SeparableEnsemble(D22, weights, mu, nu)
+        weights[0] = 2.0
+        assert ensemble.weights.tolist() == [0.25, 0.75]
+        assert ensemble.mu.dtype == np.complex128
+        for a in (ensemble.weights, ensemble.mu, ensemble.nu):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(WeightSumError):
-            SeparableEnsemble(D22, ())
+            SeparableEnsemble(D22, [], np.empty((0, 2)), np.empty((0, 2)))
 
     def test_every_empty_ensemble_gets_the_weight_check_message(self):
         empty = (np.empty((3, 0)), np.empty((3, 0, 2)), np.empty((3, 0, 2)))
         for build in (
-            lambda: SeparableEnsemble(D22, ()),
+            lambda: SeparableEnsemble(D22, [], np.empty((0, 2)), np.empty((0, 2))),
             lambda: random_separable_ensemble(D22, 0, 5),
             lambda: check_product_terms(*empty),
         ):
@@ -101,26 +124,26 @@ class TestSeparableEnsemble:
 
 class TestEnsembleDensity:
     def test_single_term_is_projector(self):
-        pv = basis_product(D22, 0, 0)
-        rho = ensemble_density(SeparableEnsemble(D22, ((1.0, pv),)))
+        rho = ensemble_density(basis_ensemble(D22, [1.0], [(0, 0)]))
         assert rho.provenance is Provenance.SEPARABLE
         assert rho.op.entries[0, 0] == pytest.approx(1.0)
 
     def test_uniform_product_basis_gives_maximally_mixed(self):
-        terms = tuple(
-            (0.25, basis_product(D22, i, j)) for i in range(2) for j in range(2)
+        rho = ensemble_density(
+            basis_ensemble(D22, [0.25] * 4, [(i, j) for i in range(2) for j in range(2)])
         )
-        rho = ensemble_density(SeparableEnsemble(D22, terms))
         assert_allclose(rho.op.entries, maximally_mixed(D22).op.entries, atol=1e-15)
 
     def test_affine_in_weights(self):
         rng = np.random.default_rng(0)
         e1 = random_separable_ensemble(D23, 4, rng)
         e2 = random_separable_ensemble(D23, 5, rng)
-        merged_terms = tuple((0.3 * w, pv) for w, pv in e1.terms) + tuple(
-            (0.7 * w, pv) for w, pv in e2.terms
-        )
-        merged = ensemble_density(SeparableEnsemble(D23, merged_terms))
+        merged = ensemble_density(SeparableEnsemble(
+            D23,
+            np.concatenate([0.3 * e1.weights, 0.7 * e2.weights]),
+            np.concatenate([e1.mu, e2.mu]),
+            np.concatenate([e1.nu, e2.nu]),
+        ))
         expected = (
             0.3 * ensemble_density(e1).op.entries + 0.7 * ensemble_density(e2).op.entries
         )
@@ -292,10 +315,10 @@ class TestRandomSampling:
 
     def test_separable_ensemble_weights_and_dims(self):
         ensemble = random_separable_ensemble(D33, 7, 11)
-        weights = [w for w, _ in ensemble.terms]
-        assert len(weights) == 7
-        assert all(w > 0 for w in weights)
-        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        assert ensemble.weights.shape == (7,)
+        assert ensemble.mu.shape == ensemble.nu.shape == (7, 3)
+        assert (ensemble.weights > 0).all()
+        assert ensemble.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStackedSampling:
@@ -324,7 +347,8 @@ class TestStackedSampling:
         rng = np.random.default_rng(9)
         for k in range(4):
             ensemble = random_separable_ensemble(D23, 5, rng)
-            assert [w for w, _ in ensemble.terms] == weights[k].tolist()
+            assert ensemble.weights.tolist() == weights[k].tolist()
+            assert np.array_equal(ensemble.mu, mu[k]) and np.array_equal(ensemble.nu, nu[k])
             assert np.array_equal(mixed[k], ensemble_density(ensemble).op.entries)
 
     @pytest.mark.parametrize("n_terms", [1, 2, 7, 8, 9, 18, 24, 33])

@@ -113,7 +113,8 @@ class TestSeesaw:
 
     def test_pure_product_state_infimum_is_zero(self):
         # an orthogonal product vector exists, so the infimum vanishes
-        rho = ensemble_density(SeparableEnsemble(D22, ((1.0, basis_pv(D22, 0, 0)),)))
+        pv = basis_pv(D22, 0, 0)
+        rho = ensemble_density(SeparableEnsemble(D22, [1.0], [pv.mu_a], [pv.nu_b]))
         est = c_sigma_max(rho, restarts=8)
         assert abs(est.value) < 1e-10
 
